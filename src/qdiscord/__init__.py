@@ -4,7 +4,7 @@ Quantum discord of the state that correlates a classical label with the
 prepared qubit equals the gap between the Holevo bound and the accessible
 information, and both sides share one optimal measurement axis.  This
 package computes all of it in the Bloch picture: closed forms where they
-exist (pure pairs, the geometric eigen-solve), a plane-restricted
+exist (pure pairs, the rank-2 geometric eigenpair), a plane-restricted
 golden-section search for the rest, and dense sphere-grid oracles that
 cross-check every optimizer.
 """

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .discord import accessible_information, discord_pure_koashi_winter
+from .discord import _clamp_gap, accessible_information, discord_pure_koashi_winter
 from .ensemble import (
     QubitEnsemble,
     cq_state_entropy,
@@ -62,6 +62,12 @@ SWEEP_COLUMNS = (
 )
 
 LANDSCAPE_COLUMNS = ("theta", "delta", "discord_rough")
+
+# Upper bounds on the size arguments, so that a mistyped value is refused
+# instead of starting an unbounded allocation or run.
+_MAX_GRID = 10**6
+_MAX_TRIALS = 10**5
+_MAX_JOBS = 64
 
 
 class EnsembleSpecError(ValueError):
@@ -177,9 +183,7 @@ def _is_pure(v) -> bool:
 def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
     chi = holevo_chi(ens)
     acc = accessible_information(ens)
-    gap = chi - acc.value
-    if -1e-10 <= gap < 0.0:
-        gap = 0.0
+    gap = _clamp_gap(chi - acc.value)
     geo = geometric_discord(ens)
     pairs = [
         ("lambda0", ens.lambda0),
@@ -229,6 +233,8 @@ def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
 def _cmd_compute(args) -> int:
     if (args.spec is None) == (args.theta is None):
         raise _UsageError("provide exactly one of --spec or --theta")
+    if args.verify is not None:
+        _check_range("--verify", args.verify, 2, _MAX_GRID)
     if args.spec is not None:
         ens = load_ensemble_spec(args.spec)
     else:
@@ -255,9 +261,7 @@ def _sweep_row(task) -> tuple:
     ens = QubitEnsemble.pure_pair(theta, lambda0)
     chi = holevo_chi(ens)
     acc = accessible_information(ens)
-    gap = chi - acc.value
-    if -1e-10 <= gap < 0.0:
-        gap = 0.0
+    gap = _clamp_gap(chi - acc.value)
     geo = geometric_discord(ens)
     kw = discord_pure_koashi_winter(lambda0, abs(math.cos(theta)))
     return (
@@ -278,8 +282,8 @@ def _sweep_row(task) -> tuple:
 
 
 def _cmd_sweep(args) -> int:
-    if not 2 <= args.steps <= 10**6:
-        raise _UsageError("--steps must lie in [2, 1000000]")
+    _check_range("--steps", args.steps, 2, 10**6)
+    _check_range("--jobs", args.jobs, 1, _MAX_JOBS)
     start = _angle(args.start, args.degrees)
     stop = _angle(args.stop, args.degrees)
     thetas = np.linspace(start, stop, args.steps)
@@ -300,8 +304,7 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_landscape(args) -> int:
-    if not 2 <= args.delta_steps <= 10**6:
-        raise _UsageError("--delta-steps must lie in [2, 1000000]")
+    _check_range("--delta-steps", args.delta_steps, 2, 10**6)
     theta = _angle(args.theta, args.degrees)
     d0 = _angle(args.delta_start, args.degrees)
     d1 = _angle(args.delta_stop, args.degrees)
@@ -350,10 +353,8 @@ class _Suite:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise _UsageError("--trials must be at least 1")
-    if args.grid < 2:
-        raise _UsageError("--grid must be at least 2")
+    _check_range("--trials", args.trials, 1, _MAX_TRIALS)
+    _check_range("--grid", args.grid, 2, _MAX_GRID)
 
     def tol(default: float) -> float:
         return args.tol if args.tol is not None else default
@@ -393,8 +394,7 @@ def _cmd_verify(args) -> int:
         suites["holevo_bound"].check(trial, margin, tol(1e-12), ens)
 
         acc = accessible_information(ens)
-        gap = chi - acc.value
-        discord = 0.0 if -1e-10 <= gap < 0.0 else gap
+        discord = _clamp_gap(chi - acc.value)
         comp = max(abs(chi - acc.value - discord), acc.value - chi)
         suites["complementarity"].check(trial, comp, tol(1e-10), ens)
 
@@ -451,6 +451,11 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
+
+def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise _UsageError(f"{flag} must lie in [{lo}, {hi}]")
+
 
 def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else float(value)

@@ -225,6 +225,10 @@ def _plane_basis(ens: QubitEnsemble) -> tuple[np.ndarray, np.ndarray]:
         return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     u1, other = (a / na, b) if na >= nb else (b / nb, a)
     w = other - (other @ u1) * u1
+    # Nearly collinear pairs need a second pass; it runs only then, because
+    # on flat peaks even a round-off move of the basis moves the optimal axis.
+    if abs(float(w @ u1)) > 1e-12 * float(np.linalg.norm(w)):
+        w = w - (w @ u1) * u1
     nw = float(np.linalg.norm(w))
     if nw > 1e-13:
         return u1, w / nw
@@ -322,6 +326,11 @@ def accessible_information(ens: QubitEnsemble) -> OptimizationResult:
     )
 
 
+def _clamp_gap(gap: float) -> float:
+    """The Holevo-accessible gap with round-off in [-1e-10, 0) set to zero."""
+    return 0.0 if -1e-10 <= gap < 0.0 else gap
+
+
 def quantum_discord(ens: QubitEnsemble) -> OptimizationResult:
     """Discord as the Holevo-accessible gap, with the shared optimal axis.
 
@@ -329,12 +338,9 @@ def quantum_discord(ens: QubitEnsemble) -> OptimizationResult:
     in [-1e-10, 0) clamped to zero.
     """
     acc = accessible_information(ens)
-    gap = holevo_chi(ens) - acc.value
-    if -1e-10 <= gap < 0.0:
-        gap = 0.0
     return OptimizationResult(
         n_opt=acc.n_opt,
-        value=float(gap),
+        value=float(_clamp_gap(holevo_chi(ens) - acc.value)),
         stationarity_residual=acc.stationarity_residual,
         evaluations=acc.evaluations,
         method=acc.method,

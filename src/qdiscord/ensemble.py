@@ -8,6 +8,7 @@ directly; the 4x4 matrix is never materialized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ class QubitEnsemble:
 
     def __post_init__(self):
         l0, l1 = float(self.lambda0), float(self.lambda1)
+        if not (math.isfinite(l0) and math.isfinite(l1)):
+            raise ValueError(f"ensemble weights must be finite, got ({l0!r}, {l1!r})")
         if min(l0, l1) < -NORM_SLACK:
             raise ValueError("ensemble weights must be nonnegative")
         if abs(l0 + l1 - 1.0) > NORM_SLACK:

@@ -2,29 +2,27 @@
 
 The post-measurement purity along the axis n is an affine function of the
 quadratic form n^T M n with M = lambda0^2 a a^T + lambda1^2 b b^T, so the
-sphere optimization is exactly the top eigenpair of a symmetric 3x3 matrix.
-The eigensolve below uses the trigonometric closed form of the
-characteristic cubic, with a deterministic Jacobi fallback when the roots
-are nearly degenerate; this keeps the module independent of both the
-numerical eigenpackage and the grid oracle used to cross-check it.
+sphere optimization is exactly the top eigenpair of M.  M = G G^T with
+G = [lambda0 a, lambda1 b] has rank at most 2, so the eigenproblem is the
+2x2 Gram matrix of G, solved in closed form (the two-qubit result of
+Dakic, Vedral and Brukner).  The geometric discord is half the second
+eigenvalue, D / (t + sqrt(t^2 - 4 D)) with t = tr M and D = |l0 a x l1 b|^2,
+which keeps full relative accuracy on nearly collinear pairs.  Nothing here
+depends on the numerical eigenpackage or on the grid oracle that
+cross-checks it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import EIGENPAIR_METHOD, OptimizationResult, _single_axis
+from .discord import EIGENPAIR_METHOD, OptimizationResult, _plane_basis, _single_axis
 from .ensemble import QubitEnsemble
 from .measurement import canonical_axis
 
-# Discriminant of the characteristic roots below which the closed form is
-# abandoned for Jacobi rotations outright.  Roots with a small but nonzero
-# gap also lose accuracy (the acos argument is ill-conditioned there), so the
-# closed-form result is additionally residual-checked before acceptance.
-_DEGENERATE_DISC = 1e-24
-_RESIDUAL_GUARD = 1e-12
 # Eigenvalues within this of the top one are treated as a degenerate
 # eigenspace and resolved by the lexicographic tie-break.
 _EIGEN_GAP_TOL = 1e-12
@@ -78,29 +76,24 @@ def ensemble_purity(ens: QubitEnsemble) -> float:
 
 
 def quadratic_form(ens: QubitEnsemble) -> GeoQuadraticForm:
-    """Build M and solve its top eigenpair (closed form, Jacobi fallback)."""
+    """Build M from its outer products; the top eigenpair comes from the rank-2 form."""
     m = ens.lambda0**2 * np.outer(ens.a, ens.a) + ens.lambda1**2 * np.outer(ens.b, ens.b)
-    w, v = _top_eigenpair(m)
+    w, _, v = _top_eigenpair(ens)
     return GeoQuadraticForm(m=m, top_eigenvalue=w, top_eigenvector=v)
 
 
 def geometric_discord(ens: QubitEnsemble) -> OptimizationResult:
     """Minimum purity deficit over projective measurements on the qubit.
 
-    value = ensemble_purity - (l0^2 + l1^2)/2 - top_eigenvalue(M)/2, which is
-    zero exactly when the two Bloch vectors are collinear or a weight
-    vanishes.  The optimal axis is the top eigenvector of M.
+    value = ensemble_purity - (l0^2 + l1^2)/2 - top_eigenvalue(M)/2, which
+    is half the second eigenvalue of M: zero exactly when the two Bloch
+    vectors are collinear or a weight vanishes.  The optimal axis is the top
+    eigenvector of M.
     """
-    form = quadratic_form(ens)
-    value = (
-        ensemble_purity(ens)
-        - 0.5 * (ens.lambda0**2 + ens.lambda1**2)
-        - 0.5 * form.top_eigenvalue
-    )
-    n_opt = form.top_eigenvector
+    _, second, n_opt = _top_eigenpair(ens)
     return OptimizationResult(
         n_opt=n_opt,
-        value=float(max(value, 0.0)),
+        value=0.5 * second,
         stationarity_residual=geo_stationarity_residual(ens, n_opt),
         evaluations=1,
         method=EIGENPAIR_METHOD,
@@ -167,81 +160,8 @@ def geo_choice_classifier(
 
 
 # ---------------------------------------------------------------------------
-# Symmetric 3x3 eigensolve: trigonometric closed form + Jacobi fallback
+# Rank-2 eigenpair: the 2x2 Gram matrix of G = [l0 a, l1 b]
 # ---------------------------------------------------------------------------
-
-def _det3(m: np.ndarray) -> float:
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-def eigvals_symmetric3(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric 3x3 matrix, descending, in closed form.
-
-    Trigonometric solution of the characteristic cubic; exact for diagonal
-    input.  The acos argument is clamped into [-1, 1] against round-off.
-    """
-    m = np.asarray(m, dtype=float)
-    p1 = m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2
-    if p1 == 0.0:
-        return np.sort(np.diag(m))[::-1].copy()
-    q = float(np.trace(m)) / 3.0
-    p2 = (m[0, 0] - q) ** 2 + (m[1, 1] - q) ** 2 + (m[2, 2] - q) ** 2 + 2.0 * p1
-    p = np.sqrt(p2 / 6.0)
-    r = _det3((m - q * np.eye(3)) / p) / 2.0
-    phi = np.arccos(min(1.0, max(-1.0, r))) / 3.0
-    w1 = q + 2.0 * p * np.cos(phi)
-    w3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return np.array([w1, 3.0 * q - w1 - w3, w3])
-
-
-def _jacobi_eigh3(m: np.ndarray, sweeps: int = 50):
-    """Cyclic Jacobi diagonalization of a symmetric 3x3 matrix.
-
-    Deterministic and robust for degenerate spectra; returns eigenvalues
-    descending with eigenvectors as matching columns.
-    """
-    a = np.array(m, dtype=float)
-    v = np.eye(3)
-    for _ in range(sweeps):
-        off = np.sqrt(a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2)
-        if off < 1e-300 or off < 1e-16 * max(1.0, float(np.abs(np.diag(a)).max())):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            if apq == 0.0:
-                continue
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            a = rot.T @ a @ rot
-            v = v @ rot
-    order = np.argsort(np.diag(a))[::-1]
-    return np.diag(a)[order].copy(), v[:, order].copy()
-
-
-def _eigvec_from_rows(m: np.ndarray, w: float) -> np.ndarray | None:
-    """Null direction of (M - w I) from the largest cross product of its rows."""
-    a = m - w * np.eye(3)
-    crosses = [np.cross(a[i], a[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-    norms = [float(np.linalg.norm(c)) for c in crosses]
-    k = int(np.argmax(norms))
-    if norms[k] < 1e-13:
-        return None
-    return crosses[k] / norms[k]
-
-
-def _axis_rep(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    return canonical_axis(v, tol)
-
 
 def _lex_max_rep_2d(p: np.ndarray, q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Lexicographically largest antipode-normalized unit vector in span{p, q}."""
@@ -252,11 +172,11 @@ def _lex_max_rep_2d(p: np.ndarray, q: np.ndarray, tol: float = 1e-12) -> np.ndar
             continue
         vstar = (g0 * p + g1 * q) / glen
         if vstar[2] >= -tol:
-            return _axis_rep(vstar)
+            return canonical_axis(vstar)
         # The coordinate maximizer points below the z = 0 plane, so the best
         # normalized representative lies on the span's z = 0 line.
         u0 = q * p[2] - p * q[2]
-        u0 = _axis_rep(u0 / np.linalg.norm(u0))
+        u0 = canonical_axis(u0 / np.linalg.norm(u0))
         # Its mirror image across vstar shares the coordinate value; prefer
         # it when it is a representative with a larger remaining tuple.
         twin = 2.0 * float(u0 @ vstar) * vstar - u0
@@ -266,21 +186,31 @@ def _lex_max_rep_2d(p: np.ndarray, q: np.ndarray, tol: float = 1e-12) -> np.ndar
     raise ValueError("degenerate basis for tie-break")
 
 
-def _top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
-    w = eigvals_symmetric3(m)
-    disc = ((w[0] - w[1]) * (w[0] - w[2]) * (w[1] - w[2])) ** 2
-    if disc >= _DEGENERATE_DISC:
-        vec = _eigvec_from_rows(m, float(w[0]))
-        if vec is not None:
-            guard = _RESIDUAL_GUARD * max(1.0, abs(float(w[0])))
-            if float(np.linalg.norm(m @ vec - w[0] * vec)) <= guard:
-                return float(w[0]), _axis_rep(vec)
-    wj, vj = _jacobi_eigh3(m)
-    top = wj >= wj[0] - _EIGEN_GAP_TOL
-    count = int(top.sum())
-    if count == 1:
-        return float(wj[0]), _axis_rep(vj[:, 0])
-    if count == 2:
-        return float(wj[0]), _lex_max_rep_2d(vj[:, 0], vj[:, 1])
-    # Fully degenerate form (e.g. M = 0): every axis ties; x wins the tie-break.
-    return float(wj[0]), np.array([1.0, 0.0, 0.0])
+def _top_eigenpair(ens: QubitEnsemble) -> tuple[float, float, np.ndarray]:
+    """Top and second eigenvalue of M = G G^T and its top axis, G = [l0 a, l1 b].
+
+    M shares its nonzero spectrum with the Gram matrix [[p, r], [r, q]] of G.
+    The second eigenvalue comes from det = |l0 a x l1 b|^2 over the top one,
+    and the axis from the Gram eigenvector mapped through G, so neither
+    subtracts nearly equal numbers when a and b are nearly collinear.
+    """
+    ga = ens.lambda0 * ens.a
+    gb = ens.lambda1 * ens.b
+    p, q, r = float(ga @ ga), float(gb @ gb), float(ga @ gb)
+    gap = math.hypot(p - q, 2.0 * r)
+    top = 0.5 * (p + q + gap)
+    cross = np.cross(ga, gb)
+    second = float(cross @ cross) / top if top > 0.0 else 0.0
+    if top <= _EIGEN_GAP_TOL:
+        # M vanishes: every axis ties and x wins the tie-break.
+        return top, second, np.array([1.0, 0.0, 0.0])
+    if gap <= _EIGEN_GAP_TOL:
+        return top, second, _lex_max_rep_2d(*_plane_basis(ens))
+    # (p - q + gap)/2 equals top - q, but rounding top first leaks ~1e-17
+    # into components that are exactly zero (the mirror pair's x, say).
+    if p >= q:
+        c0, c1 = 0.5 * (p - q + gap), r
+    else:
+        c0, c1 = r, 0.5 * (q - p + gap)
+    v = c0 * ga + c1 * gb
+    return top, second, canonical_axis(v / np.linalg.norm(v))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from qdiscord import QubitEnsemble
@@ -35,6 +36,32 @@ def nondegenerate(ens: QubitEnsemble) -> bool:
         and np.linalg.norm(ens.a - ens.b) >= 0.1
         and np.linalg.norm(np.cross(ens.a, ens.b)) >= 1e-2
     )
+
+
+@st.composite
+def near_degenerate_ensembles(draw) -> QubitEnsemble:
+    """Near-collinear and near-identical pairs: the inputs nondegenerate drops.
+
+    b is a scaled copy of a (collinear) or a itself (identical), moved off it
+    by eps in [1e-12, 1e-6] along a random direction; for the collinear kind
+    that direction is perpendicular to a.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["near_collinear", "near_identical"]))
+    eps = 10.0 ** draw(st.floats(-12.0, -6.0))
+    l0 = draw(st.floats(0.0, 1.0))
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    a = u * draw(st.floats(1e-3, 1.0))
+    d = rng.normal(size=3)
+    if kind == "near_collinear":
+        d -= (d @ u) * u
+        b = draw(st.floats(-1.0, 1.0)) * a
+    else:
+        b = a.copy()
+    b = b + eps * d / np.linalg.norm(d)
+    b /= max(1.0, float(np.linalg.norm(b)))
+    return QubitEnsemble(l0, 1.0 - l0, a, b)
 
 
 @pytest.fixture

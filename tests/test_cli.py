@@ -1,10 +1,12 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qdiscord.cli
 from qdiscord import QubitEnsemble
 from qdiscord.cli import (
     EXIT_INVARIANT,
@@ -21,6 +23,7 @@ D_PI4 = 0.201752073385712202
 KW_THIRD = 0.165857027124402748
 H_THREE_QUARTERS = 0.811278124459132864
 CHI_HALF_MIXED = 0.188721875540867136
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +174,47 @@ def test_compute_invariant_violation_exit_code(capsys):
     assert code == EXIT_INVARIANT
 
 
+def test_compute_non_finite_weight_is_rejected_at_the_ensemble(capsys):
+    # json.loads accepts NaN; the ensemble names the weights, not the Bloch vectors
+    code, _, err = run_cli(
+        capsys, "compute", "--spec", '{"weights": [NaN, 0.5], "bloch": [[0,0,0.5],[0,0,-0.5]]}'
+    )
+    assert code == EXIT_INVARIANT
+    assert "weights must be finite" in err
+
+
+def test_compute_near_collinear_pair(capsys):
+    code, out, err = run_cli(
+        capsys, "compute", "--spec", '{"weights":[0.5,0.5],"bloch":[[1e-8,0,0.5],[0,0,-0.5]]}'
+    )
+    assert code == EXIT_OK, err
+    doc = {k: float(v) for k, v in parse_report(out).items() if k != "degenerate_optimum"}
+    assert doc["i_acc"] <= doc["chi"] + 1e-12
+    assert abs(doc["chi"] - doc["i_acc"] - doc["discord"]) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--theta", "1", "--verify", "1"),
+        ("compute", "--theta", "1", "--verify", "1000001"),
+        ("verify", "--grid", "1000001"),
+        ("verify", "--trials", "100001"),
+        ("sweep", "--jobs", "0"),
+        ("sweep", "--jobs", "65"),
+    ],
+)
+def test_size_arguments_out_of_range_are_usage_errors(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    for name in ("accessible_information", "holevo_chi", "random_ensemble", "ProcessPoolExecutor"):
+        monkeypatch.setattr(qdiscord.cli, name, no_work)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "must lie in" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
     assert run_cli(capsys)[0] == EXIT_USAGE
@@ -236,6 +280,12 @@ def test_sweep_degrees_matches_radians(capsys):
     for rd, rr in zip(rows_deg, rows_rad):
         for key in rd:
             assert rd[key] == pytest.approx(rr[key], abs=1e-9)
+
+
+def test_sweep_matches_golden_csv(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--steps", "101", "--output", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / "sweep_steps101.csv").read_bytes()
 
 
 def test_sweep_parallel_matches_serial(capsys):

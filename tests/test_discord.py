@@ -20,7 +20,7 @@ from qdiscord import (
     random_pure_pair,
     stationarity_residual,
 )
-from conftest import nondegenerate, random_rotation, rotate_ensemble
+from conftest import near_degenerate_ensembles, nondegenerate, random_rotation, rotate_ensemble
 
 # Frozen from an independent arbitrary-precision evaluation (mpmath, 40 digits)
 EOF_AT_HALF = 0.354578902665269884            # h((2+sqrt(3))/4)
@@ -260,3 +260,15 @@ def test_degenerate_weight_ensembles():
     assert accessible_information(QubitEnsemble(0.0, 1.0, [0, 0, 0.8], [0.5, 0, 0])).value == pytest.approx(
         0.0, abs=1e-12
     )
+
+
+@given(ens=near_degenerate_ensembles())
+@settings(max_examples=60, deadline=None)
+def test_near_degenerate_pairs(ens):
+    chi = holevo_chi(ens)
+    acc = accessible_information(ens)
+    disc = quantum_discord(ens)
+    assert np.linalg.norm(acc.n_opt) == pytest.approx(1.0, abs=1e-12)
+    assert acc.value <= chi + 1e-12
+    assert disc.value >= 0.0
+    assert abs(chi - acc.value - disc.value) <= 1e-10

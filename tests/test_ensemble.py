@@ -26,6 +26,9 @@ def test_ensemble_validation():
         QubitEnsemble(0.5, 0.5, [0, 0, 1.1], [0, 0, 0])
     ens = QubitEnsemble(1.0 + 1e-13, -1e-13, [0, 0, 1], [0, 0, 0])
     assert ens.lambda0 == 1.0 and ens.lambda1 == 0.0
+    for weights in ((np.nan, 0.5), (0.5, np.nan), (np.inf, -np.inf)):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            QubitEnsemble(*weights, [0, 0, 0.5], [0, 0, -0.5])
 
 
 def test_average_state():

@@ -16,78 +16,138 @@ from qdiscord import (
     quantum_discord,
     random_ensemble,
 )
-from qdiscord.geodiscord import _jacobi_eigh3, _top_eigenpair, eigvals_symmetric3
 from conftest import random_rotation, rotate_ensemble
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 
-def _random_symmetric(rng, scale=1.0):
-    g = rng.normal(size=(3, 3)) * scale
-    return (g + g.T) / 2.0
+def _eigen_residual(form) -> float:
+    v = form.top_eigenvector
+    return float(np.linalg.norm(form.m @ v - form.top_eigenvalue * v))
+
+
+def _lex_max_axis_in_span(u, w, samples=200_001, tol=1e-12):
+    """Brute-force tie-break: the largest (x, y, z) canonical axis in span{u, w}.
+
+    Canonical means the sign is fixed by z > 0, then x > 0, then y > 0.
+    """
+    phis = np.linspace(0.0, 2.0 * np.pi, samples)
+    axes = np.cos(phis)[:, None] * u + np.sin(phis)[:, None] * w
+    sign = np.ones(samples)
+    decided = np.zeros(samples, dtype=bool)
+    for k in (2, 0, 1):
+        sign[~decided & (axes[:, k] < -tol)] = -1.0
+        decided |= np.abs(axes[:, k]) > tol
+    axes *= sign[:, None]
+    return axes[np.lexsort((axes[:, 2], axes[:, 1], axes[:, 0]))[-1]]
 
 
 # ---------------------------------------------------------------------------
-# the hand-rolled eigensolver, checked against numpy's
+# the rank-2 eigenpair, through quadratic_form and geometric_discord
 # ---------------------------------------------------------------------------
 
-def test_eigvals_closed_form_vs_numpy(rng):
+def test_quadratic_form_matches_numpy_spectrum(rng):
     for _ in range(300):
-        m = _random_symmetric(rng)
-        ours = eigvals_symmetric3(m)
-        ref = np.linalg.eigvalsh(m)[::-1]
-        np.testing.assert_allclose(ours, ref, atol=1e-10)
+        ens = random_ensemble(rng)
+        form = quadratic_form(ens)
+        ref = np.linalg.eigvalsh(form.m)
+        assert form.top_eigenvalue == pytest.approx(ref[2], abs=1e-14)
+        assert np.linalg.norm(form.top_eigenvector) == pytest.approx(1.0, abs=1e-14)
+        assert _eigen_residual(form) <= 1e-14
+        # the discord is half the second eigenvalue of M
+        assert geometric_discord(ens).value == pytest.approx(0.5 * ref[1], abs=1e-14)
 
 
-def test_eigvals_diagonal_exact():
-    m = np.diag([0.3, -0.1, 0.7])
-    np.testing.assert_array_equal(eigvals_symmetric3(m), [0.7, 0.3, -0.1])
+def test_axis_aligned_pair_is_exact():
+    # dyadic inputs: M is diagonal and every step of the closed form is exact
+    ens = QubitEnsemble(0.25, 0.75, [0.5, 0, 0], [0, 0, 0.75])
+    form = quadratic_form(ens)
+    assert form.top_eigenvalue == 0.5625**2
+    np.testing.assert_array_equal(form.top_eigenvector, Z)
+    assert geometric_discord(ens).value == 0.125**2 / 2.0
 
 
-def test_top_eigenpair_residual(rng):
-    for _ in range(300):
-        m = _random_symmetric(rng)
-        w, v = _top_eigenpair(m)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(m @ v - w * v) <= 1e-10
-        assert w == pytest.approx(np.linalg.eigvalsh(m)[-1], abs=1e-10)
-
-
-def test_top_eigenpair_degenerate_cases():
-    # multiplicity 2: the xz-plane ties; the tie-break picks x
-    m = np.diag([0.5, 0.1, 0.5])
-    w, v = _top_eigenpair(m)
-    assert w == pytest.approx(0.5, abs=1e-14)
-    np.testing.assert_allclose(v, X, atol=1e-12)
-    # multiplicity 3
-    w, v = _top_eigenpair(0.2 * np.eye(3))
-    assert w == pytest.approx(0.2, abs=1e-14)
-    np.testing.assert_allclose(v, X, atol=1e-12)
-    # zero matrix
-    w, v = _top_eigenpair(np.zeros((3, 3)))
-    assert w == 0.0
-    np.testing.assert_allclose(v, X, atol=1e-12)
-
-
-def test_jacobi_matches_numpy(rng):
-    for _ in range(100):
-        m = _random_symmetric(rng)
-        w, v = _jacobi_eigh3(m)
-        np.testing.assert_allclose(w, np.linalg.eigvalsh(m)[::-1], atol=1e-10)
-        for k in range(3):
-            assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) <= 1e-10
-
-
-def test_near_degenerate_spectra(rng):
-    # closed-form roots go ill-conditioned here; the Jacobi fallback must hold
+def test_quadratic_form_near_degenerate_plane(rng):
+    # lambda0 a and lambda1 b orthogonal with squared norms 0.09 + gap and 0.09
     for gap in (1e-8, 1e-11, 1e-13, 0.0):
-        m = np.diag([0.4, 0.4 - gap, 0.1])
-        base = random_rotation(rng)
-        m = base @ m @ base.T
-        m = (m + m.T) / 2.0
-        w, v = _top_eigenpair(m)
-        assert np.linalg.norm(m @ v - w * v) <= 1e-10
+        rot = random_rotation(rng)
+        a = rot @ np.array([2.0 * np.sqrt(0.09 + gap), 0.0, 0.0])
+        b = rot @ np.array([0.0, 0.6, 0.0])
+        ens = QubitEnsemble(0.5, 0.5, a, b)
+        form = quadratic_form(ens)
+        assert _eigen_residual(form) <= 1e-10
+        assert form.top_eigenvalue == pytest.approx(0.09 + gap, abs=1e-15)
+        assert geometric_discord(ens).value == pytest.approx(0.045, abs=1e-15)
+
+
+def test_equal_norm_perpendicular_pair_takes_the_lexicographic_tie_break(rng):
+    # lambda0 |a| = lambda1 |b| = 0.225 with a perpendicular to b: the whole
+    # plane ties, and the axis is the lexicographically largest canonical one
+    for _ in range(5):
+        rot = random_rotation(rng)
+        u, w = rot[:, 0], rot[:, 1]
+        ens = QubitEnsemble(0.25, 0.75, 0.9 * u, 0.3 * w)
+        res = geometric_discord(ens)
+        np.testing.assert_allclose(res.n_opt, _lex_max_axis_in_span(u, w), atol=1e-4)
+        assert _eigen_residual(quadratic_form(ens)) <= 1e-15
+        assert res.value == pytest.approx(0.225**2 / 2.0, abs=1e-15)
+
+
+def test_vanishing_form_gives_x():
+    for ens in (
+        QubitEnsemble(0.5, 0.5, [0, 0, 0], [0, 0, 0]),
+        QubitEnsemble(1.0, 0.0, [0, 0, 0], [0.3, 0.4, 0.5]),
+    ):
+        res = geometric_discord(ens)
+        np.testing.assert_array_equal(res.n_opt, X)
+        assert res.value == 0.0
+        assert quadratic_form(ens).top_eigenvalue == 0.0
+
+
+def test_collinear_pair_gives_the_common_axis(rng):
+    for _ in range(20):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        ens = QubitEnsemble(0.3, 0.7, 0.8 * u, -0.4 * u)
+        res = geometric_discord(ens)
+        assert abs(res.n_opt @ u) == pytest.approx(1.0, abs=1e-15)
+        assert res.n_opt[2] > 0.0 or (res.n_opt[2] == 0.0 and res.n_opt[0] >= 0.0)
+        assert res.value <= 1e-17
+        assert _eigen_residual(quadratic_form(ens)) <= 1e-15
+
+
+def test_near_collinear_relative_accuracy_against_mpmath(rng):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    eps = 2.0**-53
+    for cross in 10.0 ** -np.arange(2, 16):
+        for _ in range(5):
+            u, w = random_rotation(rng)[:, :2].T
+            ra, rb = rng.uniform(0.2, 1.0, size=2)
+            s = cross / (ra * rb)
+            a = ra * u
+            b = rb * (rng.choice([-1.0, 1.0]) * np.sqrt(1.0 - s * s) * u + s * w)
+            l0 = float(rng.uniform(0.05, 0.95))
+            ens = QubitEnsemble(l0, 1.0 - l0, a, b)
+
+            ma = [mpmath.mpf(float(x)) for x in ens.a]
+            mb = [mpmath.mpf(float(x)) for x in ens.b]
+            l0m, l1m = mpmath.mpf(ens.lambda0), mpmath.mpf(ens.lambda1)
+            abx = [ma[1] * mb[2] - ma[2] * mb[1], ma[2] * mb[0] - ma[0] * mb[2],
+                   ma[0] * mb[1] - ma[1] * mb[0]]
+            p = l0m**2 * sum(x * x for x in ma)
+            q = l1m**2 * sum(x * x for x in mb)
+            r = l0m * l1m * sum(x * y for x, y in zip(ma, mb))
+            det = (l0m * l1m) ** 2 * sum(x * x for x in abx)
+            top = (p + q + mpmath.sqrt((p - q) ** 2 + 4 * r * r)) / 2
+            ref = det / top / 2
+
+            cond = mpmath.sqrt(sum(x * x for x in ma) * sum(x * x for x in mb)) / mpmath.sqrt(
+                sum(x * x for x in abx)
+            )
+            rel = abs(mpmath.mpf(geometric_discord(ens).value) - ref) / ref
+            assert rel <= 8 * eps * cond, (cross, float(rel), float(cond))
 
 
 # ---------------------------------------------------------------------------
