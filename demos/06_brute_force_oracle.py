@@ -17,7 +17,7 @@ from qdiscord import (
 )
 
 grid = fibonacci_sphere(10_000)
-print(f"grid: {grid.count} deterministic points, all unit norm")
+print(f"grid: {len(grid)} deterministic points, all unit norm")
 
 rng = np.random.default_rng(11)
 print(f"\n{'i_acc':>12} {'oracle':>12} {'diff':>10}   {'geo':>12} {'oracle':>12} {'diff':>10}")

@@ -10,7 +10,6 @@ cross-check every optimizer.
 """
 
 from .qstate import (
-    PureStatePair,
     binary_entropy,
     example_pair_bloch,
     pure_overlap,
@@ -29,12 +28,9 @@ from .ensemble import (
     random_pure_pair,
 )
 from .measurement import (
-    MeasurementOutcomeStats,
     canonical_axis,
     classical_mutual_information,
     conditional_entropy,
-    measurement_axis,
-    outcome_stats,
     post_measurement_purity,
 )
 from .discord import (
@@ -62,7 +58,7 @@ from .geodiscord import (
     geometric_discord,
     quadratic_form,
 )
-from .oracle import SphereGrid, brute_force_accessible, brute_force_geo, fibonacci_sphere
+from .oracle import brute_force_accessible, brute_force_geo, fibonacci_sphere
 
 __version__ = "0.1.0"
 
@@ -71,12 +67,9 @@ __all__ = [
     "GeoBranchReport",
     "GeoQuadraticForm",
     "KoashiWinterBreakdown",
-    "MeasurementOutcomeStats",
     "NonStationaryAxisError",
     "OptimizationResult",
-    "PureStatePair",
     "QubitEnsemble",
-    "SphereGrid",
     "accessible_information",
     "average_state",
     "average_state_eigen_split",
@@ -101,8 +94,6 @@ __all__ = [
     "geo_stationarity_residual",
     "geometric_discord",
     "holevo_chi",
-    "measurement_axis",
-    "outcome_stats",
     "post_measurement_purity",
     "pure_overlap",
     "purity",

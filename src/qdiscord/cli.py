@@ -21,11 +21,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .discord import _clamp_gap, accessible_information, discord_pure_koashi_winter
+from .discord import _holevo_gap, discord_pure_koashi_winter
 from .ensemble import (
     QubitEnsemble,
     cq_state_entropy,
@@ -67,7 +66,6 @@ LANDSCAPE_COLUMNS = ("theta", "delta", "discord_rough")
 # instead of starting an unbounded allocation or run.
 _MAX_GRID = 10**6
 _MAX_TRIALS = 10**5
-_MAX_JOBS = 64
 
 
 class EnsembleSpecError(ValueError):
@@ -181,9 +179,7 @@ def _is_pure(v) -> bool:
 
 
 def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
-    chi = holevo_chi(ens)
-    acc = accessible_information(ens)
-    gap = _clamp_gap(chi - acc.value)
+    chi, acc, gap = _holevo_gap(ens)
     geo = geometric_discord(ens)
     pairs = [
         ("lambda0", ens.lambda0),
@@ -256,12 +252,9 @@ def _pure_pair_geo_closed_form(lambda0: float, theta: float) -> float:
     return 0.25 * (t - math.sqrt(max(t * t - s * s, 0.0)))
 
 
-def _sweep_row(task) -> tuple:
-    theta, lambda0 = task
+def _sweep_row(theta: float, lambda0: float) -> tuple:
     ens = QubitEnsemble.pure_pair(theta, lambda0)
-    chi = holevo_chi(ens)
-    acc = accessible_information(ens)
-    gap = _clamp_gap(chi - acc.value)
+    chi, acc, gap = _holevo_gap(ens)
     geo = geometric_discord(ens)
     kw = discord_pure_koashi_winter(lambda0, abs(math.cos(theta)))
     return (
@@ -283,16 +276,10 @@ def _sweep_row(task) -> tuple:
 
 def _cmd_sweep(args) -> int:
     _check_range("--steps", args.steps, 2, 10**6)
-    _check_range("--jobs", args.jobs, 1, _MAX_JOBS)
     start = _angle(args.start, args.degrees)
     stop = _angle(args.stop, args.degrees)
     thetas = np.linspace(start, stop, args.steps)
-    tasks = [(float(t), args.lambda0) for t in thetas]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks, chunksize=32))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
+    rows = [_sweep_row(float(t), args.lambda0) for t in thetas]
     lines = [",".join(SWEEP_COLUMNS)]
     lines += [",".join(_fmt(x) for x in row) for row in rows]
     _write_lines(args.output, lines)
@@ -378,13 +365,13 @@ def _cmd_verify(args) -> int:
         axis = _sphere_point(rng)
         pure = random_pure_pair(rng)
 
+        chi, acc, discord = _holevo_gap(ens)
         s_joint = cq_state_entropy(ens)
         s_formula = (
             binary_entropy(ens.lambda0)
             + ens.lambda0 * von_neumann_entropy(ens.a)
             + ens.lambda1 * von_neumann_entropy(ens.b)
         )
-        chi = holevo_chi(ens)
         two_route = max(
             abs(s_joint - s_formula), abs(chi - quantum_mutual_information(ens))
         )
@@ -393,8 +380,6 @@ def _cmd_verify(args) -> int:
         margin = classical_mutual_information(ens, axis) - chi
         suites["holevo_bound"].check(trial, margin, tol(1e-12), ens)
 
-        acc = accessible_information(ens)
-        discord = _clamp_gap(chi - acc.value)
         comp = max(abs(chi - acc.value - discord), acc.value - chi)
         suites["complementarity"].check(trial, comp, tol(1e-10), ens)
 
@@ -417,8 +402,7 @@ def _cmd_verify(args) -> int:
         kw = discord_pure_koashi_winter(
             pure.lambda0, pure_overlap(pure.a, pure.b)
         )
-        acc_pure = accessible_information(pure)
-        d_pure = holevo_chi(pure) - acc_pure.value
+        _, _, d_pure = _holevo_gap(pure)
         suites["koashi_winter"].check(trial, abs(d_pure - kw.discord), tol(1e-6), pure)
 
         form = quadratic_form(ens)
@@ -492,7 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, default=math.pi / 2.0)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--lambda0", type=float, default=0.5)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (rows stay in theta order)")
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sweep)

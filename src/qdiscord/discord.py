@@ -15,13 +15,13 @@ formation plus marginal entropies, all closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ensemble import QubitEnsemble, average_state, holevo_chi
-from .measurement import UNIT_TOL, canonical_axis, classical_mutual_information
-from .qstate import NORM_SLACK, binary_entropy, as_bloch
+from .measurement import _unit_axes, canonical_axis, classical_mutual_information
+from .qstate import NORM_SLACK, as_bloch, binary_entropy
 
 IN_PLANE_METHOD = "in-plane golden-section"
 FULL_SPHERE_METHOD = "full-sphere grid + refine"
@@ -153,7 +153,7 @@ def _stationarity_terms(ens: QubitEnsemble, n):
     t_i = (1 + v_i.n)(1 - c.n) / ((1 - v_i.n)(1 + c.n)).  The logs are taken
     factor by factor so that symmetric configurations cancel exactly.
     """
-    n = _single_axis(n)
+    n = _unit_axes(as_bloch(n))
     a, b = ens.a, ens.b
     an, bn = float(a @ n), float(b @ n)
     cn = float(average_state(ens) @ n)
@@ -166,14 +166,6 @@ def _stationarity_terms(ens: QubitEnsemble, n):
     b_perp = b - bn * n
     vec = ens.lambda0 * log_t0 * a_perp + ens.lambda1 * log_t1 * b_perp
     return vec, log_t0, log_t1, a_perp, b_perp, singular
-
-
-def _single_axis(n) -> np.ndarray:
-    n = as_bloch(n)
-    norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > UNIT_TOL:
-        raise ValueError("measurement axes must be unit vectors")
-    return n / norm
 
 
 def stationarity_residual(ens: QubitEnsemble, n) -> float:
@@ -326,9 +318,15 @@ def accessible_information(ens: QubitEnsemble) -> OptimizationResult:
     )
 
 
-def _clamp_gap(gap: float) -> float:
-    """The Holevo-accessible gap with round-off in [-1e-10, 0) set to zero."""
-    return 0.0 if -1e-10 <= gap < 0.0 else gap
+def _holevo_gap(ens: QubitEnsemble) -> tuple[float, OptimizationResult, float]:
+    """chi, the accessible-information result, and the discord chi - I_acc.
+
+    Round-off in [-1e-10, 0) of the gap is set to zero.
+    """
+    chi = holevo_chi(ens)
+    acc = accessible_information(ens)
+    gap = chi - acc.value
+    return chi, acc, 0.0 if -1e-10 <= gap < 0.0 else gap
 
 
 def quantum_discord(ens: QubitEnsemble) -> OptimizationResult:
@@ -337,12 +335,5 @@ def quantum_discord(ens: QubitEnsemble) -> OptimizationResult:
     value = holevo_chi - accessible information; nonnegative, with round-off
     in [-1e-10, 0) clamped to zero.
     """
-    acc = accessible_information(ens)
-    return OptimizationResult(
-        n_opt=acc.n_opt,
-        value=float(_clamp_gap(holevo_chi(ens) - acc.value)),
-        stationarity_residual=acc.stationarity_residual,
-        evaluations=acc.evaluations,
-        method=acc.method,
-        degenerate=acc.degenerate,
-    )
+    _, acc, gap = _holevo_gap(ens)
+    return replace(acc, value=gap)

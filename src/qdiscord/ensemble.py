@@ -46,10 +46,6 @@ class QubitEnsemble:
         object.__setattr__(self, "b", state_bloch(self.b))
 
     @classmethod
-    def from_weight(cls, lambda0: float, a, b) -> "QubitEnsemble":
-        return cls(lambda0, 1.0 - float(lambda0), a, b)
-
-    @classmethod
     def pure_pair(cls, theta: float, lambda0: float = 0.5) -> "QubitEnsemble":
         """The mirror-symmetric pure pair at half-angle theta."""
         a, b = example_pair_bloch(theta)

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import EIGENPAIR_METHOD, OptimizationResult, _plane_basis, _single_axis
+from .discord import EIGENPAIR_METHOD, OptimizationResult, _plane_basis
 from .ensemble import QubitEnsemble
-from .measurement import canonical_axis
+from .measurement import _unit_axes, canonical_axis
+from .qstate import as_bloch
 
 # Eigenvalues within this of the top one are treated as a degenerate
 # eigenspace and resolved by the lexicographic tie-break.
@@ -114,7 +115,7 @@ def geo_stationarity_residual(ens: QubitEnsemble, n) -> float:
     Polynomial in n, so there are no singular configurations; vanishes at
     every critical axis of the post-measurement purity.
     """
-    n = _single_axis(n)
+    n = _unit_axes(as_bloch(n))
     an, bn = float(ens.a @ n), float(ens.b @ n)
     a_perp = ens.a - an * n
     b_perp = ens.b - bn * n
@@ -131,7 +132,7 @@ def geo_choice_classifier(
     offending residual).  When both patterns hold simultaneously, the "+"
     branch is reported and both flags stay visible in the report.
     """
-    n = _single_axis(n)
+    n = _unit_axes(as_bloch(n))
     residual = geo_stationarity_residual(ens, n)
     if residual > tolerance:
         raise NonStationaryAxisError(residual, tolerance)

@@ -11,27 +11,13 @@ what keeps the dense sphere-grid oracle cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ensemble import QubitEnsemble, average_state
-from .qstate import _neg_xlog2x, as_bloch, binary_entropy
+from .ensemble import QubitEnsemble
+from .qstate import _neg_xlog2x, binary_entropy
 
 # Accepted deviation from unit norm before an axis is rejected outright.
 UNIT_TOL = 1e-9
-# Outcome probabilities below this are treated as exactly zero (the
-# conditional distribution is undefined and the outcome carries no weight).
-_P_ZERO = 1e-15
-
-
-def measurement_axis(n) -> np.ndarray:
-    """Normalize a nonzero 3-vector to a unit measurement axis."""
-    n = as_bloch(n)
-    norm = float(np.linalg.norm(n))
-    if norm < 1e-12:
-        raise ValueError("measurement axis must be nonzero")
-    return n / norm
 
 
 def canonical_axis(n, tol: float = 1e-12) -> np.ndarray:
@@ -50,55 +36,20 @@ def canonical_axis(n, tol: float = 1e-12) -> np.ndarray:
 
 
 def _unit_axes(n) -> np.ndarray:
-    """Validate axes of shape (..., 3) and squash residual norm round-off."""
+    """Validate axes of shape (..., 3) and squash residual norm round-off.
+
+    Callers that take a single axis pass it through as_bloch first, which
+    pins the shape to (3,).
+    """
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (3,):
         raise ValueError("measurement axes must have trailing dimension 3")
-    norms = np.linalg.norm(n, axis=-1)
-    if np.any(np.abs(norms - 1.0) > UNIT_TOL):
+    # Bit for bit np.linalg.norm(n, axis=-1), without its per-call overhead.
+    norms = np.sqrt((n * n).sum(axis=-1, keepdims=True))
+    # Written so that NaN and inf norms fail the test too.
+    if not (np.abs(norms - 1.0) <= UNIT_TOL).all():
         raise ValueError("measurement axes must be unit vectors")
-    return n / norms[..., None]
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementOutcomeStats:
-    """Outcome probabilities p+- and conditional label distributions q(.|+-).
-
-    A conditional distribution is None when its outcome probability vanishes:
-    the outcome never occurs and contributes nothing downstream.
-    """
-
-    p_plus: float
-    p_minus: float
-    q_plus: np.ndarray | None
-    q_minus: np.ndarray | None
-
-
-def outcome_stats(ens: QubitEnsemble, n) -> MeasurementOutcomeStats:
-    """Outcome statistics of measuring the ensemble along the unit axis n.
-
-    p+- = (1 +/- c.n)/2 with c the average Bloch vector, and
-    q(i|+-) = lambda_i (1 +/- v_i.n) / (2 p+-).
-    """
-    n = _unit_axes(n)
-    if n.ndim != 1:
-        raise ValueError("outcome_stats takes a single axis")
-    ta, tb = float(ens.a @ n), float(ens.b @ n)
-    p_plus = 0.5 * (1.0 + float(average_state(ens) @ n))
-    p_minus = 1.0 - p_plus
-
-    def cond(p, sa, sb):
-        if p <= _P_ZERO:
-            return None
-        q = np.array([ens.lambda0 * (1.0 + sa), ens.lambda1 * (1.0 + sb)]) / (2.0 * p)
-        return np.clip(q, 0.0, 1.0)
-
-    return MeasurementOutcomeStats(
-        p_plus=p_plus,
-        p_minus=p_minus,
-        q_plus=cond(p_plus, ta, tb),
-        q_minus=cond(p_minus, -ta, -tb),
-    )
+    return n / norms
 
 
 def conditional_entropy(ens: QubitEnsemble, n):

@@ -15,8 +15,6 @@ optimizer precision for every objective used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .discord import (
@@ -36,16 +34,8 @@ _BRACKET_SCALE = 5.0
 _POLISH_SWEEPS = 3
 
 
-@dataclass(frozen=True, eq=False)
-class SphereGrid:
-    """Deterministic quasi-uniform unit vectors (Fibonacci lattice)."""
-
-    points: np.ndarray
-    count: int
-
-
-def fibonacci_sphere(count: int) -> SphereGrid:
-    """Fibonacci lattice with the polar coordinate running pole to pole.
+def fibonacci_sphere(count: int) -> np.ndarray:
+    """Fibonacci lattice of count unit vectors, shape (count, 3), pole to pole.
 
     Including the poles makes count=2 the antipodal pair; spacing between
     neighbors shrinks as 1/sqrt(count).
@@ -56,8 +46,7 @@ def fibonacci_sphere(count: int) -> SphereGrid:
     z = 1.0 - 2.0 * i / (count - 1.0)
     r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     phi = i * GOLDEN_ANGLE
-    points = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    return SphereGrid(points=points, count=count)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
 def _polish_pair(objective, start: np.ndarray, halfwidth: float):
@@ -92,19 +81,19 @@ def _polish_pair(objective, start: np.ndarray, halfwidth: float):
     return p, best, evals
 
 
-def _grid_maximize(ens: QubitEnsemble, objective, grid_size: int):
+def _grid_maximize(objective, grid_size: int):
     grid = fibonacci_sphere(grid_size)
-    vals = np.asarray(objective(grid.points), dtype=float)
+    vals = np.asarray(objective(grid), dtype=float)
     k = int(np.argmax(vals))  # ties resolve to the lowest point index
-    halfwidth = _BRACKET_SCALE / np.sqrt(grid.count)
-    axis, value, polish_evals = _polish_pair(objective, grid.points[k], halfwidth)
-    return canonical_axis(axis), max(value, float(vals[k])), grid.count + polish_evals
+    halfwidth = _BRACKET_SCALE / np.sqrt(grid_size)
+    axis, value, polish_evals = _polish_pair(objective, grid[k], halfwidth)
+    return canonical_axis(axis), max(value, float(vals[k])), grid_size + polish_evals
 
 
 def brute_force_accessible(ens: QubitEnsemble, grid_size: int = 10_000) -> OptimizationResult:
     """Grid-plus-polish maximum of the classical mutual information."""
     objective = lambda n: classical_mutual_information(ens, n)
-    axis, value, evals = _grid_maximize(ens, objective, grid_size)
+    axis, value, evals = _grid_maximize(objective, grid_size)
     return OptimizationResult(
         n_opt=axis,
         value=float(value),
@@ -117,7 +106,7 @@ def brute_force_accessible(ens: QubitEnsemble, grid_size: int = 10_000) -> Optim
 def brute_force_geo(ens: QubitEnsemble, grid_size: int = 10_000) -> OptimizationResult:
     """Grid-plus-polish purity deficit (the geometric discord, brute force)."""
     objective = lambda n: post_measurement_purity(ens, n)
-    axis, best_purity, evals = _grid_maximize(ens, objective, grid_size)
+    axis, best_purity, evals = _grid_maximize(objective, grid_size)
     deficit = max(ensemble_purity(ens) - float(best_purity), 0.0)
     return OptimizationResult(
         n_opt=axis,

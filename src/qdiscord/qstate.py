@@ -10,8 +10,6 @@ Bloch vectors are plain float ndarrays of shape (3,).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Round-off slack accepted on probabilities and Bloch norms before rejecting.
@@ -27,7 +25,7 @@ def as_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("Bloch vector components must be finite")
     return r
 
@@ -114,25 +112,3 @@ def example_pair_bloch(theta: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("theta must lie in [0, pi]")
     s, c = np.sin(theta), np.cos(theta)
     return np.array([s, 0.0, c]), np.array([-s, 0.0, c])
-
-
-@dataclass(frozen=True)
-class PureStatePair:
-    """Mirror-symmetric pure-state pair: half-angle theta, mixing weight lambda0."""
-
-    theta: float
-    lambda0: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError("theta must lie in [0, pi]")
-        if not -NORM_SLACK <= self.lambda0 <= 1.0 + NORM_SLACK:
-            raise ValueError("lambda0 must lie in [0, 1]")
-
-    def bloch_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        return example_pair_bloch(self.theta)
-
-    @property
-    def overlap(self) -> float:
-        """|<phi_0|phi_1>| = |cos theta|."""
-        return abs(float(np.cos(self.theta)))

@@ -200,15 +200,15 @@ def test_compute_near_collinear_pair(capsys):
         ("compute", "--theta", "1", "--verify", "1000001"),
         ("verify", "--grid", "1000001"),
         ("verify", "--trials", "100001"),
-        ("sweep", "--jobs", "0"),
-        ("sweep", "--jobs", "65"),
+        ("sweep", "--steps", "1000001"),
+        ("landscape", "--theta", "1", "--delta-steps", "1"),
     ],
 )
 def test_size_arguments_out_of_range_are_usage_errors(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    for name in ("accessible_information", "holevo_chi", "random_ensemble", "ProcessPoolExecutor"):
+    for name in ("_holevo_gap", "holevo_chi", "random_ensemble"):
         monkeypatch.setattr(qdiscord.cli, name, no_work)
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
@@ -288,12 +288,6 @@ def test_sweep_matches_golden_csv(tmp_path):
     assert out.read_bytes() == (DATA / "sweep_steps101.csv").read_bytes()
 
 
-def test_sweep_parallel_matches_serial(capsys):
-    _, serial, _ = run_cli(capsys, "sweep", "--steps", "6")
-    _, parallel, _ = run_cli(capsys, "sweep", "--steps", "6", "--jobs", "2")
-    assert serial == parallel
-
-
 def test_sweep_lambda_dependence(capsys):
     # closed-form columns stay exact away from equal weights
     code, out, _ = run_cli(capsys, "sweep", "--steps", "6", "--lambda0", "0.3")
@@ -345,6 +339,15 @@ def test_landscape_minimum_at_optimal_angles(capsys):
 def test_landscape_usage_errors(capsys):
     assert run_cli(capsys, "landscape", "--theta", "1", "--delta-steps", "1")[0] == EXIT_USAGE
     assert run_cli(capsys, "landscape")[0] == EXIT_USAGE
+
+
+def test_landscape_non_finite_angle_is_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "landscape", "--theta", "1", "--delta-start", "nan", "--delta-steps", "3"
+    )
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert "unit vectors" in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ from qdiscord import (
     QubitEnsemble,
     binary_entropy,
     canonical_axis,
+    check_analytic_conditions,
     classical_mutual_information,
     conditional_entropy,
     ensemble_purity,
+    geo_choice_classifier,
+    geo_stationarity_residual,
     holevo_chi,
-    measurement_axis,
-    outcome_stats,
     post_measurement_purity,
     random_ensemble,
+    stationarity_residual,
 )
 from conftest import random_rotation, rotate_ensemble
 
@@ -23,12 +25,6 @@ S_COND_PI4 = 0.600876036692856101
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
-
-
-def test_measurement_axis_normalizes():
-    np.testing.assert_allclose(measurement_axis([0, 0, 2.0]), Z)
-    with pytest.raises(ValueError):
-        measurement_axis([0.0, 0.0, 0.0])
 
 
 def test_canonical_axis():
@@ -40,52 +36,36 @@ def test_canonical_axis():
     np.testing.assert_allclose(canonical_axis(-v), v)
 
 
-def test_outcome_stats_orthogonal_pair():
-    ens = QubitEnsemble.pure_pair(np.pi / 2)
-    stats = outcome_stats(ens, X)
-    assert stats.p_plus == pytest.approx(0.5, abs=1e-15)
-    assert stats.p_minus == pytest.approx(0.5, abs=1e-15)
-    np.testing.assert_allclose(stats.q_plus, [1, 0], atol=1e-15)
-    np.testing.assert_allclose(stats.q_minus, [0, 1], atol=1e-15)
+BATCHED_AXIS_FUNCTIONS = (conditional_entropy, classical_mutual_information, post_measurement_purity)
+SINGLE_AXIS_FUNCTIONS = (
+    stationarity_residual,
+    check_analytic_conditions,
+    geo_stationarity_residual,
+    geo_choice_classifier,
+)
+BAD_AXES = {
+    "non_unit": [0.0, 0.0, 0.9],
+    "nan": [np.nan, 0.0, 0.0],
+    "inf": [np.inf, 0.0, 0.0],
+    "trailing_dim_2": [1.0, 0.0],
+}
 
 
-def test_outcome_stats_uninformative_axis(rng):
-    for _ in range(20):
-        ens = random_ensemble(rng)
-        plane = np.cross(ens.a, ens.b)
-        if np.linalg.norm(plane) < 1e-6:
-            continue
-        n = plane / np.linalg.norm(plane)
-        stats = outcome_stats(ens, n)
-        assert stats.p_plus == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(stats.q_plus, [ens.lambda0, ens.lambda1], atol=1e-12)
-        np.testing.assert_allclose(stats.q_minus, [ens.lambda0, ens.lambda1], atol=1e-12)
-
-
-def test_outcome_stats_mixed_case():
-    ens = QubitEnsemble(0.5, 0.5, [0, 0, 1.0], [0, 0, 0.0])
-    stats = outcome_stats(ens, Z)
-    assert stats.p_plus == pytest.approx(0.75, abs=1e-15)
-    assert stats.p_minus == pytest.approx(0.25, abs=1e-15)
-    np.testing.assert_allclose(stats.q_plus, [2 / 3, 1 / 3], atol=1e-15)
-    np.testing.assert_allclose(stats.q_minus, [0, 1], atol=1e-15)
-
-
-def test_outcome_stats_zero_probability_branch():
-    # both states at the north pole: the minus outcome never fires
-    ens = QubitEnsemble(0.5, 0.5, [0, 0, 1.0], [0, 0, 1.0])
-    stats = outcome_stats(ens, Z)
-    assert stats.p_plus == pytest.approx(1.0, abs=1e-15)
-    assert stats.q_minus is None
-    np.testing.assert_allclose(stats.q_plus, [0.5, 0.5], atol=1e-15)
-    # the dead outcome contributes nothing downstream
-    assert conditional_entropy(ens, Z) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_outcome_stats_rejects_non_unit_axis():
-    ens = QubitEnsemble.pure_pair(1.0)
-    with pytest.raises(ValueError):
-        outcome_stats(ens, [0.0, 0.0, 0.9])
+@pytest.mark.parametrize(
+    "func, axis",
+    [
+        pytest.param(f, axis, id=f"{f.__name__}-{name}")
+        for f in BATCHED_AXIS_FUNCTIONS + SINGLE_AXIS_FUNCTIONS
+        for name, axis in BAD_AXES.items()
+    ]
+    + [
+        pytest.param(f, [X, Y], id=f"{f.__name__}-batch")
+        for f in SINGLE_AXIS_FUNCTIONS
+    ],
+)
+def test_bad_axes_are_rejected(func, axis):
+    with pytest.raises(ValueError, match="measurement axes|Bloch vector"):
+        func(QubitEnsemble.pure_pair(1.0), axis)
 
 
 def test_conditional_entropy_values():
@@ -95,9 +75,18 @@ def test_conditional_entropy_values():
     assert conditional_entropy(QubitEnsemble.pure_pair(np.pi / 4), X) == pytest.approx(
         S_COND_PI4, abs=1e-15
     )
+    # a mixed partner: p+ = 3/4 with labels (2/3, 1/3), p- = 1/4 with label 1 for sure
+    mixed = QubitEnsemble(0.5, 0.5, [0, 0, 1.0], [0, 0, 0.0])
+    assert conditional_entropy(mixed, Z) == pytest.approx(
+        0.75 * binary_entropy(2 / 3), abs=1e-15
+    )
+    # both states at the north pole: the minus outcome never fires and
+    # contributes nothing, so the outcome leaves the label fully uncertain
+    north = QubitEnsemble(0.5, 0.5, [0, 0, 1.0], [0, 0, 1.0])
+    assert conditional_entropy(north, Z) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_classical_mutual_information_values():
+def test_classical_mutual_information_values(rng):
     assert classical_mutual_information(QubitEnsemble.pure_pair(np.pi / 2), X) == pytest.approx(
         1.0, abs=1e-15
     )
@@ -106,6 +95,15 @@ def test_classical_mutual_information_values():
     assert classical_mutual_information(QubitEnsemble.pure_pair(np.pi / 4), X) == pytest.approx(
         1.0 - S_COND_PI4, abs=1e-15
     )
+    # along the normal of span{a, b} both outcomes are equally likely for either
+    # label, so the outcome carries no information about it
+    for _ in range(20):
+        ens = random_ensemble(rng)
+        plane = np.cross(ens.a, ens.b)
+        if np.linalg.norm(plane) < 1e-6:
+            continue
+        n = plane / np.linalg.norm(plane)
+        assert classical_mutual_information(ens, n) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_post_measurement_purity_values():
@@ -137,11 +135,6 @@ def test_randomized_measurement_properties(seed):
     ens = random_ensemble(rng)
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
-    stats = outcome_stats(ens, n)
-    assert stats.p_plus + stats.p_minus == pytest.approx(1.0, abs=1e-12)
-    for q in (stats.q_plus, stats.q_minus):
-        if q is not None:
-            assert np.sum(q) == pytest.approx(1.0, abs=1e-12)
     s = conditional_entropy(ens, n)
     mi = classical_mutual_information(ens, n)
     # antipodal invariance

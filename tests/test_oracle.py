@@ -23,15 +23,15 @@ def _max_nn_angle(points: np.ndarray) -> float:
 
 def test_fibonacci_two_points_are_antipodal():
     grid = fibonacci_sphere(2)
-    assert grid.count == 2
-    np.testing.assert_allclose(grid.points[0], -grid.points[1], atol=1e-15)
+    assert grid.shape == (2, 3)
+    np.testing.assert_allclose(grid[0], -grid[1], atol=1e-15)
 
 
 @pytest.mark.parametrize("count", [2, 3, 10, 101, 1000])
 def test_fibonacci_unit_norms(count):
     grid = fibonacci_sphere(count)
-    assert grid.points.shape == (count, 3)
-    np.testing.assert_allclose(np.linalg.norm(grid.points, axis=1), 1.0, atol=1e-12)
+    assert grid.shape == (count, 3)
+    np.testing.assert_allclose(np.linalg.norm(grid, axis=1), 1.0, atol=1e-12)
 
 
 def test_fibonacci_rejects_tiny_grids():
@@ -40,14 +40,14 @@ def test_fibonacci_rejects_tiny_grids():
 
 
 def test_fibonacci_deterministic():
-    np.testing.assert_array_equal(fibonacci_sphere(500).points, fibonacci_sphere(500).points)
+    np.testing.assert_array_equal(fibonacci_sphere(500), fibonacci_sphere(500))
 
 
 def test_fibonacci_spacing_regression():
     # measured once and frozen: the lattice stays below C/sqrt(N) with C ~ 3.6
-    assert _max_nn_angle(fibonacci_sphere(10_000).points) < 0.04
+    assert _max_nn_angle(fibonacci_sphere(10_000)) < 0.04
     for count in (100, 1000, 10_000):
-        assert _max_nn_angle(fibonacci_sphere(count).points) < 3.6 / np.sqrt(count)
+        assert _max_nn_angle(fibonacci_sphere(count)) < 3.6 / np.sqrt(count)
 
 
 def test_brute_force_accessible_examples():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdiscord import (
-    PureStatePair,
     binary_entropy,
     example_pair_bloch,
     pure_overlap,
@@ -96,18 +95,6 @@ def test_example_pair_bloch():
         example_pair_bloch(-0.1)
     with pytest.raises(ValueError):
         example_pair_bloch(np.pi + 0.1)
-
-
-def test_pure_state_pair():
-    pair = PureStatePair(theta=0.7, lambda0=0.3)
-    a, b = pair.bloch_vectors()
-    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
-    assert pair.overlap == pytest.approx(np.cos(0.7), abs=1e-15)
-    with pytest.raises(ValueError):
-        PureStatePair(theta=4.0)
-    with pytest.raises(ValueError):
-        PureStatePair(theta=0.5, lambda0=1.5)
 
 
 def test_shannon_entropy():
