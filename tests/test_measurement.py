@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qdiscord import (
     QubitEnsemble,
+    average_state,
     binary_entropy,
     canonical_axis,
     check_analytic_conditions,
@@ -75,18 +76,9 @@ def test_conditional_entropy_values():
     assert conditional_entropy(QubitEnsemble.pure_pair(np.pi / 4), X) == pytest.approx(
         S_COND_PI4, abs=1e-15
     )
-    # a mixed partner: p+ = 3/4 with labels (2/3, 1/3), p- = 1/4 with label 1 for sure
-    mixed = QubitEnsemble(0.5, 0.5, [0, 0, 1.0], [0, 0, 0.0])
-    assert conditional_entropy(mixed, Z) == pytest.approx(
-        0.75 * binary_entropy(2 / 3), abs=1e-15
-    )
-    # both states at the north pole: the minus outcome never fires and
-    # contributes nothing, so the outcome leaves the label fully uncertain
-    north = QubitEnsemble(0.5, 0.5, [0, 0, 1.0], [0, 0, 1.0])
-    assert conditional_entropy(north, Z) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_classical_mutual_information_values(rng):
+def test_classical_mutual_information_values():
     assert classical_mutual_information(QubitEnsemble.pure_pair(np.pi / 2), X) == pytest.approx(
         1.0, abs=1e-15
     )
@@ -95,15 +87,51 @@ def test_classical_mutual_information_values(rng):
     assert classical_mutual_information(QubitEnsemble.pure_pair(np.pi / 4), X) == pytest.approx(
         1.0 - S_COND_PI4, abs=1e-15
     )
+
+
+# The outcome statistics of a measurement along n: p+ = (1 + c.n)/2 with c the
+# average Bloch vector, and the label distributions q(.|+-) show up through the
+# conditional entropy p+ H(q(.|+)) + p- H(q(.|-)).
+
+
+def test_outcome_stats_orthogonal_pair():
+    # outcomes equally likely, each one naming the label for sure
+    ens = QubitEnsemble.pure_pair(np.pi / 2)
+    assert 0.5 * (1.0 + average_state(ens) @ X) == pytest.approx(0.5, abs=1e-15)
+    assert conditional_entropy(ens, X) == pytest.approx(0.0, abs=1e-15)
+    assert classical_mutual_information(ens, X) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_outcome_stats_uninformative_axis(rng):
     # along the normal of span{a, b} both outcomes are equally likely for either
-    # label, so the outcome carries no information about it
+    # label, so q(.|+-) = (lambda0, lambda1) and the outcome says nothing
     for _ in range(20):
         ens = random_ensemble(rng)
         plane = np.cross(ens.a, ens.b)
         if np.linalg.norm(plane) < 1e-6:
             continue
         n = plane / np.linalg.norm(plane)
+        assert 0.5 * (1.0 + average_state(ens) @ n) == pytest.approx(0.5, abs=1e-12)
+        assert conditional_entropy(ens, n) == pytest.approx(
+            binary_entropy(ens.lambda0), abs=1e-12
+        )
         assert classical_mutual_information(ens, n) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_outcome_stats_mixed_case():
+    # p+ = 3/4 with labels (2/3, 1/3), p- = 1/4 with label 1 for sure
+    ens = QubitEnsemble(0.5, 0.5, [0, 0, 1.0], [0, 0, 0.0])
+    assert 0.5 * (1.0 + average_state(ens) @ Z) == pytest.approx(0.75, abs=1e-15)
+    assert conditional_entropy(ens, Z) == pytest.approx(0.75 * binary_entropy(2 / 3), abs=1e-15)
+
+
+def test_outcome_stats_zero_probability_branch():
+    # both states at the north pole: the minus outcome never fires and
+    # contributes nothing, so the outcome leaves the label fully uncertain
+    ens = QubitEnsemble(0.5, 0.5, [0, 0, 1.0], [0, 0, 1.0])
+    assert 0.5 * (1.0 + average_state(ens) @ Z) == pytest.approx(1.0, abs=1e-15)
+    assert conditional_entropy(ens, Z) == pytest.approx(1.0, abs=1e-15)
+    assert classical_mutual_information(ens, Z) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_post_measurement_purity_values():
