@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .discord import _holevo_gap, discord_pure_koashi_winter
+from .discord import _holevo_gap, _holevo_gap_batch, discord_pure_koashi_winter
 from .ensemble import (
     QubitEnsemble,
     cq_state_entropy,
@@ -66,6 +66,9 @@ LANDSCAPE_COLUMNS = ("theta", "delta", "discord_rough")
 # instead of starting an unbounded allocation or run.
 _MAX_GRID = 10**6
 _MAX_TRIALS = 10**5
+# Sweep rows go through the batched optimizer this many at a time, so its
+# working memory does not grow with --steps.
+_SWEEP_BLOCK = 512
 
 
 class EnsembleSpecError(ValueError):
@@ -252,26 +255,28 @@ def _pure_pair_geo_closed_form(lambda0: float, theta: float) -> float:
     return 0.25 * (t - math.sqrt(max(t * t - s * s, 0.0)))
 
 
-def _sweep_row(theta: float, lambda0: float) -> tuple:
-    ens = QubitEnsemble.pure_pair(theta, lambda0)
-    chi, acc, gap = _holevo_gap(ens)
-    geo = geometric_discord(ens)
-    kw = discord_pure_koashi_winter(lambda0, abs(math.cos(theta)))
-    return (
-        theta,
-        gap,
-        kw.discord,
-        geo.value,
-        _pure_pair_geo_closed_form(lambda0, theta),
-        chi,
-        acc.value,
-        acc.n_opt[0],
-        acc.n_opt[1],
-        acc.n_opt[2],
-        geo.n_opt[0],
-        geo.n_opt[1],
-        geo.n_opt[2],
-    )
+def _sweep_rows(thetas: list[float], lambda0: float) -> list[tuple]:
+    ensembles = [QubitEnsemble.pure_pair(theta, lambda0) for theta in thetas]
+    rows = []
+    for theta, ens, (chi, acc, gap) in zip(thetas, ensembles, _holevo_gap_batch(ensembles)):
+        geo = geometric_discord(ens)
+        kw = discord_pure_koashi_winter(lambda0, abs(math.cos(theta)))
+        rows.append((
+            theta,
+            gap,
+            kw.discord,
+            geo.value,
+            _pure_pair_geo_closed_form(lambda0, theta),
+            chi,
+            acc.value,
+            acc.n_opt[0],
+            acc.n_opt[1],
+            acc.n_opt[2],
+            geo.n_opt[0],
+            geo.n_opt[1],
+            geo.n_opt[2],
+        ))
+    return rows
 
 
 def _cmd_sweep(args) -> int:
@@ -279,9 +284,10 @@ def _cmd_sweep(args) -> int:
     start = _angle(args.start, args.degrees)
     stop = _angle(args.stop, args.degrees)
     thetas = np.linspace(start, stop, args.steps)
-    rows = [_sweep_row(float(t), args.lambda0) for t in thetas]
     lines = [",".join(SWEEP_COLUMNS)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    for k in range(0, args.steps, _SWEEP_BLOCK):
+        rows = _sweep_rows(thetas[k : k + _SWEEP_BLOCK].tolist(), args.lambda0)
+        lines += [",".join(_fmt(x) for x in row) for row in rows]
     _write_lines(args.output, lines)
     return EXIT_OK
 

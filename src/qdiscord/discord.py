@@ -8,6 +8,16 @@ search below exploits that plane restriction; the full-sphere grid oracle
 (see the oracle module) exists to verify the restriction rather than trust
 it.
 
+The search takes a list of ensembles.  Each gets its own plane basis and a
+720-point angular scan, one ensemble at a time; every scan peak becomes a
+bracket one scan step wide on either side.  The brackets of all ensembles
+are then polished by golden section in lockstep: each step is one vectorised
+evaluation at every bracket's new point, and a bracket is masked off once its
+width is down to the tolerance.  Every bracket takes the same steps, to the
+bit, as a scalar golden-section search would, so a result does not depend
+on the batch it was computed in; accessible_information is the
+one-ensemble case.
+
 For ensembles of two pure states the optimization can be skipped entirely:
 purifying with an ancilla qubit turns the discord into an entanglement of
 formation plus marginal entropies, all closed form.
@@ -20,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensemble import QubitEnsemble, average_state, holevo_chi
-from .measurement import _unit_axes, canonical_axis, classical_mutual_information
+from .measurement import _conditional_entropy, _unit_axes, canonical_axis
 from .qstate import NORM_SLACK, as_bloch, binary_entropy
 
 IN_PLANE_METHOD = "in-plane golden-section"
@@ -32,6 +42,11 @@ _ANGLE_TOL = 1e-12
 _TIE_TOL = 1e-10
 _FLAT_TOL = 1e-14
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_PHIS = np.linspace(0.0, np.pi, _SCAN_POINTS, endpoint=False)
+_SCAN_COS = np.cos(_PHIS)[:, None]
+_SCAN_SIN = np.sin(_PHIS)[:, None]
+# Half-width of a scan bracket: one scan step.
+_DPHI = np.pi / _SCAN_POINTS
 # Factors (1 +/- v.n) are clamped here before entering a log; axes that
 # trip the clamp sit on the boundary where the variational condition is
 # meaningless, and are reported as singular instead of crashing.
@@ -260,42 +275,104 @@ def _pick_candidate(candidates, evals: int, degenerate_hint: bool = False):
     return n_opt, best, evals, degenerate
 
 
-def _optimize_in_plane(ens: QubitEnsemble, objective):
-    """Maximize a pi-periodic axis objective over unit axes in span{a, b}.
+def _golden_lockstep(phi0, u1, u2, a, b, half0, half1, h0):
+    """Golden section over [phi0 - dphi, phi0 + dphi] for every bracket at once.
 
-    A 720-point angular scan brackets every local maximum (the objective can
-    have several); each bracket is polished by golden section.  Flat
-    objectives (degenerate ensembles) short-circuit to the tie-break.
+    Row k of every argument describes bracket k: its scan peak phi0, its
+    ensemble's plane basis (u1, u2), Bloch vectors (a, b), half weights and
+    h(lambda0).  Each step makes one vectorised evaluation at every bracket's
+    new point; a bracket whose width is down to _ANGLE_TOL is masked off (its
+    ends stop moving and it stops counting evaluations) while the others go
+    on.  Every row follows the steps of the scalar _golden_max bit for bit.
+    Returns the midpoints, their values and the evaluations per bracket.
     """
-    u1, u2 = _plane_basis(ens)
-    phis = np.linspace(0.0, np.pi, _SCAN_POINTS, endpoint=False)
-    axes = np.cos(phis)[:, None] * u1 + np.sin(phis)[:, None] * u2
-    vals = np.asarray(objective(axes), dtype=float)
-    evals = _SCAN_POINTS
+    a, b = a[:, :, None], b[:, :, None]
 
-    if float(vals.max() - vals.min()) < _FLAT_TOL:
-        candidates = [(float(vals[i]), axes[i]) for i in range(_SCAN_POINTS)]
-        return _pick_candidate(candidates, evals, degenerate_hint=True)
+    def information(phi):
+        n = _unit_axes(np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2)[:, None, :]
+        s = _conditional_entropy(half0, half1, (n @ a)[:, 0, 0], (n @ b)[:, 0, 0])
+        return np.maximum(h0 - s, 0.0)
 
-    is_peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
-    peaks = np.flatnonzero(is_peak)
-    if peaks.size > 64:
-        candidates = [(float(vals[i]), axes[i]) for i in peaks]
-        return _pick_candidate(candidates, evals, degenerate_hint=True)
-
-    def axis_at(phi):
-        return np.cos(phi) * u1 + np.sin(phi) * u2
-
-    dphi = np.pi / _SCAN_POINTS
-    candidates = []
-    for i in peaks:
-        phi0 = float(phis[i])
-        phi, val, used = _golden_max(
-            lambda p: objective(axis_at(p)), phi0 - dphi, phi0 + dphi
+    lo, hi = phi0 - _DPHI, phi0 + _DPHI
+    width = hi - lo
+    x1 = hi - _INVPHI * width
+    x2 = lo + _INVPHI * width
+    f1, f2 = information(x1), information(x2)
+    evals = np.full(phi0.shape, 3)  # x1, x2 and the final midpoint
+    while (active := width > _ANGLE_TOL).any():
+        left = f1 >= f2
+        lo = np.where(active & ~left, x1, lo)
+        hi = np.where(active & left, x2, hi)
+        width = hi - lo
+        # Only lo and hi are frozen once a bracket is done; its interior
+        # points may move on, as the final midpoint never reads them.
+        x1, x2 = (
+            np.where(left, hi - _INVPHI * width, x2),
+            np.where(left, x1, lo + _INVPHI * width),
         )
-        evals += used
-        candidates.append((float(val), axis_at(phi)))
-    return _pick_candidate(candidates, evals)
+        fx = information(np.where(left, x1, x2))
+        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
+        evals += active
+    phi = 0.5 * (lo + hi)
+    return phi, information(phi), evals
+
+
+def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
+    """accessible_information of every ensemble, with one lockstep polish.
+
+    Each ensemble gets its own plane basis and 720-point angular scan, which
+    brackets every local maximum (the objective can have several).  Flat
+    objectives (degenerate ensembles) and scans with more than 64 peaks
+    short-circuit to the tie-break.  The brackets of all other ensembles are
+    polished together by _golden_lockstep, then each ensemble picks its
+    candidate.
+    """
+    picks = [None] * len(ensembles)
+    polish = []
+    for i, ens in enumerate(ensembles):
+        u1, u2 = _plane_basis(ens)
+        half0, half1 = 0.5 * ens.lambda0, 0.5 * ens.lambda1
+        h0 = binary_entropy(ens.lambda0)
+        axes = _SCAN_COS * u1 + _SCAN_SIN * u2
+        n = _unit_axes(axes)
+        vals = np.maximum(h0 - _conditional_entropy(half0, half1, n @ ens.a, n @ ens.b), 0.0)
+        # A flat scan keeps all its points, so the peak cap sends it to the
+        # tie-break too.
+        if float(vals.max() - vals.min()) < _FLAT_TOL:
+            peaks = np.arange(_SCAN_POINTS)
+        else:
+            peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+        if peaks.size > 64:
+            picks[i] = _pick_candidate(
+                list(zip(vals[peaks].tolist(), axes[peaks])), _SCAN_POINTS, degenerate_hint=True
+            )
+        else:
+            polish.append((i, _PHIS[peaks], u1, u2, ens.a, ens.b, (half0, half1, h0)))
+
+    if polish:
+        owners, phi0, *columns = zip(*polish)
+        counts = [p.size for p in phi0]
+        rows = np.repeat(np.arange(len(polish)), counts)
+        u1, u2, a, b, consts = (np.array(column)[rows] for column in columns)
+        phi, vals, used = _golden_lockstep(np.concatenate(phi0), u1, u2, a, b, *consts.T)
+        axes = np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2
+        for i, end, count in zip(owners, np.cumsum(counts), counts):
+            ks = slice(end - count, end)
+            picks[i] = _pick_candidate(
+                list(zip(vals[ks].tolist(), axes[ks])), _SCAN_POINTS + int(used[ks].sum())
+            )
+
+    return [
+        OptimizationResult(
+            n_opt=n_opt,
+            value=float(max(value, 0.0)),
+            stationarity_residual=stationarity_residual(ens, n_opt),
+            evaluations=evals,
+            method=IN_PLANE_METHOD,
+            degenerate=degenerate,
+        )
+        for ens, (n_opt, value, evals, degenerate) in zip(ensembles, picks)
+    ]
 
 
 def accessible_information(ens: QubitEnsemble) -> OptimizationResult:
@@ -305,28 +382,25 @@ def accessible_information(ens: QubitEnsemble) -> OptimizationResult:
     states or a vanishing weight) give a flat objective; the value is then 0
     and the axis is the deterministic tie-break representative.
     """
-    n_opt, value, evals, degenerate = _optimize_in_plane(
-        ens, lambda axes: classical_mutual_information(ens, axes)
-    )
-    return OptimizationResult(
-        n_opt=n_opt,
-        value=float(max(value, 0.0)),
-        stationarity_residual=stationarity_residual(ens, n_opt),
-        evaluations=evals,
-        method=IN_PLANE_METHOD,
-        degenerate=degenerate,
-    )
+    return _accessible_information_batch([ens])[0]
 
 
-def _holevo_gap(ens: QubitEnsemble) -> tuple[float, OptimizationResult, float]:
-    """chi, the accessible-information result, and the discord chi - I_acc.
+def _holevo_gap_batch(ensembles) -> list[tuple[float, OptimizationResult, float]]:
+    """chi, the accessible-information result and the discord chi - I_acc per ensemble.
 
     Round-off in [-1e-10, 0) of the gap is set to zero.
     """
-    chi = holevo_chi(ens)
-    acc = accessible_information(ens)
-    gap = chi - acc.value
-    return chi, acc, 0.0 if -1e-10 <= gap < 0.0 else gap
+    out = []
+    for ens, acc in zip(ensembles, _accessible_information_batch(ensembles)):
+        chi = holevo_chi(ens)
+        gap = chi - acc.value
+        out.append((chi, acc, 0.0 if -1e-10 <= gap < 0.0 else gap))
+    return out
+
+
+def _holevo_gap(ens: QubitEnsemble) -> tuple[float, OptimizationResult, float]:
+    """_holevo_gap_batch of a single ensemble."""
+    return _holevo_gap_batch([ens])[0]
 
 
 def quantum_discord(ens: QubitEnsemble) -> OptimizationResult:

@@ -52,6 +52,26 @@ def _unit_axes(n) -> np.ndarray:
     return n / norms
 
 
+def _conditional_entropy(half0, half1, ta, tb):
+    """S(n) from the half weights lambda_i/2 and the projections a.n, b.n.
+
+    The one formula behind conditional_entropy and the batched in-plane
+    optimizer of the discord module; broadcasts over its arguments.  The six
+    -x log2 x terms go through one call and are summed in a fixed order, so
+    every caller gets the same bits for the same axis.
+    """
+    # Rows: the joints (+, a), (-, a), (+, b), (-, b), then the outcomes +, -.
+    # 1 + (-t) is 1 - t to the bit.
+    j = np.empty((6,) + np.shape(ta))
+    j[0], j[1], j[2], j[3] = ta, -ta, tb, -tb
+    j[:4] += 1.0
+    j[:2] *= half0
+    j[2:4] *= half1
+    np.add(j[0:2], j[2:4], out=j[4:6])
+    t = _neg_xlog2x(j)
+    return np.maximum(t[0] + t[1] + t[2] + t[3] - t[4] - t[5], 0.0)
+
+
 def conditional_entropy(ens: QubitEnsemble, n):
     """Outcome-averaged entropy S(n) = p+ H(q(.|+)) + p- H(q(.|-)), in bits.
 
@@ -60,21 +80,7 @@ def conditional_entropy(ens: QubitEnsemble, n):
     any special casing.  Broadcasts over axes of shape (..., 3).
     """
     n = _unit_axes(n)
-    ta = n @ ens.a
-    tb = n @ ens.b
-    jp0 = 0.5 * ens.lambda0 * (1.0 + ta)
-    jm0 = 0.5 * ens.lambda0 * (1.0 - ta)
-    jp1 = 0.5 * ens.lambda1 * (1.0 + tb)
-    jm1 = 0.5 * ens.lambda1 * (1.0 - tb)
-    out = (
-        _neg_xlog2x(jp0)
-        + _neg_xlog2x(jm0)
-        + _neg_xlog2x(jp1)
-        + _neg_xlog2x(jm1)
-        - _neg_xlog2x(jp0 + jp1)
-        - _neg_xlog2x(jm0 + jm1)
-    )
-    out = np.maximum(out, 0.0)
+    out = _conditional_entropy(0.5 * ens.lambda0, 0.5 * ens.lambda1, n @ ens.a, n @ ens.b)
     return float(out) if out.ndim == 0 else out
 
 

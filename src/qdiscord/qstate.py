@@ -48,8 +48,15 @@ def _state_norm(r) -> float:
 def _neg_xlog2x(x):
     """-x log2(x) elementwise, with the 0 log 0 = 0 convention."""
     x = np.asarray(x, dtype=float)
+    # In place, so one array of x's size is all it allocates; -(x log2 x)
+    # is (-x) log2 x to the bit.
+    out = np.empty_like(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x > _XLOG_CUTOFF, -x * np.log2(x), 0.0)
+        np.log2(x, out=out)
+        out *= x
+    np.negative(out, out=out)
+    out[~(x > _XLOG_CUTOFF)] = 0.0
+    return out
 
 
 def binary_entropy(p):
@@ -59,7 +66,7 @@ def binary_entropy(p):
     slightly out-of-range values are clamped, anything further is rejected.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p < -NORM_SLACK) or np.any(p > 1.0 + NORM_SLACK):
+    if (p < -NORM_SLACK).any() or (p > 1.0 + NORM_SLACK).any():
         raise ValueError("probability outside [0, 1]")
     p = np.clip(p, 0.0, 1.0)
     out = _neg_xlog2x(p) + _neg_xlog2x(1.0 - p)
@@ -69,7 +76,7 @@ def binary_entropy(p):
 def shannon_entropy(dist) -> float:
     """Shannon entropy of a discrete distribution, in bits."""
     dist = np.asarray(dist, dtype=float)
-    if np.any(dist < -NORM_SLACK):
+    if (dist < -NORM_SLACK).any():
         raise ValueError("probabilities must be nonnegative")
     return float(np.sum(_neg_xlog2x(np.clip(dist, 0.0, None))))
 

@@ -208,7 +208,7 @@ def test_size_arguments_out_of_range_are_usage_errors(capsys, monkeypatch, argv)
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    for name in ("_holevo_gap", "holevo_chi", "random_ensemble"):
+    for name in ("_holevo_gap", "_holevo_gap_batch", "holevo_chi", "random_ensemble"):
         monkeypatch.setattr(qdiscord.cli, name, no_work)
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
@@ -282,10 +282,22 @@ def test_sweep_degrees_matches_radians(capsys):
             assert rd[key] == pytest.approx(rr[key], abs=1e-9)
 
 
-def test_sweep_matches_golden_csv(tmp_path):
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--steps", "101"], "sweep_steps101.csv"),
+        # crosses the flat ends and the nearly identical pair of the last row
+        (
+            ["--steps", "64", "--lambda0", "0.3", "--start", "0", "--stop", "3.14159"],
+            "sweep_lambda03_steps64.csv",
+        ),
+    ],
+    ids=["steps101", "lambda03_steps64"],
+)
+def test_sweep_matches_golden_csv(tmp_path, argv, golden):
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--steps", "101", "--output", str(out)]) == EXIT_OK
-    assert out.read_bytes() == (DATA / "sweep_steps101.csv").read_bytes()
+    assert main(["sweep", *argv, "--output", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_sweep_lambda_dependence(capsys):

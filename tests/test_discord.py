@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdiscord.discord as discord
+
 from qdiscord import (
     QubitEnsemble,
+    binary_entropy,
     accessible_information,
     average_state_eigen_split,
     check_analytic_conditions,
@@ -272,3 +277,85 @@ def test_near_degenerate_pairs(ens):
     assert acc.value <= chi + 1e-12
     assert disc.value >= 0.0
     assert abs(chi - acc.value - disc.value) <= 1e-10
+
+
+# Nearly identical pair whose round-off ripple gives its scan 26 bracketed peaks.
+MULTI_PEAK = QubitEnsemble(
+    0.5359919582166901,
+    1.0 - 0.5359919582166901,
+    [-0.3978495526046214, -0.636048782670871, 0.5438527645538032],
+    [-0.397850014598044, -0.6360482517814259, 0.5438520774223549],
+)
+# A tolerance at the nominal bracket width after 40 golden steps: round-off
+# puts some brackets just above it and some just below, so they finish one
+# step apart.
+SPLIT_TOL = 2.0 * discord._DPHI * discord._INVPHI**40
+
+
+def _bits(res):
+    return (
+        res.n_opt.tobytes(),
+        float(res.value).hex(),
+        float(res.stationarity_residual).hex(),
+        res.evaluations,
+        res.degenerate,
+        res.method,
+    )
+
+
+@pytest.mark.parametrize("tol", [discord._ANGLE_TOL, SPLIT_TOL], ids=["default", "split"])
+def test_golden_lockstep_follows_scalar_golden_section(rng, tol):
+    """Each lockstep row takes the scalar _golden_max steps on the public objective."""
+    ensembles = [random_ensemble(rng) for _ in range(6)] + [MULTI_PEAK]
+    brackets = [
+        (ens, *discord._plane_basis(ens), float(phi0))
+        for ens in ensembles
+        for phi0 in discord._PHIS[[0, 1, 200, 359, 360, 601, 719]]
+    ]
+    ens_, u1, u2, phi0 = zip(*brackets)
+    with mock.patch.object(discord, "_ANGLE_TOL", tol):
+        phi, vals, used = discord._golden_lockstep(
+            np.array(phi0),
+            np.array(u1),
+            np.array(u2),
+            np.array([e.a for e in ens_]),
+            np.array([e.b for e in ens_]),
+            np.array([0.5 * e.lambda0 for e in ens_]),
+            np.array([0.5 * e.lambda1 for e in ens_]),
+            np.array([binary_entropy(e.lambda0) for e in ens_]),
+        )
+    for k, (ens, b1, b2, p0) in enumerate(brackets):
+        x, fx, evals = discord._golden_max(
+            lambda p: classical_mutual_information(ens, np.cos(p) * b1 + np.sin(p) * b2),
+            p0 - discord._DPHI,
+            p0 + discord._DPHI,
+            tol,
+        )
+        assert (float(x).hex(), float(fx).hex(), evals) == (
+            float(phi[k]).hex(), float(vals[k]).hex(), int(used[k])
+        ), k
+    assert len(set(used.tolist())) == (1 if tol == discord._ANGLE_TOL else 2)
+
+
+@given(seed=st.integers(0, 2**32 - 1), extra=st.lists(near_degenerate_ensembles(), max_size=4))
+@settings(max_examples=6, deadline=None)
+def test_batch_matches_single_calls(seed, extra):
+    """One mixed batch gives the results of one-ensemble calls, to the bit."""
+    rng = np.random.default_rng(seed)
+    batch = (
+        [random_ensemble(rng) for _ in range(4)]
+        + [random_pure_pair(rng) for _ in range(2)]
+        + [QubitEnsemble(0.4, 0.6, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])]  # flat objective
+        + [QubitEnsemble(0.0, 1.0, [0, 0, 0.8], [0.5, 0, 0])]
+        + [QubitEnsemble(1.0, 0.0, [0.3, 0, 0.4], [0, 0.6, 0])]
+        + [MULTI_PEAK]
+        + extra
+    )
+    batch = [batch[i] for i in rng.permutation(len(batch))]
+    for tol in (discord._ANGLE_TOL, SPLIT_TOL):
+        with mock.patch.object(discord, "_ANGLE_TOL", tol):
+            together = discord._accessible_information_batch(batch)
+            alone = [accessible_information(ens) for ens in batch]
+        assert [_bits(r) for r in together] == [_bits(r) for r in alone]
+    evaluations = {ens: r.evaluations for ens, r in zip(batch, together)}
+    assert evaluations[MULTI_PEAK] < 720 + 26 * 51  # SPLIT_TOL stops before step 48
