@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage/parse error, 2 invariant failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .discord import _holevo_gap, _holevo_gap_batch, discord_pure_koashi_winter
+from .discord import _holevo_gap_batch, discord_pure_koashi_winter
 from .ensemble import (
     QubitEnsemble,
     cq_state_entropy,
@@ -37,7 +38,7 @@ from .ensemble import (
 from .geodiscord import geometric_discord, quadratic_form
 from .measurement import classical_mutual_information
 from .oracle import brute_force_accessible, brute_force_geo
-from .qstate import PURE_TOL, binary_entropy, pure_overlap, von_neumann_entropy
+from .qstate import _is_pure, binary_entropy, pure_overlap, von_neumann_entropy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,8 +67,8 @@ LANDSCAPE_COLUMNS = ("theta", "delta", "discord_rough")
 # instead of starting an unbounded allocation or run.
 _MAX_GRID = 10**6
 _MAX_TRIALS = 10**5
-# Sweep rows go through the batched optimizer this many at a time, so its
-# working memory does not grow with --steps.
+# Sweep rows go through the batched optimizer and are written this many at a
+# time, so memory does not grow with --steps.
 _SWEEP_BLOCK = 512
 
 
@@ -177,12 +178,8 @@ def ensemble_to_document(ens: QubitEnsemble) -> dict:
 # compute
 # ---------------------------------------------------------------------------
 
-def _is_pure(v) -> bool:
-    return abs(float(np.linalg.norm(v)) - 1.0) <= PURE_TOL
-
-
 def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
-    chi, acc, gap = _holevo_gap(ens)
+    chi, acc, gap = _holevo_gap_batch([ens])[0]
     geo = geometric_discord(ens)
     pairs = [
         ("lambda0", ens.lambda0),
@@ -284,11 +281,14 @@ def _cmd_sweep(args) -> int:
     start = _angle(args.start, args.degrees)
     stop = _angle(args.stop, args.degrees)
     thetas = np.linspace(start, stop, args.steps)
-    lines = [",".join(SWEEP_COLUMNS)]
-    for k in range(0, args.steps, _SWEEP_BLOCK):
-        rows = _sweep_rows(thetas[k : k + _SWEEP_BLOCK].tolist(), args.lambda0)
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
-    _write_lines(args.output, lines)
+    # Blocks are written as done, so check the end rows before opening the output.
+    for theta in thetas[[0, -1]]:
+        QubitEnsemble.pure_pair(theta, args.lambda0)
+    with _open_output(args.output) as out:
+        out.write(",".join(SWEEP_COLUMNS) + "\n")
+        for k in range(0, args.steps, _SWEEP_BLOCK):
+            rows = _sweep_rows(thetas[k : k + _SWEEP_BLOCK].tolist(), args.lambda0)
+            out.write("".join(",".join(_fmt(x) for x in row) + "\n" for row in rows))
     return EXIT_OK
 
 
@@ -371,7 +371,7 @@ def _cmd_verify(args) -> int:
         axis = _sphere_point(rng)
         pure = random_pure_pair(rng)
 
-        chi, acc, discord = _holevo_gap(ens)
+        (chi, acc, discord), (_, _, d_pure) = _holevo_gap_batch([ens, pure])
         s_joint = cq_state_entropy(ens)
         s_formula = (
             binary_entropy(ens.lambda0)
@@ -405,10 +405,7 @@ def _cmd_verify(args) -> int:
         beat = max(oracle_acc.value - acc.value, geo.value - oracle_geo.value, 0.0)
         suites["oracle_bound"].check(trial, beat, tol(1e-6), ens)
 
-        kw = discord_pure_koashi_winter(
-            pure.lambda0, pure_overlap(pure.a, pure.b)
-        )
-        _, _, d_pure = _holevo_gap(pure)
+        kw = discord_pure_koashi_winter(pure.lambda0, pure_overlap(pure.a, pure.b))
         suites["koashi_winter"].check(trial, abs(d_pure - kw.discord), tol(1e-6), pure)
 
         form = quadratic_form(ens)
@@ -451,13 +448,15 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else float(value)
 
 
-def _write_lines(output: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _open_output(output: str | None):
     if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(output, "w", encoding="ascii", newline="")
+
+
+def _write_lines(output: str | None, lines: list[str]) -> None:
+    with _open_output(output) as out:
+        out.write("\n".join(lines) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

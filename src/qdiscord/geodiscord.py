@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import EIGENPAIR_METHOD, OptimizationResult, _plane_basis
+from .discord import _CONDITION_TOL, OptimizationResult, _plane_basis
 from .ensemble import QubitEnsemble
-from .measurement import _unit_axes, canonical_axis
-from .qstate import as_bloch
+from .measurement import _SIGN_TOL, _perp_parts, canonical_axis
+from .qstate import _half_angle
 
+EIGENPAIR_METHOD = "closed-form eigenpair"
 # Eigenvalues within this of the top one are treated as a degenerate
 # eigenspace and resolved by the lexicographic tie-break.
 _EIGEN_GAP_TOL = 1e-12
@@ -103,9 +104,7 @@ def geometric_discord(ens: QubitEnsemble) -> OptimizationResult:
 
 def example_geo_closed_form(theta: float) -> float:
     """Geometric discord of the equal-weight mirror pair: (1 - |cos 2t|)/8."""
-    theta = float(theta)
-    if not 0.0 <= theta <= np.pi:
-        raise ValueError("theta must lie in [0, pi]")
+    theta = _half_angle(theta)
     return (1.0 - abs(np.cos(2.0 * theta))) / 8.0
 
 
@@ -115,37 +114,32 @@ def geo_stationarity_residual(ens: QubitEnsemble, n) -> float:
     Polynomial in n, so there are no singular configurations; vanishes at
     every critical axis of the post-measurement purity.
     """
-    n = _unit_axes(as_bloch(n))
-    an, bn = float(ens.a @ n), float(ens.b @ n)
-    a_perp = ens.a - an * n
-    b_perp = ens.b - bn * n
-    vec = ens.lambda0**2 * an * a_perp + ens.lambda1**2 * bn * b_perp
-    return float(np.linalg.norm(vec))
+    return _geo_defect_norm(ens, *_perp_parts(ens, n)[1:])
 
 
-def geo_choice_classifier(
-    ens: QubitEnsemble, n, tolerance: float = 1e-8
-) -> GeoBranchReport:
+def _geo_defect_norm(ens: QubitEnsemble, an, bn, a_perp, b_perp) -> float:
+    """Norm of the geometric defect from the parts that _perp_parts returns."""
+    return float(np.linalg.norm(ens.lambda0**2 * an * a_perp + ens.lambda1**2 * bn * b_perp))
+
+
+def geo_choice_classifier(ens: QubitEnsemble, n) -> GeoBranchReport:
     """Classify the cancellation pattern that makes the axis n stationary.
 
     Rejects non-stationary axes (NonStationaryAxisError carries the
     offending residual).  When both patterns hold simultaneously, the "+"
     branch is reported and both flags stay visible in the report.
     """
-    n = _unit_axes(as_bloch(n))
-    residual = geo_stationarity_residual(ens, n)
-    if residual > tolerance:
-        raise NonStationaryAxisError(residual, tolerance)
-    an, bn = float(ens.a @ n), float(ens.b @ n)
-    a_perp = ens.a - an * n
-    b_perp = ens.b - bn * n
+    _, an, bn, a_perp, b_perp = _perp_parts(ens, n)
+    residual = _geo_defect_norm(ens, an, bn, a_perp, b_perp)
+    if residual > _CONDITION_TOL:
+        raise NonStationaryAxisError(residual, _CONDITION_TOL)
     w0, w1 = ens.lambda0**2, ens.lambda1**2
     plus_dot = abs(an - bn)
     plus_perp = float(np.linalg.norm(w0 * a_perp + w1 * b_perp))
     minus_dot = abs(an + bn)
     minus_perp = float(np.linalg.norm(w0 * a_perp - w1 * b_perp))
-    plus_holds = plus_dot <= tolerance and plus_perp <= tolerance
-    minus_holds = minus_dot <= tolerance and minus_perp <= tolerance
+    plus_holds = plus_dot <= _CONDITION_TOL and plus_perp <= _CONDITION_TOL
+    minus_holds = minus_dot <= _CONDITION_TOL and minus_perp <= _CONDITION_TOL
     branch = "+" if plus_holds else ("-" if minus_holds else "neither")
     return GeoBranchReport(
         branch=branch,
@@ -156,7 +150,7 @@ def geo_choice_classifier(
         minus_perp_residual=minus_perp,
         minus_holds=minus_holds,
         stationarity_residual=residual,
-        tolerance=tolerance,
+        tolerance=_CONDITION_TOL,
     )
 
 
@@ -164,15 +158,15 @@ def geo_choice_classifier(
 # Rank-2 eigenpair: the 2x2 Gram matrix of G = [l0 a, l1 b]
 # ---------------------------------------------------------------------------
 
-def _lex_max_rep_2d(p: np.ndarray, q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _lex_max_rep_2d(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Lexicographically largest antipode-normalized unit vector in span{p, q}."""
     for axis in (0, 1, 2):
         g0, g1 = float(p[axis]), float(q[axis])
         glen = np.hypot(g0, g1)
-        if glen <= tol:
+        if glen <= _SIGN_TOL:
             continue
         vstar = (g0 * p + g1 * q) / glen
-        if vstar[2] >= -tol:
+        if vstar[2] >= -_SIGN_TOL:
             return canonical_axis(vstar)
         # The coordinate maximizer points below the z = 0 plane, so the best
         # normalized representative lies on the span's z = 0 line.
@@ -181,7 +175,7 @@ def _lex_max_rep_2d(p: np.ndarray, q: np.ndarray, tol: float = 1e-12) -> np.ndar
         # Its mirror image across vstar shares the coordinate value; prefer
         # it when it is a representative with a larger remaining tuple.
         twin = 2.0 * float(u0 @ vstar) * vstar - u0
-        if twin[2] > tol and tuple(twin) > tuple(u0):
+        if twin[2] > _SIGN_TOL and tuple(twin) > tuple(u0):
             return twin
         return u0
     raise ValueError("degenerate basis for tie-break")

@@ -14,13 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from .ensemble import QubitEnsemble
-from .qstate import _neg_xlog2x, binary_entropy
+from .qstate import _neg_xlog2x, as_bloch, binary_entropy
 
 # Accepted deviation from unit norm before an axis is rejected outright.
 UNIT_TOL = 1e-9
+# Components within this of zero do not decide the sign of a representative.
+_SIGN_TOL = 1e-12
 
 
-def canonical_axis(n, tol: float = 1e-12) -> np.ndarray:
+def canonical_axis(n) -> np.ndarray:
     """Antipode-normalize an axis: sign fixed so n_z > 0, then n_x, then n_y.
 
     An axis and its antipode define the same measurement up to outcome
@@ -28,9 +30,9 @@ def canonical_axis(n, tol: float = 1e-12) -> np.ndarray:
     """
     n = np.asarray(n, dtype=float)
     for k in (2, 0, 1):
-        if n[k] > tol:
+        if n[k] > _SIGN_TOL:
             return n.copy()
-        if n[k] < -tol:
+        if n[k] < -_SIGN_TOL:
             return -n
     return n.copy()
 
@@ -50,6 +52,13 @@ def _unit_axes(n) -> np.ndarray:
     if not (np.abs(norms - 1.0) <= UNIT_TOL).all():
         raise ValueError("measurement axes must be unit vectors")
     return n / norms
+
+
+def _perp_parts(ens: QubitEnsemble, n):
+    """The checked unit axis n, a.n, b.n and the parts of a, b normal to n."""
+    n = _unit_axes(as_bloch(n))
+    an, bn = float(ens.a @ n), float(ens.b @ n)
+    return n, an, bn, ens.a - an * n, ens.b - bn * n
 
 
 def _conditional_entropy(half0, half1, ta, tb):

@@ -17,17 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discord import (
-    FULL_SPHERE_METHOD,
-    OptimizationResult,
-    _any_perpendicular,
-    _golden_max,
-    stationarity_residual,
-)
+from .discord import OptimizationResult, _any_perpendicular, _golden_max, stationarity_residual
 from .ensemble import QubitEnsemble
 from .geodiscord import ensemble_purity, geo_stationarity_residual
 from .measurement import canonical_axis, classical_mutual_information, post_measurement_purity
 
+FULL_SPHERE_METHOD = "full-sphere grid + refine"
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 # Polish bracket half-width, comfortably above the worst grid spacing.
 _BRACKET_SCALE = 5.0

@@ -66,7 +66,8 @@ def binary_entropy(p):
     slightly out-of-range values are clamped, anything further is rejected.
     """
     p = np.asarray(p, dtype=float)
-    if (p < -NORM_SLACK).any() or (p > 1.0 + NORM_SLACK).any():
+    # Written so that NaN fails the test too.
+    if not ((p >= -NORM_SLACK) & (p <= 1.0 + NORM_SLACK)).all():
         raise ValueError("probability outside [0, 1]")
     p = np.clip(p, 0.0, 1.0)
     out = _neg_xlog2x(p) + _neg_xlog2x(1.0 - p)
@@ -76,7 +77,7 @@ def binary_entropy(p):
 def shannon_entropy(dist) -> float:
     """Shannon entropy of a discrete distribution, in bits."""
     dist = np.asarray(dist, dtype=float)
-    if (dist < -NORM_SLACK).any():
+    if not ((dist >= -NORM_SLACK) & np.isfinite(dist)).all():
         raise ValueError("probabilities must be nonnegative")
     return float(np.sum(_neg_xlog2x(np.clip(dist, 0.0, None))))
 
@@ -103,9 +104,22 @@ def pure_overlap(a, b) -> float:
     """
     a = as_bloch(a)
     b = as_bloch(b)
-    if abs(np.linalg.norm(a) - 1.0) > PURE_TOL or abs(np.linalg.norm(b) - 1.0) > PURE_TOL:
+    if not (_is_pure(a) and _is_pure(b)):
         raise ValueError("pure_overlap requires unit (pure-state) Bloch vectors")
     return float(np.sqrt(max(0.0, (1.0 + float(a @ b)) / 2.0)))
+
+
+def _is_pure(r) -> bool:
+    """Whether the finite vector r has unit norm up to PURE_TOL."""
+    return abs(float(np.linalg.norm(r)) - 1.0) <= PURE_TOL
+
+
+def _half_angle(theta) -> float:
+    """The mirror-pair half-angle theta as a float, checked to lie in [0, pi]."""
+    theta = float(theta)
+    if not 0.0 <= theta <= np.pi:
+        raise ValueError("theta must lie in [0, pi]")
+    return theta
 
 
 def example_pair_bloch(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -114,8 +128,6 @@ def example_pair_bloch(theta: float) -> tuple[np.ndarray, np.ndarray]:
     The states cos(t/2)|0> +/- sin(t/2)|1> have Bloch vectors
     (sin t, 0, cos t) and (-sin t, 0, cos t); their overlap is cos t.
     """
-    theta = float(theta)
-    if not 0.0 <= theta <= np.pi:
-        raise ValueError("theta must lie in [0, pi]")
+    theta = _half_angle(theta)
     s, c = np.sin(theta), np.cos(theta)
     return np.array([s, 0.0, c]), np.array([-s, 0.0, c])

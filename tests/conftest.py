@@ -64,6 +64,29 @@ def near_degenerate_ensembles(draw) -> QubitEnsemble:
     return QubitEnsemble(l0, 1.0 - l0, a, b)
 
 
+@st.composite
+def hard_region_ensembles(draw) -> QubitEnsemble:
+    """Extreme weights, pure states and tiny norms: the rest of what nondegenerate drops.
+
+    With eps in [1e-12, 1e-2]: lambda0 is eps or 1 - eps with each state pure
+    or of uniform norm ("extreme_weight"), both states are pure ("pure"), or
+    a has norm eps and b a log-uniform norm in [1e-12, 1] ("tiny_norm").
+    Directions are uniform on the sphere.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["extreme_weight", "pure", "tiny_norm"]))
+    eps = 10.0 ** draw(st.floats(-12.0, -2.0))
+    if kind == "extreme_weight":
+        l0 = draw(st.sampled_from([eps, 1.0 - eps]))
+        norms = np.where(rng.uniform(size=2) < 0.5, 1.0, rng.uniform(size=2))
+    else:
+        l0 = draw(st.floats(0.0, 1.0))
+        norms = np.ones(2) if kind == "pure" else np.array([eps, 10.0 ** rng.uniform(-12.0, 0.0)])
+    d = rng.normal(size=(2, 3))
+    a, b = d / np.linalg.norm(d, axis=1, keepdims=True) * norms[:, None]
+    return QubitEnsemble(l0, 1.0 - l0, a, b)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -208,7 +208,7 @@ def test_size_arguments_out_of_range_are_usage_errors(capsys, monkeypatch, argv)
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    for name in ("_holevo_gap", "_holevo_gap_batch", "holevo_chi", "random_ensemble"):
+    for name in ("_holevo_gap_batch", "holevo_chi", "random_ensemble"):
         monkeypatch.setattr(qdiscord.cli, name, no_work)
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
@@ -270,6 +270,18 @@ def test_sweep_deterministic_and_file_output(tmp_path, capsys):
     assert data.decode("ascii") == out
     assert b"\r" not in data
     assert data.endswith(b"\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("--stop", "4"), ("--start", "-0.1"), ("--lambda0", "1.5"), ("--lambda0", "nan")]
+)
+def test_sweep_invalid_range_writes_nothing(tmp_path, capsys, argv):
+    """Rows are streamed, so a bad range or weight must fail before the output opens."""
+    path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", "--steps", "600", *argv, "--output", str(path))
+    assert code == EXIT_INVARIANT, err
+    assert out == ""
+    assert not path.exists()
 
 
 def test_sweep_degrees_matches_radians(capsys):

@@ -23,6 +23,7 @@ from qdiscord import (
     quantum_discord,
     random_ensemble,
     random_pure_pair,
+    shannon_entropy,
     stationarity_residual,
 )
 from conftest import near_degenerate_ensembles, nondegenerate, random_rotation, rotate_ensemble
@@ -65,6 +66,41 @@ def test_average_state_eigen_split():
     assert average_state_eigen_split(0.5, 0.0) == pytest.approx((0.5, 0.5), abs=1e-15)
     assert average_state_eigen_split(0.5, 1.0) == pytest.approx((1.0, 0.0), abs=1e-15)
     assert average_state_eigen_split(0.5, 0.5) == pytest.approx((0.75, 0.25), abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: binary_entropy(x),
+        lambda x: binary_entropy([0.2, x]),
+        lambda x: shannon_entropy([x, 1.0]),
+        lambda x: shannon_entropy([x, 0.0]),
+        lambda x: concurrence_pure_ensemble(x, 0.5),
+        lambda x: concurrence_pure_ensemble(0.5, x),
+        lambda x: eof_from_concurrence(x),
+        lambda x: average_state_eigen_split(x, 0.5),
+        lambda x: average_state_eigen_split(0.5, x),
+        lambda x: discord_pure_koashi_winter(x, 0.5),
+        lambda x: discord_pure_koashi_winter(0.5, x),
+    ],
+    ids=[
+        "binary_entropy",
+        "binary_entropy_array",
+        "shannon_entropy",
+        "shannon_entropy_with_zero",
+        "concurrence_lambda0",
+        "concurrence_overlap",
+        "eof",
+        "eigen_split_lambda0",
+        "eigen_split_overlap",
+        "koashi_winter_lambda0",
+        "koashi_winter_overlap",
+    ],
+)
+def test_non_finite_arguments_are_rejected(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)
 
 
 def test_koashi_winter_breakdown():
@@ -325,12 +361,12 @@ def test_golden_lockstep_follows_scalar_golden_section(rng, tol):
             np.array([binary_entropy(e.lambda0) for e in ens_]),
         )
     for k, (ens, b1, b2, p0) in enumerate(brackets):
-        x, fx, evals = discord._golden_max(
-            lambda p: classical_mutual_information(ens, np.cos(p) * b1 + np.sin(p) * b2),
-            p0 - discord._DPHI,
-            p0 + discord._DPHI,
-            tol,
-        )
+        with mock.patch.object(discord, "_ANGLE_TOL", tol):
+            x, fx, evals = discord._golden_max(
+                lambda p: classical_mutual_information(ens, np.cos(p) * b1 + np.sin(p) * b2),
+                p0 - discord._DPHI,
+                p0 + discord._DPHI,
+            )
         assert (float(x).hex(), float(fx).hex(), evals) == (
             float(phi[k]).hex(), float(vals[k]).hex(), int(used[k])
         ), k

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.spatial import cKDTree
 
 from qdiscord import (
@@ -9,8 +10,11 @@ from qdiscord import (
     brute_force_geo,
     fibonacci_sphere,
     geometric_discord,
+    holevo_chi,
+    quantum_discord,
     random_ensemble,
 )
+from conftest import hard_region_ensembles
 
 # h((2+sqrt(2))/4) based, frozen from mpmath
 MI_PI4 = 0.399123963307143899
@@ -82,6 +86,26 @@ def test_oracle_never_beats_the_optimizer(rng):
         # and with the polish it should essentially reach it
         assert oracle_acc.value == pytest.approx(acc.value, abs=1e-5)
         assert oracle_geo.value == pytest.approx(geo.value, abs=1e-5)
+
+
+@given(ens=hard_region_ensembles())
+@settings(max_examples=40, deadline=None)
+def test_hard_region_ensembles_agree_with_oracle(ens):
+    """Extreme weights, pure states and tiny norms, checked against the default grid."""
+    chi = holevo_chi(ens)
+    acc = accessible_information(ens)
+    disc = quantum_discord(ens)
+    geo = geometric_discord(ens)
+    oracle_acc = brute_force_accessible(ens)
+    oracle_geo = brute_force_geo(ens)
+    for res in (acc, disc, geo):
+        assert np.linalg.norm(res.n_opt) == pytest.approx(1.0, abs=1e-12)
+    assert acc.value <= chi + 1e-12
+    assert abs(chi - acc.value - disc.value) <= 1e-10
+    assert abs(acc.value - oracle_acc.value) <= 1e-5
+    assert oracle_acc.value - acc.value <= 1e-6
+    assert abs(geo.value - oracle_geo.value) <= 1e-5
+    assert geo.value - oracle_geo.value <= 1e-6
 
 
 def test_oracle_converges_with_grid_size(rng):
