@@ -5,8 +5,8 @@ prepared qubit equals the gap between the Holevo bound and the accessible
 information, and both sides share one optimal measurement axis.  This
 package computes all of it in the Bloch picture: closed forms where they
 exist (pure pairs, the rank-2 geometric eigenpair), a plane-restricted
-golden-section search for the rest, and dense sphere-grid oracles that
-cross-check every optimizer.
+root search on the stationarity condition for the rest, and dense
+sphere-grid oracles that cross-check every optimizer.
 """
 
 from .qstate import (

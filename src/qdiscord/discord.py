@@ -11,12 +11,16 @@ it.
 The search takes a list of ensembles.  Each gets its own plane basis and a
 720-point angular scan, one ensemble at a time; every scan peak becomes a
 bracket one scan step wide on either side.  The brackets of all ensembles
-are then polished by golden section in lockstep: each step is one vectorised
-evaluation at every bracket's new point, and a bracket is masked off once its
-width is down to the tolerance.  Every bracket takes the same steps, to the
-bit, as a scalar golden-section search would, so a result does not depend
-on the batch it was computed in; accessible_information is the
-one-ensemble case.
+are then polished in lockstep by a root search on the slope dI/dphi, which
+is the paper's stationarity condition sum_i lambda_i log2(t_i) v_i_perp = 0
+(Fuchs and Caves' condition for two mixed states) taken along the plane:
+Illinois steps, safeguarded by the bracket and by bisection, that place the
+axis to round-off in about six steps.  A bracket whose ends show no sign
+change of the slope keeps a golden-section polish of the value.  Each step
+of either search is one vectorised evaluation at every bracket's new point,
+a bracket is masked off once it has converged, and all arithmetic is row by
+row, so a result does not depend on the batch it was computed in;
+accessible_information is the one-ensemble case.
 
 For ensembles of two pure states the optimization can be skipped entirely:
 purifying with an ancilla qubit turns the discord into an entanglement of
@@ -30,16 +34,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensemble import QubitEnsemble, average_state, holevo_chi
-from .measurement import _conditional_entropy, _perp_parts, _unit_axes, canonical_axis
+from .measurement import (
+    _conditional_entropy,
+    _perp_parts,
+    _unit_axes,
+    _unit_perp_parts,
+    canonical_axis,
+)
 from .qstate import NORM_SLACK, _half_angle, binary_entropy
 
-IN_PLANE_METHOD = "in-plane golden-section"
+IN_PLANE_METHOD = "in-plane root search"
 # A sufficient optimality condition holds when its residual is at most this.
 _CONDITION_TOL = 1e-8
 
 _SCAN_POINTS = 720
 _ANGLE_TOL = 1e-12
 _TIE_TOL = 1e-10
+# The root search stops once a bracket is this narrow: a few ulps of an angle.
+_ROOT_TOL = 1e-14
 _FLAT_TOL = 1e-14
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _PHIS = np.linspace(0.0, np.pi, _SCAN_POINTS, endpoint=False)
@@ -47,10 +59,12 @@ _SCAN_COS = np.cos(_PHIS)[:, None]
 _SCAN_SIN = np.sin(_PHIS)[:, None]
 # Half-width of a scan bracket: one scan step.
 _DPHI = np.pi / _SCAN_POINTS
-# Factors (1 +/- v.n) are clamped here before entering a log; axes that
-# trip the clamp sit on the boundary where the variational condition is
-# meaningless, and are reported as singular instead of crashing.
+# Factors (1 +/- v.n) are kept at least this far from 0 before entering a
+# log; axes that trip the clamp sit on the boundary where the variational
+# condition is meaningless, and are reported as singular instead of crashing.
 _LOG_CLAMP = 1e-15
+# log2((1 + x)/(1 - x)) = _LOG2_ODDS artanh(x)
+_LOG2_ODDS = 2.0 / np.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,21 +174,28 @@ def example_discord_closed_form(theta: float) -> float:
 # Variational stationarity of the conditional entropy
 # ---------------------------------------------------------------------------
 
-def _stationarity_terms(ens: QubitEnsemble, n):
+def _log_odds(x):
+    """log2(t0), log2(t1) and whether a factor was clamped, from x = (a.n, b.n, c.n).
+
+    t_i = (1 + v_i.n)(1 - c.n) / ((1 - v_i.n)(1 + c.n)), so log2(t_i) is
+    (2/ln 2)(artanh(v_i.n) - artanh(c.n)).  artanh keeps its relative
+    precision near 0, where 1 +/- x would round it away, and it is odd, so
+    symmetric configurations cancel exactly.  Projections within _LOG_CLAMP
+    of +/-1 are clamped there.  x may hold a column of projections per row.
+    """
+    singular = (np.abs(x) > 1.0 - _LOG_CLAMP).any(axis=0)
+    r = np.arctanh(np.minimum(np.maximum(x, _LOG_CLAMP - 1.0), 1.0 - _LOG_CLAMP))
+    return _LOG2_ODDS * (r[0] - r[2]), _LOG2_ODDS * (r[1] - r[2]), singular
+
+
+def _stationarity_terms(ens: QubitEnsemble, n, an, bn, a_perp, b_perp):
     """Defect vector l0 log2(t0) a_perp + l1 log2(t1) b_perp and the log-odds.
 
-    t_i = (1 + v_i.n)(1 - c.n) / ((1 - v_i.n)(1 + c.n)).  The logs are taken
-    factor by factor so that symmetric configurations cancel exactly.
+    Takes the unit axis and the parts that _perp_parts returns for it.
     """
-    n, an, bn, a_perp, b_perp = _perp_parts(ens, n)
-    cn = float(average_state(ens) @ n)
-    factors = np.array([1.0 + an, 1.0 - an, 1.0 + bn, 1.0 - bn, 1.0 + cn, 1.0 - cn])
-    singular = bool(np.any(factors < _LOG_CLAMP))
-    lg = np.log2(np.maximum(factors, _LOG_CLAMP))
-    log_t0 = lg[0] - lg[1] + lg[5] - lg[4]
-    log_t1 = lg[2] - lg[3] + lg[5] - lg[4]
+    log_t0, log_t1, singular = _log_odds(np.array([an, bn, float(average_state(ens) @ n)]))
     vec = ens.lambda0 * log_t0 * a_perp + ens.lambda1 * log_t1 * b_perp
-    return vec, log_t0, log_t1, a_perp, b_perp, singular
+    return vec, log_t0, log_t1, bool(singular)
 
 
 def stationarity_residual(ens: QubitEnsemble, n) -> float:
@@ -184,13 +205,15 @@ def stationarity_residual(ens: QubitEnsemble, n) -> float:
     (minima, maxima and saddles alike).  Boundary axes where a log factor is
     clamped yield a finite, flagged value; see check_analytic_conditions.
     """
-    vec, *_ = _stationarity_terms(ens, n)
+    vec, *_ = _stationarity_terms(ens, *_perp_parts(ens, n))
     return float(np.linalg.norm(vec))
 
 
 def check_analytic_conditions(ens: QubitEnsemble, n) -> AnalyticConditionsReport:
     """Evaluate the two sufficient optimality conditions at the axis n."""
-    vec, log_t0, log_t1, a_perp, b_perp, singular = _stationarity_terms(ens, n)
+    parts = _perp_parts(ens, n)
+    vec, log_t0, log_t1, singular = _stationarity_terms(ens, *parts)
+    a_perp, b_perp = parts[3:]
     odds_res = abs(log_t0 + log_t1)
     perp_res = float(np.linalg.norm(ens.lambda0 * a_perp + ens.lambda1 * b_perp))
     return AnalyticConditionsReport(
@@ -270,6 +293,14 @@ def _pick_candidate(candidates, evals: int, degenerate_hint: bool = False):
     return n_opt, best, evals, degenerate
 
 
+def _information(phi, u1, u2, a, b, half0, half1, h0):
+    """Unit axes cos(phi) u1 + sin(phi) u2 and I there, one row per bracket."""
+    n = _unit_axes(np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2)
+    m = n[:, None, :]
+    an, bn = (m @ a[:, :, None])[:, 0, 0], (m @ b[:, :, None])[:, 0, 0]
+    return n, np.maximum(h0 - _conditional_entropy(half0, half1, an, bn), 0.0)
+
+
 def _golden_lockstep(phi0, u1, u2, a, b, half0, half1, h0):
     """Golden section over [phi0 - dphi, phi0 + dphi] for every bracket at once.
 
@@ -281,18 +312,12 @@ def _golden_lockstep(phi0, u1, u2, a, b, half0, half1, h0):
     on.  Every row follows the steps of the scalar _golden_max bit for bit.
     Returns the midpoints, their values and the evaluations per bracket.
     """
-    a, b = a[:, :, None], b[:, :, None]
-
-    def information(phi):
-        n = _unit_axes(np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2)[:, None, :]
-        s = _conditional_entropy(half0, half1, (n @ a)[:, 0, 0], (n @ b)[:, 0, 0])
-        return np.maximum(h0 - s, 0.0)
-
+    consts = (u1, u2, a, b, half0, half1, h0)
     lo, hi = phi0 - _DPHI, phi0 + _DPHI
     width = hi - lo
     x1 = hi - _INVPHI * width
     x2 = lo + _INVPHI * width
-    f1, f2 = information(x1), information(x2)
+    f1, f2 = _information(x1, *consts)[1], _information(x2, *consts)[1]
     evals = np.full(phi0.shape, 3)  # x1, x2 and the final midpoint
     while (active := width > _ANGLE_TOL).any():
         left = f1 >= f2
@@ -305,11 +330,88 @@ def _golden_lockstep(phi0, u1, u2, a, b, half0, half1, h0):
             np.where(left, hi - _INVPHI * width, x2),
             np.where(left, x1, lo + _INVPHI * width),
         )
-        fx = information(np.where(left, x1, x2))
+        fx = _information(np.where(left, x1, x2), *consts)[1]
         f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
         evals += active
     phi = 0.5 * (lo + hi)
-    return phi, information(phi), evals
+    return phi, _information(phi, *consts)[1], evals
+
+
+def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
+    """Root of dI/dphi in [phi0 - dphi, phi0 + dphi] for every bracket at once.
+
+    Row k of every argument describes bracket k, as for _golden_lockstep.
+    The slope is g(phi) = sum_i (lambda_i/2) log2(t_i) (v_i.t) with the plane
+    tangent t = -sin(phi) u1 + cos(phi) u2.  A bracket whose ends have
+    g > 0 > g takes Illinois steps (regula falsi that halves the slope kept
+    at an end that stays for a second step in a row), and a bisection step
+    wherever three steps have not halved its width.  Each step makes one
+    vectorised evaluation at every bracket's new point; a bracket is masked
+    off once its width is down to _ROOT_TOL or its slope is exactly 0.
+    Returns the point of smallest |g| per bracket (NaN where the ends do not
+    bracket a root) and the evaluations per bracket.
+    """
+    # v.n and v.t for v = a, b, c from the projections of v on the basis.
+    c = 2.0 * (half0[:, None] * a + half1[:, None] * b)  # lambda0 a + lambda1 b, to the bit
+    on_u1, on_u2 = (np.array([(v * u).sum(-1) for v in (a, b, c)]) for u in (u1, u2))
+
+    def slope(phi):
+        cos, sin = np.cos(phi), np.sin(phi)
+        log_t0, log_t1, _ = _log_odds(cos * on_u1 + sin * on_u2)
+        at, bt = cos * on_u2[:2] - sin * on_u1[:2]
+        return half0 * log_t0 * at + half1 * log_t1 * bt
+
+    lo, hi = phi0 - _DPHI, phi0 + _DPHI
+    glo, ghi = slope(lo), slope(hi)
+    bracketed = (glo > 0.0) & (ghi < 0.0)
+    best, best_g = np.where(glo < -ghi, lo, hi), np.minimum(glo, -ghi)
+    evals = np.full(phi0.shape, 2)
+    side = np.zeros(phi0.shape)  # sign of g at the last step's point
+    back = [np.full(phi0.shape, np.inf)] * 3  # widths three, two and one steps back
+    active = bracketed & (hi - lo > _ROOT_TOL)
+    # Only active rows are read at the end, so the others may run on garbage.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while active.any():
+            width = hi - lo
+            secant = lo + width * (glo / (glo - ghi))
+            x = np.where(width > 0.5 * back[0], lo + 0.5 * width, secant)
+            # Never closer than half a tolerance to an end: once one end sits
+            # on the root, the next step crosses it and closes the bracket.
+            x = np.minimum(np.maximum(x, lo + 0.5 * _ROOT_TOL), hi - 0.5 * _ROOT_TOL)
+            gx = slope(x)
+            up = gx > 0.0
+            # Illinois: an end kept for a second step in a row has its slope halved.
+            sign = np.sign(gx)
+            halve = np.where(sign == side, 0.5, 1.0)
+            lo, glo, hi, ghi = (
+                np.where(up, x, lo),
+                np.where(up, gx, halve * glo),
+                np.where(up, hi, x),
+                np.where(up, halve * ghi, gx),
+            )
+            side = sign
+            closer = active & (np.abs(gx) < best_g)
+            best, best_g = np.where(closer, x, best), np.where(closer, np.abs(gx), best_g)
+            back = back[1:] + [width]
+            evals += active
+            active &= (gx != 0.0) & (hi - lo > _ROOT_TOL)
+    return np.where(bracketed, best, np.nan), evals
+
+
+def _polish(phi0, u1, u2, a, b, half0, half1, h0):
+    """Every bracket's maximum: its axis, value and evaluations.
+
+    Brackets go to _slope_root_lockstep; those whose ends bracket no root of
+    the slope keep the value polish of _golden_lockstep.
+    """
+    phi, evals = _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1)
+    fallback = np.isnan(phi)
+    if fallback.any():
+        rows = (phi0, u1, u2, a, b, half0, half1, h0)
+        phi[fallback], _, used = _golden_lockstep(*(x[fallback] for x in rows))
+        evals[fallback] += used - 1
+    n, vals = _information(phi, u1, u2, a, b, half0, half1, h0)
+    return n, vals, evals + 1
 
 
 def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
@@ -319,8 +421,7 @@ def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
     brackets every local maximum (the objective can have several).  Flat
     objectives (degenerate ensembles) and scans with more than 64 peaks
     short-circuit to the tie-break.  The brackets of all other ensembles are
-    polished together by _golden_lockstep, then each ensemble picks its
-    candidate.
+    polished together by _polish, then each ensemble picks its candidate.
     """
     picks = [None] * len(ensembles)
     polish = []
@@ -328,8 +429,7 @@ def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
         u1, u2 = _plane_basis(ens)
         half0, half1 = 0.5 * ens.lambda0, 0.5 * ens.lambda1
         h0 = binary_entropy(ens.lambda0)
-        axes = _SCAN_COS * u1 + _SCAN_SIN * u2
-        n = _unit_axes(axes)
+        n = _unit_axes(_SCAN_COS * u1 + _SCAN_SIN * u2)
         vals = np.maximum(h0 - _conditional_entropy(half0, half1, n @ ens.a, n @ ens.b), 0.0)
         # A flat scan keeps all its points, so the peak cap sends it to the
         # tie-break too.
@@ -339,7 +439,7 @@ def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
             peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
         if peaks.size > 64:
             picks[i] = _pick_candidate(
-                list(zip(vals[peaks].tolist(), axes[peaks])), _SCAN_POINTS, degenerate_hint=True
+                list(zip(vals[peaks].tolist(), n[peaks])), _SCAN_POINTS, degenerate_hint=True
             )
         else:
             polish.append((i, _PHIS[peaks], u1, u2, ens.a, ens.b, (half0, half1, h0)))
@@ -349,8 +449,7 @@ def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
         counts = [p.size for p in phi0]
         rows = np.repeat(np.arange(len(polish)), counts)
         u1, u2, a, b, consts = (np.array(column)[rows] for column in columns)
-        phi, vals, used = _golden_lockstep(np.concatenate(phi0), u1, u2, a, b, *consts.T)
-        axes = np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2
+        axes, vals, used = _polish(np.concatenate(phi0), u1, u2, a, b, *consts.T)
         for i, end, count in zip(owners, np.cumsum(counts), counts):
             ks = slice(end - count, end)
             picks[i] = _pick_candidate(
@@ -361,7 +460,10 @@ def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
         OptimizationResult(
             n_opt=n_opt,
             value=float(max(value, 0.0)),
-            stationarity_residual=stationarity_residual(ens, n_opt),
+            # The axis was built as a unit vector here, so it skips the checks.
+            stationarity_residual=float(
+                np.linalg.norm(_stationarity_terms(ens, *_unit_perp_parts(ens, n_opt))[0])
+            ),
             evaluations=evals,
             method=IN_PLANE_METHOD,
             degenerate=degenerate,

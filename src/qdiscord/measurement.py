@@ -56,7 +56,11 @@ def _unit_axes(n) -> np.ndarray:
 
 def _perp_parts(ens: QubitEnsemble, n):
     """The checked unit axis n, a.n, b.n and the parts of a, b normal to n."""
-    n = _unit_axes(as_bloch(n))
+    return _unit_perp_parts(ens, _unit_axes(as_bloch(n)))
+
+
+def _unit_perp_parts(ens: QubitEnsemble, n):
+    """_perp_parts without the checks, for a unit 3-vector axis the caller built."""
     an, bn = float(ens.a @ n), float(ens.b @ n)
     return n, an, bn, ens.a - an * n, ens.b - bn * n
 

@@ -75,10 +75,16 @@ def binary_entropy(p):
 
 
 def shannon_entropy(dist) -> float:
-    """Shannon entropy of a discrete distribution, in bits."""
+    """Shannon entropy of a discrete distribution, in bits.
+
+    Entries must lie in [0, 1] and sum to 1, each up to 1e-12 round-off.
+    """
     dist = np.asarray(dist, dtype=float)
-    if not ((dist >= -NORM_SLACK) & np.isfinite(dist)).all():
-        raise ValueError("probabilities must be nonnegative")
+    # Written so that NaN and inf fail the tests too.
+    if not ((dist >= -NORM_SLACK) & (dist <= 1.0 + NORM_SLACK)).all():
+        raise ValueError("probabilities must lie in [0, 1]")
+    if not abs(float(dist.sum()) - 1.0) <= NORM_SLACK:
+        raise ValueError("probabilities must sum to 1")
     return float(np.sum(_neg_xlog2x(np.clip(dist, 0.0, None))))
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qdiscord import (
     QubitEnsemble,
@@ -12,7 +13,7 @@ from qdiscord import (
     random_ensemble,
     von_neumann_entropy,
 )
-from conftest import random_rotation, rotate_ensemble
+from conftest import hard_region_ensembles, random_rotation, rotate_ensemble
 
 CHI_HALF_MIXED = 0.188721875540867136  # 1 - h(3/4), frozen from mpmath
 
@@ -54,6 +55,27 @@ def test_cq_state_entropy_values():
     assert cq_state_entropy(QubitEnsemble.pure_pair(0.9)) == pytest.approx(1.0, abs=1e-14)
     assert cq_state_entropy(QubitEnsemble(1.0, 0.0, [0, 0, 1], [0, 0, 0])) == pytest.approx(0.0, abs=1e-15)
     assert cq_state_entropy(QubitEnsemble(0.5, 0.5, [0, 0, 0], [0, 0, 0])) == pytest.approx(2.0, abs=1e-15)
+
+
+@given(ens=hard_region_ensembles())
+@settings(max_examples=50, deadline=None)
+def test_cq_state_entropy_passes_the_distribution_check(ens):
+    """The spectrum cq_state_entropy hands shannon_entropy is accepted, hard region included."""
+    formula = (
+        binary_entropy(ens.lambda0)
+        + ens.lambda0 * von_neumann_entropy(ens.a)
+        + ens.lambda1 * von_neumann_entropy(ens.b)
+    )
+    assert cq_state_entropy(ens) == pytest.approx(formula, abs=1e-12)
+
+
+def test_cq_state_entropy_at_the_weight_slack():
+    # weights that sum to 1 only within the 1e-12 slack the ensemble accepts
+    for l1 in (0.5 + 9e-13, 0.5 - 9e-13):
+        ens = QubitEnsemble(0.5, l1, [0, 0, 0.3], [0.6, 0, 0])
+        assert cq_state_entropy(ens) == pytest.approx(
+            1.0 + 0.5 * von_neumann_entropy(ens.a) + 0.5 * von_neumann_entropy(ens.b), abs=1e-11
+        )
 
 
 def test_cq_state_spectrum_is_a_distribution(rng):

@@ -102,6 +102,14 @@ def test_shannon_entropy():
     assert shannon_entropy([1.0, 0.0]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "dist", [[2.0], [0.9, 0.9], [1.0 + 1e-11, 0.0], [0.5, 0.4], [-0.1, 1.1], []],
+)
+def test_shannon_entropy_rejects_non_distributions(dist):
+    with pytest.raises(ValueError):
+        shannon_entropy(dist)
+
+
 def test_entropy_purity_boundary_characterization():
     # S = 0 iff pure, S = 1 iff maximally mixed
     rng = np.random.default_rng(3)
