@@ -37,7 +37,7 @@ from .ensemble import (
 )
 from .geodiscord import geometric_discord, quadratic_form
 from .measurement import classical_mutual_information
-from .oracle import brute_force_accessible, brute_force_geo
+from .oracle import _brute_force_batch
 from .qstate import _is_pure, binary_entropy, pure_overlap, von_neumann_entropy
 
 EXIT_OK = 0
@@ -67,9 +67,9 @@ LANDSCAPE_COLUMNS = ("theta", "delta", "discord_rough")
 # instead of starting an unbounded allocation or run.
 _MAX_GRID = 10**6
 _MAX_TRIALS = 10**5
-# Sweep rows go through the batched optimizer and are written this many at a
-# time, so memory does not grow with --steps.
-_SWEEP_BLOCK = 512
+# Sweep rows and verify trials go through the batched optimizers this many
+# at a time, so memory does not grow with --steps or --trials.
+_BLOCK = 512
 
 
 class EnsembleSpecError(ValueError):
@@ -213,8 +213,7 @@ def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
             ("kw_discord", kw.discord),
         ]
     if verify_grid is not None:
-        oracle_acc = brute_force_accessible(ens, verify_grid)
-        oracle_geo = brute_force_geo(ens, verify_grid)
+        [oracle_acc], [oracle_geo] = _brute_force_batch([ens], [ens], verify_grid)
         pairs += [
             ("oracle_grid", float(verify_grid)),
             ("oracle_i_acc", oracle_acc.value),
@@ -286,8 +285,8 @@ def _cmd_sweep(args) -> int:
         QubitEnsemble.pure_pair(theta, args.lambda0)
     with _open_output(args.output) as out:
         out.write(",".join(SWEEP_COLUMNS) + "\n")
-        for k in range(0, args.steps, _SWEEP_BLOCK):
-            rows = _sweep_rows(thetas[k : k + _SWEEP_BLOCK].tolist(), args.lambda0)
+        for k in range(0, args.steps, _BLOCK):
+            rows = _sweep_rows(thetas[k : k + _BLOCK].tolist(), args.lambda0)
             out.write("".join(",".join(_fmt(x) for x in row) + "\n" for row in rows))
     return EXIT_OK
 
@@ -366,54 +365,59 @@ def _cmd_verify(args) -> int:
             "geometric",
         )
     }
-    for trial in range(args.trials):
-        ens = random_ensemble(rng)
-        axis = _sphere_point(rng)
-        pure = random_pure_pair(rng)
+    for first in range(0, args.trials, _BLOCK):
+        trials = range(first, min(first + _BLOCK, args.trials))
+        # The rng order of the per-trial loop: ens, axis, pure, trial by trial.
+        draws = [(random_ensemble(rng), _sphere_point(rng), random_pure_pair(rng)) for _ in trials]
+        ensembles = [ens for ens, _, _ in draws]
+        gaps = _holevo_gap_batch(ensembles + [pure for _, _, pure in draws])
+        acc_oracles, geo_oracles = _brute_force_batch(ensembles, ensembles, args.grid)
+        for j, trial in enumerate(trials):
+            ens, axis, pure = draws[j]
+            chi, acc, discord = gaps[j]
+            d_pure = gaps[len(draws) + j][2]
+            oracle_acc, oracle_geo = acc_oracles[j], geo_oracles[j]
 
-        (chi, acc, discord), (_, _, d_pure) = _holevo_gap_batch([ens, pure])
-        s_joint = cq_state_entropy(ens)
-        s_formula = (
-            binary_entropy(ens.lambda0)
-            + ens.lambda0 * von_neumann_entropy(ens.a)
-            + ens.lambda1 * von_neumann_entropy(ens.b)
-        )
-        two_route = max(
-            abs(s_joint - s_formula), abs(chi - quantum_mutual_information(ens))
-        )
-        suites["entropy_identities"].check(trial, two_route, tol(1e-12), ens)
-
-        margin = classical_mutual_information(ens, axis) - chi
-        suites["holevo_bound"].check(trial, margin, tol(1e-12), ens)
-
-        comp = max(abs(chi - acc.value - discord), acc.value - chi)
-        suites["complementarity"].check(trial, comp, tol(1e-10), ens)
-
-        if not acc.degenerate:
-            suites["stationarity"].check(
-                trial, acc.stationarity_residual, tol(1e-6), ens
+            s_joint = cq_state_entropy(ens)
+            s_formula = (
+                binary_entropy(ens.lambda0)
+                + ens.lambda0 * von_neumann_entropy(ens.a)
+                + ens.lambda1 * von_neumann_entropy(ens.b)
             )
+            two_route = max(
+                abs(s_joint - s_formula), abs(chi - quantum_mutual_information(ens))
+            )
+            suites["entropy_identities"].check(trial, two_route, tol(1e-12), ens)
 
-        oracle_acc = brute_force_accessible(ens, args.grid)
-        geo = geometric_discord(ens)
-        oracle_geo = brute_force_geo(ens, args.grid)
-        agreement = max(
-            abs(acc.value - oracle_acc.value), abs(geo.value - oracle_geo.value)
-        )
-        suites["oracle_agreement"].check(trial, agreement, tol(1e-5), ens)
-        # the grid can lag a true optimum but must never beat it
-        beat = max(oracle_acc.value - acc.value, geo.value - oracle_geo.value, 0.0)
-        suites["oracle_bound"].check(trial, beat, tol(1e-6), ens)
+            margin = classical_mutual_information(ens, axis) - chi
+            suites["holevo_bound"].check(trial, margin, tol(1e-12), ens)
 
-        kw = discord_pure_koashi_winter(pure.lambda0, pure_overlap(pure.a, pure.b))
-        suites["koashi_winter"].check(trial, abs(d_pure - kw.discord), tol(1e-6), pure)
+            comp = max(abs(chi - acc.value - discord), acc.value - chi)
+            suites["complementarity"].check(trial, comp, tol(1e-10), ens)
 
-        form = quadratic_form(ens)
-        eig_res = float(
-            np.linalg.norm(form.m @ form.top_eigenvector - form.top_eigenvalue * form.top_eigenvector)
-        )
-        geo_res = max(eig_res, geo.stationarity_residual)
-        suites["geometric"].check(trial, geo_res, tol(1e-8), ens)
+            if not acc.degenerate:
+                suites["stationarity"].check(
+                    trial, acc.stationarity_residual, tol(1e-6), ens
+                )
+
+            geo = geometric_discord(ens)
+            agreement = max(
+                abs(acc.value - oracle_acc.value), abs(geo.value - oracle_geo.value)
+            )
+            suites["oracle_agreement"].check(trial, agreement, tol(1e-5), ens)
+            # the grid can lag a true optimum but must never beat it
+            beat = max(oracle_acc.value - acc.value, geo.value - oracle_geo.value, 0.0)
+            suites["oracle_bound"].check(trial, beat, tol(1e-6), ens)
+
+            kw = discord_pure_koashi_winter(pure.lambda0, pure_overlap(pure.a, pure.b))
+            suites["koashi_winter"].check(trial, abs(d_pure - kw.discord), tol(1e-6), pure)
+
+            form = quadratic_form(ens)
+            eig_res = float(
+                np.linalg.norm(form.m @ form.top_eigenvector - form.top_eigenvalue * form.top_eigenvector)
+            )
+            geo_res = max(eig_res, geo.stationarity_residual)
+            suites["geometric"].check(trial, geo_res, tol(1e-8), ens)
 
     lines = [
         f"seed = {args.seed}",

@@ -16,9 +16,11 @@ is the paper's stationarity condition sum_i lambda_i log2(t_i) v_i_perp = 0
 (Fuchs and Caves' condition for two mixed states) taken along the plane:
 Illinois steps, safeguarded by the bracket and by bisection, that place the
 axis to round-off in about six steps.  A bracket whose ends show no sign
-change of the slope keeps a golden-section polish of the value.  Each step
-of either search is one vectorised evaluation at every bracket's new point,
-a bracket is masked off once it has converged, and all arithmetic is row by
+change of the slope keeps a golden-section polish of the value, by
+_golden_lockstep, the one golden-section kernel of the package (the oracle's
+tangent line searches use it too, with their own objective).  Each step of
+either search is one vectorised evaluation at every bracket's new point, a
+bracket is masked off once it has converged, and all arithmetic is row by
 row, so a result does not depend on the batch it was computed in;
 accessible_information is the one-ensemble case.
 
@@ -257,32 +259,6 @@ def _plane_basis(ens: QubitEnsemble) -> tuple[np.ndarray, np.ndarray]:
     return u1, _any_perpendicular(u1)
 
 
-# Kept scalar for the oracle's polish, which searches one line at a time: as a
-# one-row search in the style of _golden_lockstep it made single oracle calls
-# 1.3-1.7x (brute_force_accessible) and 2.0-3.1x (brute_force_geo) slower.
-def _golden_max(f, lo: float, hi: float):
-    """Golden-section maximization on [lo, hi]: returns (x, f(x), evaluations)."""
-    width = hi - lo
-    x1 = hi - _INVPHI * width
-    x2 = lo + _INVPHI * width
-    f1, f2 = f(x1), f(x2)
-    evals = 2
-    while width > _ANGLE_TOL:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            width = hi - lo
-            x1 = hi - _INVPHI * width
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            width = hi - lo
-            x2 = lo + _INVPHI * width
-            f2 = f(x2)
-        evals += 1
-    x = 0.5 * (lo + hi)
-    return x, f(x), evals + 1
-
-
 def _pick_candidate(candidates, evals: int, degenerate_hint: bool = False):
     best = max(v for v, _ in candidates)
     tied = [canonical_axis(ax) for v, ax in candidates if v >= best - _TIE_TOL]
@@ -293,6 +269,16 @@ def _pick_candidate(candidates, evals: int, degenerate_hint: bool = False):
     return n_opt, best, evals, degenerate
 
 
+def _scan_peaks(vals):
+    """Indices of the points of a cyclic scan at least as high as both neighbours.
+
+    The scan covers phi in [0, pi), and an axis at phi + pi is the same
+    measurement, so the last point and the first are neighbours.
+    """
+    wrapped = np.concatenate((vals[-1:], vals, vals[:1]))
+    return np.flatnonzero((vals >= wrapped[:-2]) & (vals >= wrapped[2:]))
+
+
 def _information(phi, u1, u2, a, b, half0, half1, h0):
     """Unit axes cos(phi) u1 + sin(phi) u2 and I there, one row per bracket."""
     n = _unit_axes(np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2)
@@ -301,46 +287,46 @@ def _information(phi, u1, u2, a, b, half0, half1, h0):
     return n, np.maximum(h0 - _conditional_entropy(half0, half1, an, bn), 0.0)
 
 
-def _golden_lockstep(phi0, u1, u2, a, b, half0, half1, h0):
-    """Golden section over [phi0 - dphi, phi0 + dphi] for every bracket at once.
+def _golden_lockstep(f, lo, hi):
+    """Golden-section maximization of f over [lo[k], hi[k]] for every row k at once.
 
-    Row k of every argument describes bracket k: its scan peak phi0, its
-    ensemble's plane basis (u1, u2), Bloch vectors (a, b), half weights and
-    h(lambda0).  Each step makes one vectorised evaluation at every bracket's
-    new point; a bracket whose width is down to _ANGLE_TOL is masked off (its
-    ends stop moving and it stops counting evaluations) while the others go
-    on.  Every row follows the steps of the scalar _golden_max bit for bit.
-    Returns the midpoints, their values and the evaluations per bracket.
+    The one golden-section kernel: it polishes the in-plane brackets whose
+    slope shows no sign change, and the oracle's tangent line searches.  f
+    maps an array of points, one per row, to the values there.  Each step
+    makes one call of f at every row's new point; a row whose width is down
+    to _ANGLE_TOL is masked off (its ends stop moving and it stops counting
+    evaluations) while the others go on.  Every row takes the steps of a
+    scalar golden-section search on its own bracket, so its bits do not
+    depend on the other rows.  Returns the midpoints, their values and the
+    evaluations per row.
     """
-    consts = (u1, u2, a, b, half0, half1, h0)
-    lo, hi = phi0 - _DPHI, phi0 + _DPHI
     width = hi - lo
     x1 = hi - _INVPHI * width
     x2 = lo + _INVPHI * width
-    f1, f2 = _information(x1, *consts)[1], _information(x2, *consts)[1]
-    evals = np.full(phi0.shape, 3)  # x1, x2 and the final midpoint
+    f1, f2 = f(x1), f(x2)
+    evals = np.full(lo.shape, 3)  # x1, x2 and the final midpoint
     while (active := width > _ANGLE_TOL).any():
         left = f1 >= f2
         lo = np.where(active & ~left, x1, lo)
         hi = np.where(active & left, x2, hi)
         width = hi - lo
-        # Only lo and hi are frozen once a bracket is done; its interior
-        # points may move on, as the final midpoint never reads them.
-        x1, x2 = (
-            np.where(left, hi - _INVPHI * width, x2),
-            np.where(left, x1, lo + _INVPHI * width),
-        )
-        fx = _information(np.where(left, x1, x2), *consts)[1]
+        step = _INVPHI * width
+        # Only lo and hi are frozen once a row is done; its interior points
+        # may move on, as the final midpoint never reads them.
+        x = np.where(left, hi - step, lo + step)
+        fx = f(x)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
         f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
         evals += active
-    phi = 0.5 * (lo + hi)
-    return phi, _information(phi, *consts)[1], evals
+    x = 0.5 * (lo + hi)
+    return x, f(x), evals
 
 
 def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
     """Root of dI/dphi in [phi0 - dphi, phi0 + dphi] for every bracket at once.
 
-    Row k of every argument describes bracket k, as for _golden_lockstep.
+    Row k of every argument describes bracket k: its scan peak phi0, its
+    ensemble's plane basis (u1, u2), Bloch vectors (a, b) and half weights.
     The slope is g(phi) = sum_i (lambda_i/2) log2(t_i) (v_i.t) with the plane
     tangent t = -sin(phi) u1 + cos(phi) u2.  A bracket whose ends have
     g > 0 > g takes Illinois steps (regula falsi that halves the slope kept
@@ -407,8 +393,11 @@ def _polish(phi0, u1, u2, a, b, half0, half1, h0):
     phi, evals = _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1)
     fallback = np.isnan(phi)
     if fallback.any():
-        rows = (phi0, u1, u2, a, b, half0, half1, h0)
-        phi[fallback], _, used = _golden_lockstep(*(x[fallback] for x in rows))
+        start = phi0[fallback]
+        consts = tuple(x[fallback] for x in (u1, u2, a, b, half0, half1, h0))
+        phi[fallback], _, used = _golden_lockstep(
+            lambda p: _information(p, *consts)[1], start - _DPHI, start + _DPHI
+        )
         evals[fallback] += used - 1
     n, vals = _information(phi, u1, u2, a, b, half0, half1, h0)
     return n, vals, evals + 1
@@ -436,7 +425,7 @@ def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
         if float(vals.max() - vals.min()) < _FLAT_TOL:
             peaks = np.arange(_SCAN_POINTS)
         else:
-            peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+            peaks = _scan_peaks(vals)
         if peaks.size > 64:
             picks[i] = _pick_candidate(
                 list(zip(vals[peaks].tolist(), n[peaks])), _SCAN_POINTS, degenerate_hint=True

@@ -392,6 +392,12 @@ def test_verify_deterministic(capsys):
     assert first == second
 
 
+def test_verify_matches_golden_output(tmp_path):
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--seed", "1", "--trials", "20", "--output", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / "verify_seed1_trials20.txt").read_bytes()
+
+
 def test_verify_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--trials", "0")[0] == EXIT_USAGE
     assert run_cli(capsys, "verify", "--grid", "1")[0] == EXIT_USAGE

@@ -27,6 +27,7 @@ from qdiscord import (
     stationarity_residual,
 )
 from conftest import (
+    golden_max,
     hard_region_ensembles,
     near_degenerate_ensembles,
     nondegenerate,
@@ -386,7 +387,7 @@ def _bits(res):
 
 @pytest.mark.parametrize("tol", [discord._ANGLE_TOL, SPLIT_TOL], ids=["default", "split"])
 def test_golden_lockstep_follows_scalar_golden_section(rng, tol):
-    """Each lockstep row takes the scalar _golden_max steps on the public objective."""
+    """Each lockstep row takes the scalar golden-section steps on the public objective."""
     ensembles = [random_ensemble(rng) for _ in range(6)] + [MULTI_PEAK]
     brackets = [
         (ens, *discord._plane_basis(ens), float(phi0))
@@ -394,24 +395,29 @@ def test_golden_lockstep_follows_scalar_golden_section(rng, tol):
         for phi0 in discord._PHIS[[0, 1, 200, 359, 360, 601, 719]]
     ]
     ens_, u1, u2, phi0 = zip(*brackets)
+    consts = (
+        np.array(u1),
+        np.array(u2),
+        np.array([e.a for e in ens_]),
+        np.array([e.b for e in ens_]),
+        np.array([0.5 * e.lambda0 for e in ens_]),
+        np.array([0.5 * e.lambda1 for e in ens_]),
+        np.array([binary_entropy(e.lambda0) for e in ens_]),
+    )
+    phi0 = np.array(phi0)
     with mock.patch.object(discord, "_ANGLE_TOL", tol):
         phi, vals, used = discord._golden_lockstep(
-            np.array(phi0),
-            np.array(u1),
-            np.array(u2),
-            np.array([e.a for e in ens_]),
-            np.array([e.b for e in ens_]),
-            np.array([0.5 * e.lambda0 for e in ens_]),
-            np.array([0.5 * e.lambda1 for e in ens_]),
-            np.array([binary_entropy(e.lambda0) for e in ens_]),
+            lambda p: discord._information(p, *consts)[1],
+            phi0 - discord._DPHI,
+            phi0 + discord._DPHI,
         )
     for k, (ens, b1, b2, p0) in enumerate(brackets):
-        with mock.patch.object(discord, "_ANGLE_TOL", tol):
-            x, fx, evals = discord._golden_max(
-                lambda p: classical_mutual_information(ens, np.cos(p) * b1 + np.sin(p) * b2),
-                p0 - discord._DPHI,
-                p0 + discord._DPHI,
-            )
+        x, fx, evals = golden_max(
+            lambda p: classical_mutual_information(ens, np.cos(p) * b1 + np.sin(p) * b2),
+            p0 - discord._DPHI,
+            p0 + discord._DPHI,
+            tol,
+        )
         assert (float(x).hex(), float(fx).hex(), evals) == (
             float(phi[k]).hex(), float(vals[k]).hex(), int(used[k])
         ), k
@@ -448,7 +454,7 @@ def test_batch_matches_single_calls(seed, extra):
         ):
             together = discord._accessible_information_batch(batch)
         # 24 of MULTI_PEAK's 26 brackets and one of NO_SIGN_CHANGE's two fall back.
-        assert 25 <= golden.call_args.args[0].size < root.call_args.args[0].size
+        assert 25 <= golden.call_args.args[1].size < root.call_args.args[0].size
         with mock.patch.object(discord, "_ANGLE_TOL", tol):
             alone = [accessible_information(ens) for ens in batch]
         assert [_bits(r) for r in together] == [_bits(r) for r in alone]
@@ -479,15 +485,43 @@ def test_bracket_without_sign_change_keeps_golden_section():
         accessible_information(NO_SIGN_CHANGE)
     [((phi0, u1, u2, *_), (axes, vals, used))] = polished
     assert phi0.size == 2
-    [k] = np.flatnonzero(phi0 == golden.call_args.args[0])
-    x, fx, evals = discord._golden_max(
+    [k] = np.flatnonzero(phi0 - discord._DPHI == golden.call_args.args[1])
+    x, fx, evals = golden_max(
         lambda p: classical_mutual_information(
             NO_SIGN_CHANGE, np.cos(p) * u1[k] + np.sin(p) * u2[k]
         ),
         phi0[k] - discord._DPHI,
         phi0[k] + discord._DPHI,
+        discord._ANGLE_TOL,
     )
     assert float(vals[k]).hex() == float(fx).hex()
     unit = discord._unit_axes(np.cos(x) * u1[k] + np.sin(x) * u2[k])
     np.testing.assert_array_equal(axes[k], unit)
     assert used[k] == 2 + evals  # the slope at both ends, then golden section
+
+
+def _rolled_peaks(vals):
+    return np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+
+
+def test_scan_peaks_match_the_rolled_comparison(rng):
+    """Peaks by wrapped slices equal those of np.roll, including across the wrap."""
+    count = discord._SCAN_POINTS
+    phis = discord._PHIS
+    scans = [rng.random(count) for _ in range(10)]
+    scans += [np.round(3.0 * rng.random(count)) for _ in range(5)]  # many ties
+    scans += [np.zeros(count), np.full(count, 0.3)]  # flat
+    # Plateaus at both ends, which meet across the wrap, above, below and
+    # level with the points next to them.
+    for level in (2.0, -2.0, np.sin(2.0 * phis[10])):
+        for lead, tail in ((10, 10), (1, 25), (25, 1)):
+            vals = np.sin(2.0 * phis)
+            vals[:lead] = level
+            vals[count - tail :] = level
+            scans.append(vals)
+    # Single maxima on either side of the wrap.
+    scans += [np.cos(2.0 * phis), np.cos(2.0 * (phis + discord._DPHI))]
+    for vals in scans:
+        np.testing.assert_array_equal(discord._scan_peaks(vals), _rolled_peaks(vals))
+    assert discord._scan_peaks(scans[-2]).tolist() == [0]
+    assert discord._scan_peaks(scans[-1]).tolist() == [count - 1]

@@ -1,20 +1,30 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import qdiscord.discord as discord
+import qdiscord.oracle as oracle
 from qdiscord import (
     QubitEnsemble,
     accessible_information,
     brute_force_accessible,
     brute_force_geo,
+    canonical_axis,
+    classical_mutual_information,
+    ensemble_purity,
     fibonacci_sphere,
+    geo_stationarity_residual,
     geometric_discord,
     holevo_chi,
+    post_measurement_purity,
     quantum_discord,
     random_ensemble,
+    random_pure_pair,
+    stationarity_residual,
 )
-from conftest import hard_region_ensembles
+from conftest import golden_max, hard_region_ensembles, near_degenerate_ensembles
 
 # h((2+sqrt(2))/4) based, frozen from mpmath
 MI_PI4 = 0.399123963307143899
@@ -127,3 +137,86 @@ def test_oracle_result_metadata():
     assert res.method == "full-sphere grid + refine"
     assert res.evaluations >= 500
     assert np.linalg.norm(res.n_opt) == pytest.approx(1.0, abs=1e-12)
+
+
+def _polish_reference(objective, start, halfwidth):
+    """The oracle's polish for one row, on the public objective and scalar golden section.
+
+    Up to three sweeps of two tangent line searches, re-deriving the frame
+    after each accepted move and stopping once a sweep gains < 1e-15.
+    """
+    p = np.array(start, dtype=float)
+    best = float(objective(p))
+    evals = 1
+    for _ in range(3):
+        gained = 0.0
+        t1 = discord._any_perpendicular(p)
+        t2 = np.cross(p, t1)
+        for t in (t1, t2):
+            alpha, val, used = golden_max(
+                lambda a, axis=t, center=p: float(objective(np.cos(a) * center + np.sin(a) * axis)),
+                -halfwidth,
+                halfwidth,
+                discord._ANGLE_TOL,
+            )
+            evals += used
+            if val > best:
+                gained = max(gained, val - best)
+                p = np.cos(alpha) * p + np.sin(alpha) * t
+                p /= np.linalg.norm(p)
+                best = val
+        if gained < 1e-15:
+            break
+    return p, best, evals
+
+
+def _reference_bits(ens, grid_size, geo):
+    """brute_force_geo (geo) or brute_force_accessible bits, one row by the scalar polish."""
+    public = post_measurement_purity if geo else classical_mutual_information
+    grid = fibonacci_sphere(grid_size)
+    vals = public(ens, grid)
+    k = int(np.argmax(vals))
+    axis, value, evals = _polish_reference(
+        lambda n: public(ens, n), grid[k], oracle._BRACKET_SCALE / np.sqrt(grid_size)
+    )
+    axis = canonical_axis(axis)
+    value = max(value, float(vals[k]))
+    if geo:
+        value = max(ensemble_purity(ens) - value, 0.0)
+        residual = geo_stationarity_residual(ens, axis)
+    else:
+        residual = stationarity_residual(ens, axis)
+    return axis.tobytes(), float(value).hex(), float(residual).hex(), grid_size + evals
+
+
+def _bits(res):
+    return (
+        res.n_opt.tobytes(),
+        float(res.value).hex(),
+        float(res.stationarity_residual).hex(),
+        res.evaluations,
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(
+        st.one_of(near_degenerate_ensembles(), hard_region_ensembles()), min_size=1, max_size=3
+    ),
+    grid_size=st.sampled_from([2, 300, 10_000]),
+)
+@settings(max_examples=5, deadline=None)
+def test_mixed_oracle_batch_matches_one_row_calls_and_the_scalar_polish(seed, extra, grid_size):
+    """Rows of both objectives polished together give each row's own result, to the bit."""
+    rng = np.random.default_rng(seed)
+    ensembles = [random_ensemble(rng) for _ in range(4)]
+    ensembles += [random_pure_pair(rng) for _ in range(2)] + extra
+    acc_rows = [ensembles[i] for i in rng.permutation(len(ensembles))]
+    geo_rows = [ensembles[i] for i in rng.permutation(len(ensembles))[:-1]]
+    acc, geo = oracle._brute_force_batch(acc_rows, geo_rows, grid_size)
+    assert [_bits(r) for r in acc] == [
+        _bits(brute_force_accessible(ens, grid_size)) for ens in acc_rows
+    ]
+    assert [_bits(r) for r in geo] == [_bits(brute_force_geo(ens, grid_size)) for ens in geo_rows]
+    assert [_bits(r) for r in acc] == [_reference_bits(ens, grid_size, False) for ens in acc_rows]
+    assert [_bits(r) for r in geo] == [_reference_bits(ens, grid_size, True) for ens in geo_rows]
