@@ -109,6 +109,9 @@ def ensemble_from_document(doc) -> QubitEnsemble:
     has_pure = "pure_pair" in doc
     if has_bloch == has_pure:
         raise EnsembleSpecError("exactly one of 'bloch' or 'pure_pair' must be present")
+    extra = set(doc) - ({"pure_pair"} if has_pure else {"bloch", "weights"})
+    if extra:
+        raise EnsembleSpecError(f"unknown spec fields: {sorted(extra)}")
     if has_pure:
         pp = doc["pure_pair"]
         if not isinstance(pp, dict) or "theta" not in pp:

@@ -18,11 +18,13 @@ Illinois steps, safeguarded by the bracket and by bisection, that place the
 axis to round-off in about six steps.  A bracket whose ends show no sign
 change of the slope keeps a golden-section polish of the value, by
 _golden_lockstep, the one golden-section kernel of the package (the oracle's
-tangent line searches use it too, with their own objective).  Each step of
-either search is one vectorised evaluation at every bracket's new point, a
-bracket is masked off once it has converged, and all arithmetic is row by
-row, so a result does not depend on the batch it was computed in;
-accessible_information is the one-ensemble case.
+tangent line searches use it too).  The per-bracket constants, the value
+objective of that fallback and the final evaluation come from the row kernel
+of the measurement module (_row_constants, _row_objective), which the oracle
+shares.  Each step of either search is one vectorised evaluation at every
+bracket's new point, a bracket is masked off once it has converged, and all
+arithmetic is row by row, so a result does not depend on the batch it was
+computed in; accessible_information is the one-ensemble case.
 
 For ensembles of two pure states the optimization can be skipped entirely:
 purifying with an ancilla qubit turns the discord into an entanglement of
@@ -39,6 +41,8 @@ from .ensemble import QubitEnsemble, average_state, holevo_chi
 from .measurement import (
     _conditional_entropy,
     _perp_parts,
+    _row_constants,
+    _row_objective,
     _unit_axes,
     _unit_perp_parts,
     canonical_axis,
@@ -279,12 +283,9 @@ def _scan_peaks(vals):
     return np.flatnonzero((vals >= wrapped[:-2]) & (vals >= wrapped[2:]))
 
 
-def _information(phi, u1, u2, a, b, half0, half1, h0):
-    """Unit axes cos(phi) u1 + sin(phi) u2 and I there, one row per bracket."""
-    n = _unit_axes(np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2)
-    m = n[:, None, :]
-    an, bn = (m @ a[:, :, None])[:, 0, 0], (m @ b[:, :, None])[:, 0, 0]
-    return n, np.maximum(h0 - _conditional_entropy(half0, half1, an, bn), 0.0)
+def _plane_axes(phi, u1, u2):
+    """Unit axes cos(phi) u1 + sin(phi) u2, one row per bracket."""
+    return _unit_axes(np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2)
 
 
 def _golden_lockstep(f, lo, hi):
@@ -384,23 +385,23 @@ def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
     return np.where(bracketed, best, np.nan), evals
 
 
-def _polish(phi0, u1, u2, a, b, half0, half1, h0):
+def _polish(phi0, u1, u2, consts):
     """Every bracket's maximum: its axis, value and evaluations.
 
     Brackets go to _slope_root_lockstep; those whose ends bracket no root of
-    the slope keep the value polish of _golden_lockstep.
+    the slope keep the value polish of _golden_lockstep on the row objective.
     """
-    phi, evals = _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1)
+    phi, evals = _slope_root_lockstep(phi0, u1, u2, *consts[:4])
     fallback = np.isnan(phi)
     if fallback.any():
-        start = phi0[fallback]
-        consts = tuple(x[fallback] for x in (u1, u2, a, b, half0, half1, h0))
+        start, v1, v2 = phi0[fallback], u1[fallback], u2[fallback]
+        objective = _row_objective(tuple(c[fallback] for c in consts))
         phi[fallback], _, used = _golden_lockstep(
-            lambda p: _information(p, *consts)[1], start - _DPHI, start + _DPHI
+            lambda p: objective(_plane_axes(p, v1, v2)), start - _DPHI, start + _DPHI
         )
         evals[fallback] += used - 1
-    n, vals = _information(phi, u1, u2, a, b, half0, half1, h0)
-    return n, vals, evals + 1
+    n = _plane_axes(phi, u1, u2)
+    return n, _row_objective(consts)(n), evals + 1
 
 
 def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
@@ -414,12 +415,12 @@ def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
     """
     picks = [None] * len(ensembles)
     polish = []
+    consts = _row_constants([(ens, False) for ens in ensembles])
+    half0, half1, h0 = consts[2:5]
     for i, ens in enumerate(ensembles):
         u1, u2 = _plane_basis(ens)
-        half0, half1 = 0.5 * ens.lambda0, 0.5 * ens.lambda1
-        h0 = binary_entropy(ens.lambda0)
         n = _unit_axes(_SCAN_COS * u1 + _SCAN_SIN * u2)
-        vals = np.maximum(h0 - _conditional_entropy(half0, half1, n @ ens.a, n @ ens.b), 0.0)
+        vals = np.maximum(h0[i] - _conditional_entropy(half0[i], half1[i], n @ ens.a, n @ ens.b), 0.0)
         # A flat scan keeps all its points, so the peak cap sends it to the
         # tie-break too.
         if float(vals.max() - vals.min()) < _FLAT_TOL:
@@ -431,14 +432,14 @@ def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
                 list(zip(vals[peaks].tolist(), n[peaks])), _SCAN_POINTS, degenerate_hint=True
             )
         else:
-            polish.append((i, _PHIS[peaks], u1, u2, ens.a, ens.b, (half0, half1, h0)))
+            polish.append((i, _PHIS[peaks], u1, u2))
 
     if polish:
-        owners, phi0, *columns = zip(*polish)
+        owners, phi0, u1, u2 = zip(*polish)
         counts = [p.size for p in phi0]
-        rows = np.repeat(np.arange(len(polish)), counts)
-        u1, u2, a, b, consts = (np.array(column)[rows] for column in columns)
-        axes, vals, used = _polish(np.concatenate(phi0), u1, u2, a, b, *consts.T)
+        k = np.repeat(np.arange(len(polish)), counts)
+        rows, u1, u2 = (np.array(column)[k] for column in (owners, u1, u2))
+        axes, vals, used = _polish(np.concatenate(phi0), u1, u2, tuple(c[rows] for c in consts))
         for i, end, count in zip(owners, np.cumsum(counts), counts):
             ks = slice(end - count, end)
             picks[i] = _pick_candidate(

@@ -7,6 +7,14 @@ here is exact scalar arithmetic.
 
 All scalar maps broadcast over a trailing (..., 3) batch of axes; this is
 what keeps the dense sphere-grid oracle cheap.
+
+The lockstep searches evaluate many ensembles at once, one axis per row,
+through one row kernel: _row_constants builds the per-row constants of a
+list of (ensemble, purity) rows, and _row_objective turns them into the map
+from one axis per row to each row's objective (mutual information or
+post-measurement purity), bit for bit as the public function of that
+objective.  The in-plane polish of the discord module and the oracle's
+tangent line searches both call it.
 """
 
 from __future__ import annotations
@@ -105,6 +113,55 @@ def classical_mutual_information(ens: QubitEnsemble, n):
     """
     out = np.maximum(binary_entropy(ens.lambda0) - conditional_entropy(ens, n), 0.0)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _row_constants(rows):
+    """Per-row constants of the row objective, one row per (ensemble, purity) pair.
+
+    An information row (purity False) carries lambda_i/2 and h(lambda0), a
+    purity row lambda_i^2/2, each computed as the public objective computes
+    it; the constants of the other objective are zeros, which make its term
+    exactly +0.  Returns (a, b, half0, half1, h0, sq0, sq1), one entry per
+    row in each; the constants of a subset of rows are tuple(c[rows] for c in
+    consts).
+    """
+    weights = [
+        (0.0, 0.0, 0.0, 0.5 * ens.lambda0**2, 0.5 * ens.lambda1**2) if geo
+        else (0.5 * ens.lambda0, 0.5 * ens.lambda1, binary_entropy(ens.lambda0), 0.0, 0.0)
+        for ens, geo in rows
+    ]
+    a = np.array([ens.a for ens, _ in rows])
+    b = np.array([ens.b for ens, _ in rows])
+    # The reshape keeps five columns when there are no rows.
+    return a, b, *np.array(weights).reshape(-1, 5).T
+
+
+def _row_objective(consts):
+    """The objective of the rows of consts, as a map from one unit axis per row.
+
+    The one row kernel of the package: the in-plane polish evaluates mutual
+    information rows with it, the oracle polish rows of both objectives.  The
+    returned function maps axes n of shape (rows, 3) to row k's objective at
+    n[k], bit for bit as its public objective: the sum of both terms, one of
+    which is +0 on every row.  A term whose constants are 0 on every row is
+    skipped, decided once here rather than at every call: the purity term
+    when there is no purity row, else the information term when no row has
+    h(lambda0) > 0.
+    """
+    a, b, half0, half1, h0, sq0, sq1 = consts
+    purity, info = sq1.any() or sq0.any(), h0.any()
+
+    def objective(n):
+        m = n[:, None, :]
+        ta, tb = (m @ a[:, :, None])[:, 0, 0], (m @ b[:, :, None])[:, 0, 0]
+        if not purity:
+            return np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
+        out = sq0 * (1.0 + ta * ta) + sq1 * (1.0 + tb * tb)
+        if info:
+            out += np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
+        return out
+
+    return objective
 
 
 def post_measurement_purity(ens: QubitEnsemble, n):

@@ -15,10 +15,10 @@ optimizer precision for every objective used here.
 A batch of rows, each one ensemble with one objective (mutual information or
 post-measurement purity), shares one grid and is polished in lockstep: each
 golden-section step evaluates every live row's new point in one vectorised
-call, through the line-search kernel the in-plane optimizer also uses.  The
-tangent frames and accepted moves stay row by row, so every row gets the
-bits of a search on its own; brute_force_accessible and brute_force_geo are
-the one-row case.
+call of measurement._row_objective, through the line-search kernel the
+in-plane optimizer also uses.  The tangent frames and accepted moves stay
+row by row, so every row gets the bits of a search on its own;
+brute_force_accessible and brute_force_geo are the one-row case.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from .discord import OptimizationResult, _any_perpendicular, _golden_lockstep, s
 from .ensemble import QubitEnsemble
 from .geodiscord import ensemble_purity, geo_stationarity_residual
 from .measurement import (
-    _conditional_entropy,
+    _row_constants,
+    _row_objective,
     _unit_axes,
     canonical_axis,
     classical_mutual_information,
     post_measurement_purity,
 )
-from .qstate import binary_entropy
 
 FULL_SPHERE_METHOD = "full-sphere grid + refine"
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -61,44 +61,6 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _row_constants(acc_ensembles, geo_ensembles):
-    """Per-row constants of the objectives, computed as the public ones compute them.
-
-    Rows are the mutual-information rows, then the purity rows.  The former
-    take the half weights and h(lambda0), the latter the squared weights
-    halved; the number of mutual-information rows comes last.
-    """
-    ensembles = [*acc_ensembles, *geo_ensembles]
-    a = np.array([ens.a for ens in ensembles])
-    b = np.array([ens.b for ens in ensembles])
-    half0 = np.array([0.5 * ens.lambda0 for ens in acc_ensembles])
-    half1 = np.array([0.5 * ens.lambda1 for ens in acc_ensembles])
-    h0 = np.array([binary_entropy(ens.lambda0) for ens in acc_ensembles])
-    sq0 = np.array([0.5 * ens.lambda0**2 for ens in geo_ensembles])
-    sq1 = np.array([0.5 * ens.lambda1**2 for ens in geo_ensembles])
-    return a, b, half0, half1, h0, sq0, sq1, len(acc_ensembles)
-
-
-def _row_values(n, a, b, half0, half1, h0, sq0, sq1, split):
-    """Row k's objective at the axis n[k], bit for bit as the public objective."""
-    m = _unit_axes(n)[:, None, :]
-    ta, tb = (m @ a[:, :, None])[:, 0, 0], (m @ b[:, :, None])[:, 0, 0]
-    out = np.empty(ta.shape)
-    if split:
-        out[:split] = np.maximum(h0 - _conditional_entropy(half0, half1, ta[:split], tb[:split]), 0.0)
-    if split < out.size:
-        tg, ug = ta[split:], tb[split:]
-        out[split:] = sq0 * (1.0 + tg * tg) + sq1 * (1.0 + ug * ug)
-    return out
-
-
-def _live_constants(consts, live):
-    """The constants of the rows live, an increasing index array."""
-    a, b, half0, half1, h0, sq0, sq1, split = consts
-    acc, geo = live[live < split], live[live >= split] - split
-    return a[live], b[live], half0[acc], half1[acc], h0[acc], sq0[geo], sq1[geo], acc.size
-
-
 def _polish_rows(start: np.ndarray, consts, halfwidth: float):
     """Golden-section line searches along the two tangent great circles, per row.
 
@@ -108,11 +70,11 @@ def _polish_rows(start: np.ndarray, consts, halfwidth: float):
     live row at once.
     """
     p = np.array(start, dtype=float)
-    best = _row_values(p, *consts)
+    best = _row_objective(consts)(_unit_axes(p))
     evals = np.ones(len(p), dtype=int)
     live = np.arange(len(p))
     for _ in range(_POLISH_SWEEPS):
-        row_consts = _live_constants(consts, live)
+        objective = _row_objective(tuple(c[live] for c in consts))
         bracket = np.full(live.size, halfwidth)
         gained = np.zeros(live.size)
         t1 = np.array([_any_perpendicular(p[k]) for k in live])
@@ -120,8 +82,8 @@ def _polish_rows(start: np.ndarray, consts, halfwidth: float):
         for t in (t1, t2):
             center = p[live]
             alpha, vals, used = _golden_lockstep(
-                lambda x: _row_values(
-                    np.cos(x)[:, None] * center + np.sin(x)[:, None] * t, *row_consts
+                lambda x: objective(
+                    _unit_axes(np.cos(x)[:, None] * center + np.sin(x)[:, None] * t)
                 ),
                 -bracket,
                 bracket,
@@ -156,7 +118,7 @@ def _brute_force_batch(acc_ensembles, geo_ensembles, grid_size: int = 10_000):
         start.append(grid[k])
         floor.append(float(vals[k]))
         del vals  # so that two rows' grid values are never alive at once
-    consts = _row_constants(acc_ensembles, geo_ensembles)
+    consts = _row_constants(rows)
     halfwidth = _BRACKET_SCALE / np.sqrt(grid_size)
     axes, best, polish_evals = _polish_rows(np.array(start), consts, halfwidth)
     out = []

@@ -9,6 +9,7 @@ import pytest
 import qdiscord.cli
 from qdiscord import QubitEnsemble
 from qdiscord.cli import (
+    EXIT_INTERNAL,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
@@ -87,6 +88,9 @@ def test_spec_roundtrip(rng):
         '{"pure_pair": {"theta": 1.0}, "bloch": [[0,0,0],[0,0,0]]}',
         '{"weights": ["a", 0.5], "bloch": [[0,0,0],[0,0,0]]}',
         "[1, 2, 3]",
+        '{"pure_pair": {"theta": 0.5, "lamda0": 0.9}}',
+        '{"pure_pair": {"theta": 0.5}, "weights": [0.9, 0.1]}',
+        '{"weights": [0.5, 0.5], "bloch": [[0,0,0],[0,0,0]], "blochh": [[0,0,1],[0,0,1]]}',
     ],
 )
 def test_parse_spec_structural_errors(bad):
@@ -161,6 +165,18 @@ def test_compute_usage_errors(capsys):
     assert code == EXIT_USAGE and "not found" in err
     code, _, err = run_cli(capsys, "compute", "--spec", '{"weights": [0.5,0.5]')
     assert code == EXIT_USAGE and "line" in err
+    code, out, err = run_cli(
+        capsys, "compute", "--spec", '{"pure_pair": {"theta": 0.5}, "weights": [0.9, 0.1]}'
+    )
+    assert (code, out) == (EXIT_USAGE, "") and "unknown spec fields: ['weights']" in err
+
+
+def test_compute_output_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, "compute", "--theta", "0.7", "--output", str(target))
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert "i/o error" in err
+    assert not target.parent.exists()
 
 
 def test_compute_invariant_violation_exit_code(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdiscord.discord as discord
+from qdiscord.measurement import _row_constants, _row_objective
 
 from qdiscord import (
     QubitEnsemble,
@@ -153,6 +154,18 @@ def test_accessible_information_identical_states():
     # deterministic canonical axis: same output on repeated runs
     res2 = accessible_information(QubitEnsemble(0.5, 0.5, [0, 0.6, 0.1], [0, 0.6, 0.1]))
     np.testing.assert_array_equal(res.n_opt, res2.n_opt)
+
+
+def test_two_maximally_mixed_states_take_the_x_tie_break():
+    """a = b = 0: the plane basis falls back to (x, y), and the flat scan picks x."""
+    ens = QubitEnsemble(0.5, 0.5, [0, 0, 0], [0, 0, 0])
+    u1, u2 = discord._plane_basis(ens)
+    np.testing.assert_array_equal(u1, X)
+    np.testing.assert_array_equal(u2, [0.0, 1.0, 0.0])
+    res = accessible_information(ens)
+    assert res.value == 0.0
+    np.testing.assert_array_equal(res.n_opt, X)
+    assert res.degenerate
 
 
 def test_accessible_information_pi4():
@@ -395,19 +408,12 @@ def test_golden_lockstep_follows_scalar_golden_section(rng, tol):
         for phi0 in discord._PHIS[[0, 1, 200, 359, 360, 601, 719]]
     ]
     ens_, u1, u2, phi0 = zip(*brackets)
-    consts = (
-        np.array(u1),
-        np.array(u2),
-        np.array([e.a for e in ens_]),
-        np.array([e.b for e in ens_]),
-        np.array([0.5 * e.lambda0 for e in ens_]),
-        np.array([0.5 * e.lambda1 for e in ens_]),
-        np.array([binary_entropy(e.lambda0) for e in ens_]),
-    )
+    u1, u2 = np.array(u1), np.array(u2)
+    consts = _row_constants([(e, False) for e in ens_])
     phi0 = np.array(phi0)
     with mock.patch.object(discord, "_ANGLE_TOL", tol):
         phi, vals, used = discord._golden_lockstep(
-            lambda p: discord._information(p, *consts)[1],
+            lambda p: _row_objective(consts)(discord._plane_axes(p, u1, u2)),
             phi0 - discord._DPHI,
             phi0 + discord._DPHI,
         )

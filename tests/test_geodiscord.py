@@ -16,6 +16,7 @@ from qdiscord import (
     quantum_discord,
     random_ensemble,
 )
+import qdiscord.geodiscord as geodiscord
 from conftest import random_rotation, rotate_ensemble
 
 X = np.array([1.0, 0.0, 0.0])
@@ -92,6 +93,26 @@ def test_equal_norm_perpendicular_pair_takes_the_lexicographic_tie_break(rng):
         np.testing.assert_allclose(res.n_opt, _lex_max_axis_in_span(u, w), atol=1e-4)
         assert _eigen_residual(quadratic_form(ens)) <= 1e-15
         assert res.value == pytest.approx(0.225**2 / 2.0, abs=1e-15)
+
+
+def test_lex_max_rep_matches_a_dense_sample_of_the_plane(rng):
+    """The tie-break axis of a plane, against a dense sample, to the sample spacing.
+
+    Every fourth plane is normal to x, where the x coordinates are all 0 and
+    the tie-break is decided by y.
+    """
+    samples = 4001
+    spacing = 2.0 * np.pi / (samples - 1)
+    for k in range(400):
+        rot = random_rotation(rng)
+        u, w = rot[:, 0], rot[:, 1]
+        if k % 4 == 0:
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            u = np.array([0.0, np.cos(phi), np.sin(phi)])
+            w = np.array([0.0, -np.sin(phi), np.cos(phi)])
+        got = geodiscord._lex_max_rep_2d(u, w)
+        assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(got, _lex_max_axis_in_span(u, w, samples), rtol=0, atol=spacing)
 
 
 def test_vanishing_form_gives_x():

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import qdiscord.measurement as measurement
 
 from qdiscord import (
     QubitEnsemble,
@@ -17,9 +21,11 @@ from qdiscord import (
     holevo_chi,
     post_measurement_purity,
     random_ensemble,
+    random_pure_pair,
     stationarity_residual,
 )
-from conftest import random_rotation, rotate_ensemble
+from qdiscord.measurement import _row_constants, _row_objective, _unit_axes
+from conftest import hard_region_ensembles, random_rotation, rotate_ensemble
 
 # h((2+sqrt(2))/4), frozen from mpmath
 S_COND_PI4 = 0.600876036692856101
@@ -183,3 +189,63 @@ def test_randomized_measurement_properties(seed):
     assert post_measurement_purity(rotated, rot @ n) == pytest.approx(
         post_measurement_purity(ens, n), abs=1e-11
     )
+
+
+def _assert_rows_match_public(rows, rng):
+    """The row kernel at one axis per row equals that row's public objective, to the bit."""
+    raw = rng.normal(size=(len(rows), 3))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    # Half the rows sit on a state's own axis, where a joint probability is 0.
+    for k in range(0, len(rows), 2):
+        v = rows[k][0].a if np.linalg.norm(rows[k][0].a) > 0.5 else rows[k][0].b
+        if np.linalg.norm(v) > 0.5:
+            raw[k] = v / np.linalg.norm(v)
+    got = _row_objective(_row_constants(rows))(_unit_axes(raw))
+    want = [
+        (post_measurement_purity if geo else classical_mutual_information)(ens, n)
+        for (ens, geo), n in zip(rows, raw)
+    ]
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+EDGE_WEIGHTS = [
+    QubitEnsemble(0.0, 1.0, [0, 0, 0.8], [0.5, 0, 0]),
+    QubitEnsemble(1.0, 0.0, [0.3, 0, 0.4], [0, 0.6, 0]),
+    QubitEnsemble(1.0, 0.0, [0, 0, 1.0], [1.0, 0, 0]),
+]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(hard_region_ensembles(), min_size=1, max_size=4),
+)
+@settings(max_examples=20, deadline=None)
+def test_row_objective_matches_the_public_objectives(seed, extra):
+    """Information and purity rows, mixed or alone, give the public values bit for bit."""
+    rng = np.random.default_rng(seed)
+    ensembles = [random_ensemble(rng) for _ in range(3)]
+    ensembles += [random_pure_pair(rng) for _ in range(2)] + EDGE_WEIGHTS + extra
+    info = [(ens, False) for ens in ensembles]
+    purity = [(ens, True) for ens in ensembles]
+    mixed = [(info + purity)[i] for i in rng.permutation(2 * len(ensembles))]
+    # No row with h(lambda0) > 0 and no purity row; a purity row with lambda1 = 0.
+    edges = ([(ens, False) for ens in EDGE_WEIGHTS], [(EDGE_WEIGHTS[1], True)])
+    for rows in (mixed, info, purity, info[:1], purity[:1], *edges):
+        _assert_rows_match_public(rows, rng)
+
+
+def test_row_objective_skips_the_information_term_when_every_h_is_zero(rng):
+    """Every h(lambda0) 0 and a purity row: no entropy is computed, and the values match."""
+    ensembles = [random_ensemble(rng) for _ in range(3)] + [random_pure_pair(rng)]
+    rows = [(ens, False) for ens in EDGE_WEIGHTS] + [(ens, True) for ens in ensembles]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    _assert_rows_match_public(rows, rng)
+    _assert_rows_match_public(rows[:1], rng)
+    axes = rng.normal(size=(len(rows) + 1, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    for batch, calls in ((rows, 0), (rows + [(ensembles[0], False)], 1)):
+        with mock.patch.object(
+            measurement, "_conditional_entropy", wraps=measurement._conditional_entropy
+        ) as entropy:
+            _row_objective(_row_constants(batch))(axes[: len(batch)])
+        assert entropy.call_count == calls
