@@ -148,10 +148,23 @@ def _number(x, field: str) -> float:
     return float(x)
 
 
+def _unique_fields(pairs) -> dict:
+    """The object of a spec document, refusing a field that appears twice.
+
+    json.loads would keep the last value of a repeated field without a word.
+    """
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise EnsembleSpecError(f"duplicate spec field: {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_ensemble_spec(text: str) -> QubitEnsemble:
     """Parse an inline JSON spec string."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise EnsembleSpecError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -162,8 +175,15 @@ def parse_ensemble_spec(text: str) -> QubitEnsemble:
 def load_ensemble_spec(arg: str) -> QubitEnsemble:
     """Accept a spec as a file path or as inline JSON."""
     if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return parse_ensemble_spec(fh.read())
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            # A ValueError, which main would report as an invariant violation.
+            raise EnsembleSpecError(
+                f"spec file is not UTF-8: {arg}: {exc.reason} at byte {exc.start}"
+            ) from None
+        return parse_ensemble_spec(text)
     if arg.lstrip().startswith("{"):
         return parse_ensemble_spec(arg)
     raise EnsembleSpecError(f"spec file not found: {arg}")

@@ -9,22 +9,23 @@ search below exploits that plane restriction; the full-sphere grid oracle
 it.
 
 The search takes a list of ensembles.  Each gets its own plane basis and a
-720-point angular scan, one ensemble at a time; every scan peak becomes a
-bracket one scan step wide on either side.  The brackets of all ensembles
-are then polished in lockstep by a root search on the slope dI/dphi, which
-is the paper's stationarity condition sum_i lambda_i log2(t_i) v_i_perp = 0
-(Fuchs and Caves' condition for two mixed states) taken along the plane:
-Illinois steps, safeguarded by the bracket and by bisection, that place the
-axis to round-off in about six steps.  A bracket whose ends show no sign
-change of the slope keeps a golden-section polish of the value, by
-_golden_lockstep, the one golden-section kernel of the package (the oracle's
-tangent line searches use it too).  The per-bracket constants, the value
-objective of that fallback and the final evaluation come from the row kernel
-of the measurement module (_row_constants, _row_objective), which the oracle
-shares.  Each step of either search is one vectorised evaluation at every
-bracket's new point, a bracket is masked off once it has converged, and all
-arithmetic is row by row, so a result does not depend on the batch it was
-computed in; accessible_information is the one-ensemble case.
+720-point angular scan, one ensemble at a time, evaluated on its row of the
+row kernel of the measurement module (_row_constants, _row_objective), which
+the oracle shares; every scan peak becomes a bracket one scan step wide on
+either side.  The brackets of all ensembles are then polished in lockstep by
+a root search on the slope dI/dphi, which is the paper's stationarity
+condition sum_i lambda_i log2(t_i) v_i_perp = 0 (Fuchs and Caves' condition
+for two mixed states) taken along the plane: Illinois steps, safeguarded by
+the bracket and by bisection, that place the axis to round-off in about six
+steps.  A bracket whose ends show no sign change of the slope keeps a
+golden-section polish of the value, by _golden_lockstep, the one
+golden-section kernel of the package (the oracle's tangent line searches use
+it too).  The value objective of that fallback and the final evaluation are
+the same row kernel, one axis per row.  Each step of either search is one
+vectorised evaluation at every bracket's new point, a bracket is masked off
+once it has converged, and all arithmetic is row by row, so a result does
+not depend on the batch it was computed in; accessible_information is the
+one-ensemble case.
 
 For ensembles of two pure states the optimization can be skipped entirely:
 purifying with an ancilla qubit turns the discord into an entanglement of
@@ -39,7 +40,6 @@ import numpy as np
 
 from .ensemble import QubitEnsemble, average_state, holevo_chi
 from .measurement import (
-    _conditional_entropy,
     _perp_parts,
     _row_constants,
     _row_objective,
@@ -416,11 +416,10 @@ def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
     picks = [None] * len(ensembles)
     polish = []
     consts = _row_constants([(ens, False) for ens in ensembles])
-    half0, half1, h0 = consts[2:5]
     for i, ens in enumerate(ensembles):
         u1, u2 = _plane_basis(ens)
         n = _unit_axes(_SCAN_COS * u1 + _SCAN_SIN * u2)
-        vals = np.maximum(h0[i] - _conditional_entropy(half0[i], half1[i], n @ ens.a, n @ ens.b), 0.0)
+        vals = _row_objective(tuple(c[i : i + 1] for c in consts))(n)
         # A flat scan keeps all its points, so the peak cap sends it to the
         # tie-break too.
         if float(vals.max() - vals.min()) < _FLAT_TOL:

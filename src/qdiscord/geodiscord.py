@@ -171,13 +171,7 @@ def _lex_max_rep_2d(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         # The coordinate maximizer points below the z = 0 plane, so the best
         # normalized representative lies on the span's z = 0 line.
         u0 = q * p[2] - p * q[2]
-        u0 = canonical_axis(u0 / np.linalg.norm(u0))
-        # Its mirror image across vstar shares the coordinate value; prefer
-        # it when it is a representative with a larger remaining tuple.
-        twin = 2.0 * float(u0 @ vstar) * vstar - u0
-        if twin[2] > _SIGN_TOL and tuple(twin) > tuple(u0):
-            return twin
-        return u0
+        return canonical_axis(u0 / np.linalg.norm(u0))
     raise ValueError("degenerate basis for tie-break")
 
 

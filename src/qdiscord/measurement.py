@@ -8,13 +8,14 @@ here is exact scalar arithmetic.
 All scalar maps broadcast over a trailing (..., 3) batch of axes; this is
 what keeps the dense sphere-grid oracle cheap.
 
-The lockstep searches evaluate many ensembles at once, one axis per row,
-through one row kernel: _row_constants builds the per-row constants of a
-list of (ensemble, purity) rows, and _row_objective turns them into the map
-from one axis per row to each row's objective (mutual information or
-post-measurement purity), bit for bit as the public function of that
-objective.  The in-plane polish of the discord module and the oracle's
-tangent line searches both call it.
+Both objectives, mutual information and post-measurement purity, are
+written once, in one row kernel: _row_constants builds the per-row
+constants of a list of (ensemble, purity) rows, and _row_objective turns
+them into the map from a batch of axes per row to each row's objective
+there.  Every evaluation goes through it: the public objectives are its
+one-row case, the discord module's 720-point scan evaluates each
+ensemble's scan axes on that ensemble's row, its in-plane polish one axis
+per row, and the oracle each row's grid and its tangent line searches.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def _unit_perp_parts(ens: QubitEnsemble, n):
 def _conditional_entropy(half0, half1, ta, tb):
     """S(n) from the half weights lambda_i/2 and the projections a.n, b.n.
 
-    The one formula behind conditional_entropy and the batched in-plane
-    optimizer of the discord module; broadcasts over its arguments.  The six
+    The one formula behind conditional_entropy and the information term of
+    the row kernel; broadcasts over its arguments.  The six
     -x log2 x terms go through one call and are summed in a fixed order, so
     every caller gets the same bits for the same axis.
     """
@@ -111,8 +112,7 @@ def classical_mutual_information(ens: QubitEnsemble, n):
     Bounded by the Holevo quantity for every axis.  Broadcasts like
     conditional_entropy.
     """
-    out = np.maximum(binary_entropy(ens.lambda0) - conditional_entropy(ens, n), 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return _one_row(ens, False, n)
 
 
 def _row_constants(rows):
@@ -137,29 +137,38 @@ def _row_constants(rows):
 
 
 def _row_objective(consts):
-    """The objective of the rows of consts, as a map from one unit axis per row.
+    """The objective of the rows of consts, as a map from a batch of unit axes per row.
 
-    The one row kernel of the package: the in-plane polish evaluates mutual
-    information rows with it, the oracle polish rows of both objectives.  The
-    returned function maps axes n of shape (rows, 3) to row k's objective at
-    n[k], bit for bit as its public objective: the sum of both terms, one of
-    which is +0 on every row.  A term whose constants are 0 on every row is
-    skipped, decided once here rather than at every call: the purity term
-    when there is no purity row, else the information term when no row has
-    h(lambda0) > 0.
+    The one row kernel of the package, and the only place either objective
+    is written: the public objectives, the in-plane scan and polish and the
+    oracle's grid and polish all evaluate it.  The returned function maps
+    axes n of shape (rows, ..., 3) to an array of shape (rows, ...) holding
+    row k's objective at each of the axes n[k], bit for bit as its public
+    objective: the sum of both terms, one of which is +0 on every row.  A
+    single row takes axes of any shape (..., 3).  A term whose constants are
+    0 on every row is skipped, decided once here rather than at every call:
+    the purity term when there is no purity row, else the information term
+    when no row has h(lambda0) > 0.
     """
     a, b, half0, half1, h0, sq0, sq1 = consts
-    purity, info = sq1.any() or sq0.any(), h0.any()
+    # count_nonzero costs a fraction of .any(), which the one-row scans feel.
+    purity, info = np.count_nonzero(sq1) or np.count_nonzero(sq0), np.count_nonzero(h0)
+    a, b = a[:, :, None], b[:, :, None]
+    half0, half1, h0, sq0, sq1 = [c[:, None] for c in consts[2:]]
 
     def objective(n):
-        m = n[:, None, :]
-        ta, tb = (m @ a[:, :, None])[:, 0, 0], (m @ b[:, :, None])[:, 0, 0]
+        # A dot per row for one axis, a matrix-vector product for a batch:
+        # the public objectives' bits, which einsum or a sum of products
+        # would move in the last place.
+        m = n.reshape(len(a), -1, 3)
+        ta, tb = (m @ a)[..., 0], (m @ b)[..., 0]
         if not purity:
-            return np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
-        out = sq0 * (1.0 + ta * ta) + sq1 * (1.0 + tb * tb)
-        if info:
-            out += np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
-        return out
+            out = np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
+        else:
+            out = sq0 * (1.0 + ta * ta) + sq1 * (1.0 + tb * tb)
+            if info:
+                out += np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
+        return out.reshape(n.shape[:-1])
 
     return objective
 
@@ -170,8 +179,10 @@ def post_measurement_purity(ens: QubitEnsemble, n):
     Equals lambda0^2 (1 + (a.n)^2)/2 + lambda1^2 (1 + (b.n)^2)/2; never
     exceeds the pre-measurement purity.  Broadcasts over (..., 3) axes.
     """
-    n = _unit_axes(n)
-    ta = n @ ens.a
-    tb = n @ ens.b
-    out = 0.5 * ens.lambda0**2 * (1.0 + ta * ta) + 0.5 * ens.lambda1**2 * (1.0 + tb * tb)
+    return _one_row(ens, True, n)
+
+
+def _one_row(ens: QubitEnsemble, purity: bool, n):
+    """A public objective: the row kernel of one row at the checked axes n."""
+    out = _row_objective(_row_constants([(ens, purity)]))(_unit_axes(n))
     return float(out) if out.ndim == 0 else out

@@ -13,29 +13,30 @@ the two tangent great circles around the best grid point) tightens that to
 optimizer precision for every objective used here.
 
 A batch of rows, each one ensemble with one objective (mutual information or
-post-measurement purity), shares one grid and is polished in lockstep: each
+post-measurement purity), shares one grid, checked once per batch; each row
+reads its grid values from its row of measurement._row_objective, bit for
+bit as its public objective.  The rows are then polished in lockstep: each
 golden-section step evaluates every live row's new point in one vectorised
-call of measurement._row_objective, through the line-search kernel the
-in-plane optimizer also uses.  The tangent frames and accepted moves stay
-row by row, so every row gets the bits of a search on its own;
-brute_force_accessible and brute_force_geo are the one-row case.
+call of the same row kernel, through the line-search kernel the in-plane
+optimizer also uses.  The tangent frames and accepted moves stay row by row,
+so every row gets the bits of a search on its own; brute_force_accessible
+and brute_force_geo are the one-row case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .discord import OptimizationResult, _any_perpendicular, _golden_lockstep, stationarity_residual
+from .discord import (
+    OptimizationResult,
+    _any_perpendicular,
+    _golden_lockstep,
+    _plane_axes,
+    stationarity_residual,
+)
 from .ensemble import QubitEnsemble
 from .geodiscord import ensemble_purity, geo_stationarity_residual
-from .measurement import (
-    _row_constants,
-    _row_objective,
-    _unit_axes,
-    canonical_axis,
-    classical_mutual_information,
-    post_measurement_purity,
-)
+from .measurement import _row_constants, _row_objective, _unit_axes, canonical_axis
 
 FULL_SPHERE_METHOD = "full-sphere grid + refine"
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -82,11 +83,7 @@ def _polish_rows(start: np.ndarray, consts, halfwidth: float):
         for t in (t1, t2):
             center = p[live]
             alpha, vals, used = _golden_lockstep(
-                lambda x: objective(
-                    _unit_axes(np.cos(x)[:, None] * center + np.sin(x)[:, None] * t)
-                ),
-                -bracket,
-                bracket,
+                lambda x: objective(_plane_axes(x, center, t)), -bracket, bracket
             )
             evals[live] += used
             for j in np.flatnonzero(vals > best[live]):
@@ -104,21 +101,22 @@ def _polish_rows(start: np.ndarray, consts, halfwidth: float):
 def _brute_force_batch(acc_ensembles, geo_ensembles, grid_size: int = 10_000):
     """brute_force_accessible of every acc_ensembles entry, brute_force_geo of every geo one.
 
-    Each is a row.  The rows share one grid, and each takes its argmax there
-    with its public objective; their polishes then run in lockstep.  A row's
-    result does not depend on the batch.  Returns the two lists of results.
+    Each is a row.  The rows share one grid, checked once, and each takes its
+    argmax there with its row of the row kernel; their polishes then run in
+    lockstep.  A row's result does not depend on the batch.  Returns the two
+    lists of results.
     """
     grid = fibonacci_sphere(grid_size)
+    unit = _unit_axes(grid)
     rows = [(ens, False) for ens in acc_ensembles] + [(ens, True) for ens in geo_ensembles]
+    consts = _row_constants(rows)
     start, floor = [], []
-    for ens, geo in rows:
-        objective = post_measurement_purity if geo else classical_mutual_information
-        vals = np.asarray(objective(ens, grid), dtype=float)
+    for i in range(len(rows)):
+        vals = _row_objective(tuple(c[i : i + 1] for c in consts))(unit)
         k = int(np.argmax(vals))  # ties resolve to the lowest point index
         start.append(grid[k])
         floor.append(float(vals[k]))
         del vals  # so that two rows' grid values are never alive at once
-    consts = _row_constants(rows)
     halfwidth = _BRACKET_SCALE / np.sqrt(grid_size)
     axes, best, polish_evals = _polish_rows(np.array(start), consts, halfwidth)
     out = []

@@ -91,6 +91,8 @@ def test_spec_roundtrip(rng):
         '{"pure_pair": {"theta": 0.5, "lamda0": 0.9}}',
         '{"pure_pair": {"theta": 0.5}, "weights": [0.9, 0.1]}',
         '{"weights": [0.5, 0.5], "bloch": [[0,0,0],[0,0,0]], "blochh": [[0,0,1],[0,0,1]]}',
+        '{"weights": [0.5, 0.5], "bloch": [[0,0,0.5],[0,0,-0.5]], "weights": [1, 0]}',
+        '{"pure_pair": {"theta": 0.5, "lambda0": 0.5, "theta": 1.0}}',
     ],
 )
 def test_parse_spec_structural_errors(bad):
@@ -158,7 +160,7 @@ def test_compute_degrees(capsys):
     assert float(parse_report(out)["discord"]) == pytest.approx(D_PI4, abs=1e-9)
 
 
-def test_compute_usage_errors(capsys):
+def test_compute_usage_errors(tmp_path, capsys):
     assert run_cli(capsys, "compute")[0] == EXIT_USAGE
     assert run_cli(capsys, "compute", "--spec", "{}", "--theta", "1")[0] == EXIT_USAGE
     code, _, err = run_cli(capsys, "compute", "--spec", "/nonexistent/path.json")
@@ -169,6 +171,13 @@ def test_compute_usage_errors(capsys):
         capsys, "compute", "--spec", '{"pure_pair": {"theta": 0.5}, "weights": [0.9, 0.1]}'
     )
     assert (code, out) == (EXIT_USAGE, "") and "unknown spec fields: ['weights']" in err
+    twice = '{"weights": [0.5, 0.5], "bloch": [[0,0,0.5],[0,0,-0.5]], "weights": [1, 0]}'
+    code, out, err = run_cli(capsys, "compute", "--spec", twice)
+    assert (code, out) == (EXIT_USAGE, "") and "duplicate spec field: 'weights'" in err
+    spec = tmp_path / "not_utf8.json"
+    spec.write_bytes(b'{"pure_pair": {"theta": 0.5}}\n\xff\n')
+    code, out, err = run_cli(capsys, "compute", "--spec", str(spec))
+    assert (code, out) == (EXIT_USAGE, "") and "spec error: spec file is not UTF-8" in err
 
 
 def test_compute_output_into_missing_directory(tmp_path, capsys):
@@ -408,6 +417,7 @@ def test_verify_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.host_bits
 def test_verify_matches_golden_output(tmp_path):
     out = tmp_path / "verify.txt"
     assert main(["verify", "--seed", "1", "--trials", "20", "--output", str(out)]) == EXIT_OK

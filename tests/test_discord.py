@@ -398,6 +398,7 @@ def _bits(res):
     )
 
 
+@pytest.mark.host_bits
 @pytest.mark.parametrize("tol", [discord._ANGLE_TOL, SPLIT_TOL], ids=["default", "split"])
 def test_golden_lockstep_follows_scalar_golden_section(rng, tol):
     """Each lockstep row takes the scalar golden-section steps on the public objective."""
@@ -430,6 +431,7 @@ def test_golden_lockstep_follows_scalar_golden_section(rng, tol):
     assert len(set(used.tolist())) == (1 if tol == discord._ANGLE_TOL else 2)
 
 
+@pytest.mark.host_bits
 @given(
     seed=st.integers(0, 2**32 - 1),
     extra=st.lists(st.one_of(near_degenerate_ensembles(), hard_region_ensembles()), max_size=4),
@@ -479,6 +481,7 @@ NO_SIGN_CHANGE = QubitEnsemble(
 )
 
 
+@pytest.mark.host_bits
 def test_bracket_without_sign_change_keeps_golden_section():
     """The fallback row gets the scalar golden-section result on the public objective."""
     polished = []

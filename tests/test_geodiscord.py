@@ -95,21 +95,44 @@ def test_equal_norm_perpendicular_pair_takes_the_lexicographic_tie_break(rng):
         assert res.value == pytest.approx(0.225**2 / 2.0, abs=1e-15)
 
 
-def test_lex_max_rep_matches_a_dense_sample_of_the_plane(rng):
-    """The tie-break axis of a plane, against a dense sample, to the sample spacing.
-
-    Every fourth plane is normal to x, where the x coordinates are all 0 and
-    the tie-break is decided by y.
-    """
-    samples = 4001
-    spacing = 2.0 * np.pi / (samples - 1)
-    for k in range(400):
+def _random_planes(rng, count):
+    """Orthonormal bases of random planes; every fourth plane is normal to x."""
+    for k in range(count):
         rot = random_rotation(rng)
         u, w = rot[:, 0], rot[:, 1]
         if k % 4 == 0:
             phi = rng.uniform(0.0, 2.0 * np.pi)
             u = np.array([0.0, np.cos(phi), np.sin(phi)])
             w = np.array([0.0, -np.sin(phi), np.cos(phi)])
+        yield u, w
+
+
+def _planes_tilted_about_y(rng, count):
+    """Steep planes whose z = 0 line lies within 1e-12 of the y axis, on the -x side.
+
+    The axis that maximizes x points below z = 0 in each, so the tie-break
+    axis is the z = 0 line, whose x is -1e-16 to -3e-13: inside the sign
+    tolerance, so its sign is decided by y.
+    """
+    for _ in range(count):
+        u = np.array([-(10.0 ** rng.uniform(-16.0, -12.5)), 1.0, 0.0])
+        u /= np.linalg.norm(u)
+        w = np.array([10.0 ** rng.uniform(-6.0, np.log10(0.2)), 0.0, -1.0])
+        w -= (w @ u) * u
+        yield u, w / np.linalg.norm(w)
+
+
+def test_lex_max_rep_matches_a_dense_sample_of_the_plane(rng):
+    """The tie-break axis of a plane, against a dense sample, to the sample spacing.
+
+    The planes normal to x have all x coordinates 0, and the planes tilted
+    about y have x coordinates within the sign tolerance on their z = 0
+    line; in both the tie-break is decided by y.
+    """
+    samples = 4001
+    spacing = 2.0 * np.pi / (samples - 1)
+    planes = [*_random_planes(rng, 400), *_planes_tilted_about_y(rng, 1500)]
+    for u, w in planes:
         got = geodiscord._lex_max_rep_2d(u, w)
         assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(got, _lex_max_axis_in_span(u, w, samples), rtol=0, atol=spacing)

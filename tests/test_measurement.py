@@ -16,6 +16,7 @@ from qdiscord import (
     classical_mutual_information,
     conditional_entropy,
     ensemble_purity,
+    fibonacci_sphere,
     geo_choice_classifier,
     geo_stationarity_residual,
     holevo_chi,
@@ -215,6 +216,7 @@ EDGE_WEIGHTS = [
 ]
 
 
+@pytest.mark.host_bits
 @given(
     seed=st.integers(0, 2**32 - 1),
     extra=st.lists(hard_region_ensembles(), min_size=1, max_size=4),
@@ -234,6 +236,7 @@ def test_row_objective_matches_the_public_objectives(seed, extra):
         _assert_rows_match_public(rows, rng)
 
 
+@pytest.mark.host_bits
 def test_row_objective_skips_the_information_term_when_every_h_is_zero(rng):
     """Every h(lambda0) 0 and a purity row: no entropy is computed, and the values match."""
     ensembles = [random_ensemble(rng) for _ in range(3)] + [random_pure_pair(rng)]
@@ -249,3 +252,45 @@ def test_row_objective_skips_the_information_term_when_every_h_is_zero(rng):
         ) as entropy:
             _row_objective(_row_constants(batch))(axes[: len(batch)])
         assert entropy.call_count == calls
+
+
+def _own_axis(ens):
+    """A unit axis along the longer Bloch vector of ens, or None if both are short."""
+    v = ens.a if np.linalg.norm(ens.a) >= np.linalg.norm(ens.b) else ens.b
+    return v / np.linalg.norm(v) if np.linalg.norm(v) > 0.5 else None
+
+
+@pytest.mark.host_bits
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(hard_region_ensembles(), min_size=1, max_size=4),
+)
+@settings(max_examples=8, deadline=None)
+def test_row_objective_on_a_batch_of_axes_per_row_matches_the_public_objectives(seed, extra):
+    """Axes of shape (rows, ..., 3): row k's values are its public objective at n[k], to the bit.
+
+    Each row takes 1, 720 or (4, 9) random axes, the first of them on a
+    state's own axis where there is one, or the 10^4-point Fibonacci grid.
+    """
+    rng = np.random.default_rng(seed)
+    ensembles = [random_ensemble(rng) for _ in range(3)]
+    ensembles += [random_pure_pair(rng) for _ in range(2)] + EDGE_WEIGHTS + extra
+    info = [(ens, False) for ens in ensembles]
+    purity = [(ens, True) for ens in ensembles]
+    mixed = [(info + purity)[i] for i in rng.permutation(2 * len(ensembles))]
+    grid = fibonacci_sphere(10_000)
+    for rows in (mixed, info, purity):
+        batches = [rng.normal(size=(len(rows), *shape, 3)) for shape in ((1,), (720,), (4, 9))]
+        for raw in batches:
+            raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
+            for (ens, _), n in zip(rows, raw.reshape(len(rows), -1, 3)):
+                if (v := _own_axis(ens)) is not None:
+                    n[0] = v
+        batches.append(np.repeat(grid[None], len(rows), axis=0))
+        for raw in batches:
+            got = _row_objective(_row_constants(rows))(_unit_axes(raw))
+            assert got.shape == raw.shape[:-1]
+            for (ens, geo), n, values in zip(rows, raw, got):
+                want = (post_measurement_purity if geo else classical_mutual_information)(ens, n)
+                # The bits, as .hex() compares them, without 10^5 calls of it.
+                np.testing.assert_array_equal(values.view(np.uint64), want.view(np.uint64))

@@ -198,6 +198,7 @@ def _bits(res):
     )
 
 
+@pytest.mark.host_bits
 @given(
     seed=st.integers(0, 2**32 - 1),
     extra=st.lists(
