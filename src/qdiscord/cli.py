@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -25,9 +26,15 @@ import sys
 
 import numpy as np
 
-from .discord import _holevo_gap_batch, discord_pure_koashi_winter
+from .discord import (
+    _holevo_gap_batch,
+    _holevo_gap_rows,
+    _koashi_winter_rows,
+    discord_pure_koashi_winter,
+)
 from .ensemble import (
     QubitEnsemble,
+    _EnsembleArrays,
     cq_state_entropy,
     holevo_chi,
     quantum_mutual_information,
@@ -35,7 +42,12 @@ from .ensemble import (
     random_pure_pair,
     _sphere_point,
 )
-from .geodiscord import geometric_discord, quadratic_form
+from .geodiscord import (
+    _geo_residual_rows,
+    _top_eigenpair_rows,
+    geometric_discord,
+    quadratic_form,
+)
 from .measurement import classical_mutual_information
 from .oracle import _brute_force_batch
 from .qstate import _is_pure, binary_entropy, pure_overlap, von_neumann_entropy
@@ -174,7 +186,7 @@ def parse_ensemble_spec(text: str) -> QubitEnsemble:
 
 def load_ensemble_spec(arg: str) -> QubitEnsemble:
     """Accept a spec as a file path or as inline JSON."""
-    if os.path.exists(arg):
+    if os.path.isfile(arg):
         try:
             with open(arg, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -184,6 +196,9 @@ def load_ensemble_spec(arg: str) -> QubitEnsemble:
                 f"spec file is not UTF-8: {arg}: {exc.reason} at byte {exc.start}"
             ) from None
         return parse_ensemble_spec(text)
+    if os.path.exists(arg):
+        # A directory, say: opening it would be an i/o error, an internal failure.
+        raise EnsembleSpecError(f"spec path is not a regular file: {arg}")
     if arg.lstrip().startswith("{"):
         return parse_ensemble_spec(arg)
     raise EnsembleSpecError(f"spec file not found: {arg}")
@@ -275,27 +290,15 @@ def _pure_pair_geo_closed_form(lambda0: float, theta: float) -> float:
 
 
 def _sweep_rows(thetas: list[float], lambda0: float) -> list[tuple]:
-    ensembles = [QubitEnsemble.pure_pair(theta, lambda0) for theta in thetas]
-    rows = []
-    for theta, ens, (chi, acc, gap) in zip(thetas, ensembles, _holevo_gap_batch(ensembles)):
-        geo = geometric_discord(ens)
-        kw = discord_pure_koashi_winter(lambda0, abs(math.cos(theta)))
-        rows.append((
-            theta,
-            gap,
-            kw.discord,
-            geo.value,
-            _pure_pair_geo_closed_form(lambda0, theta),
-            chi,
-            acc.value,
-            acc.n_opt[0],
-            acc.n_opt[1],
-            acc.n_opt[2],
-            geo.n_opt[0],
-            geo.n_opt[1],
-            geo.n_opt[2],
-        ))
-    return rows
+    rows = _EnsembleArrays.pure_pairs(thetas, lambda0)
+    chi, acc, gap = _holevo_gap_rows(rows)
+    _, second, geo_axes = _top_eigenpair_rows(rows)
+    # math.cos and math.sin per row: numpy's SIMD loops may move a last bit.
+    kw = _koashi_winter_rows(lambda0, [abs(math.cos(theta)) for theta in thetas])
+    geo_closed = [_pure_pair_geo_closed_form(lambda0, theta) for theta in thetas]
+    # geometric_discord's value is half the second eigenvalue.
+    columns = (gap, kw, 0.5 * second, geo_closed, chi, acc.value, *acc.n_opt.T, *geo_axes.T)
+    return list(zip(thetas, *(np.asarray(c).tolist() for c in columns)))
 
 
 def _cmd_sweep(args) -> int:
@@ -394,6 +397,11 @@ def _cmd_verify(args) -> int:
         draws = [(random_ensemble(rng), _sphere_point(rng), random_pure_pair(rng)) for _ in trials]
         ensembles = [ens for ens, _, _ in draws]
         gaps = _holevo_gap_batch(ensembles + [pure for _, _, pure in draws])
+        rows = _EnsembleArrays.of(ensembles)
+        # geometric_discord of every trial: half the second eigenvalue, and its residual.
+        _, second, geo_axes = _top_eigenpair_rows(rows)
+        geo_values = (0.5 * second).tolist()
+        geo_residuals = _geo_residual_rows(rows, geo_axes).tolist()
         acc_oracles, geo_oracles = _brute_force_batch(ensembles, ensembles, args.grid)
         for j, trial in enumerate(trials):
             ens, axis, pure = draws[j]
@@ -423,13 +431,13 @@ def _cmd_verify(args) -> int:
                     trial, acc.stationarity_residual, tol(1e-6), ens
                 )
 
-            geo = geometric_discord(ens)
+            geo_value = geo_values[j]
             agreement = max(
-                abs(acc.value - oracle_acc.value), abs(geo.value - oracle_geo.value)
+                abs(acc.value - oracle_acc.value), abs(geo_value - oracle_geo.value)
             )
             suites["oracle_agreement"].check(trial, agreement, tol(1e-5), ens)
             # the grid can lag a true optimum but must never beat it
-            beat = max(oracle_acc.value - acc.value, geo.value - oracle_geo.value, 0.0)
+            beat = max(oracle_acc.value - acc.value, geo_value - oracle_geo.value, 0.0)
             suites["oracle_bound"].check(trial, beat, tol(1e-6), ens)
 
             kw = discord_pure_koashi_winter(pure.lambda0, pure_overlap(pure.a, pure.b))
@@ -439,7 +447,7 @@ def _cmd_verify(args) -> int:
             eig_res = float(
                 np.linalg.norm(form.m @ form.top_eigenvector - form.top_eigenvalue * form.top_eigenvector)
             )
-            geo_res = max(eig_res, geo.stationarity_residual)
+            geo_res = max(eig_res, geo_residuals[j])
             suites["geometric"].check(trial, geo_res, tol(1e-8), ens)
 
     lines = [
@@ -486,7 +494,10 @@ def _write_lines(output: str | None, lines: list[str]) -> None:
         out.write("\n".join(lines) + "\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves it as it was, and returns a
+    # fresh namespace each time.
     parser = _Parser(
         prog="qdiscord",
         description="Quantumness of two-state qubit ensembles: Holevo bound, "

@@ -8,28 +8,37 @@ search below exploits that plane restriction; the full-sphere grid oracle
 (see the oracle module) exists to verify the restriction rather than trust
 it.
 
-The search takes a list of ensembles.  Each gets its own plane basis and a
-720-point angular scan, one ensemble at a time, evaluated on its row of the
-row kernel of the measurement module (_row_constants, _row_objective), which
-the oracle shares; every scan peak becomes a bracket one scan step wide on
-either side.  The brackets of all ensembles are then polished in lockstep by
-a root search on the slope dI/dphi, which is the paper's stationarity
-condition sum_i lambda_i log2(t_i) v_i_perp = 0 (Fuchs and Caves' condition
-for two mixed states) taken along the plane: Illinois steps, safeguarded by
-the bracket and by bisection, that place the axis to round-off in about six
+The search takes a block of ensembles as a struct of arrays (_EnsembleArrays:
+lambda0 and lambda1 of shape (N,), a and b of shape (N, 3)) and runs each
+stage as one array pass over the block: the plane bases, the 720-point
+angular scan on the rows of the row kernel of the measurement module
+(_row_constants, _row_objective), which the oracle shares, its peaks, and at
+the end each row's pick and stationarity residual.  The scan runs
+_SCAN_ROWS rows at a time, which bounds its working set.  Every scan peak
+becomes a bracket one scan step wide on either side.  The brackets of all
+ensembles are then polished in lockstep by a root search on the slope
+dI/dphi, which is the paper's stationarity condition
+sum_i lambda_i log2(t_i) v_i_perp = 0 (Fuchs and Caves' condition for two
+mixed states) taken along the plane: Illinois steps, safeguarded by the
+bracket and by bisection, that place the axis to round-off in about six
 steps.  A bracket whose ends show no sign change of the slope keeps a
 golden-section polish of the value, by _golden_lockstep, the one
 golden-section kernel of the package (the oracle's tangent line searches use
 it too).  The value objective of that fallback and the final evaluation are
 the same row kernel, one axis per row.  Each step of either search is one
-vectorised evaluation at every bracket's new point, a bracket is masked off
-once it has converged, and all arithmetic is row by row, so a result does
-not depend on the batch it was computed in; accessible_information is the
+vectorised evaluation at every bracket's new point, and a bracket is masked
+off once it has converged.
+
+Every array form gives each row the bits of its scalar form, which stays
+for the rows that take a rare branch (a plane basis of a nearly collinear
+or vanishing pair) and as the reference of the tests; so a result does not
+depend on the block it was computed in, and accessible_information is the
 one-ensemble case.
 
 For ensembles of two pure states the optimization can be skipped entirely:
 purifying with an ancilla qubit turns the discord into an entanglement of
-formation plus marginal entropies, all closed form.
+formation plus marginal entropies, all closed form; _koashi_winter_rows is
+its array form, which the sweep uses.
 """
 
 from __future__ import annotations
@@ -38,22 +47,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import QubitEnsemble, average_state, holevo_chi
+from .ensemble import QubitEnsemble, _EnsembleArrays, _holevo_chi_rows, average_state
 from .measurement import (
+    _canonical_axes,
     _perp_parts,
     _row_constants,
     _row_objective,
     _unit_axes,
-    _unit_perp_parts,
-    canonical_axis,
 )
-from .qstate import NORM_SLACK, _half_angle, binary_entropy
+from .qstate import NORM_SLACK, _half_angle, _row_dot, binary_entropy
 
 IN_PLANE_METHOD = "in-plane root search"
 # A sufficient optimality condition holds when its residual is at most this.
 _CONDITION_TOL = 1e-8
 
 _SCAN_POINTS = 720
+# Rows per slice of the scan.  A slice's axes and entropy terms take about
+# 0.1 MB a row; a whole 512-row block would add some 50 MB to the peak, and
+# slices of 8 rows ran faster here than slices of 4, 16 or 32.
+_SCAN_ROWS = 8
 _ANGLE_TOL = 1e-12
 _TIE_TOL = 1e-10
 # The root search stops once a bracket is this narrow: a few ulps of an angle.
@@ -124,11 +136,20 @@ class AnalyticConditionsReport:
     tolerance: float
 
 
-def _unit_interval(x, name: str) -> float:
-    x = float(x)
-    if not -NORM_SLACK <= x <= 1.0 + NORM_SLACK:
-        raise ValueError(f"{name} must lie in [0, 1], got {x:.17g}")
-    return min(max(x, 0.0), 1.0)
+def _unit_interval(x, name: str):
+    """x clamped into [0, 1], after a check that it lies there up to NORM_SLACK.
+
+    Elementwise on an array; a scalar comes back as a float.
+    """
+    x = np.asarray(x, dtype=float)
+    # Written so that NaN fails the test too.
+    bad = ~((x >= -NORM_SLACK) & (x <= 1.0 + NORM_SLACK))
+    if bad.any():
+        raise ValueError(f"{name} must lie in [0, 1], got {x[bad].flat[0]:.17g}")
+    # min(max(x, 0.0), 1.0), which keeps a -0.0 as np.clip does not.
+    x = np.where(0.0 > x, 0.0, x)
+    x = np.where(1.0 < x, 1.0, x)
+    return float(x) if x.ndim == 0 else x
 
 
 def concurrence_pure_ensemble(lambda0: float, overlap: float) -> float:
@@ -166,6 +187,25 @@ def discord_pure_koashi_winter(lambda0: float, overlap: float) -> KoashiWinterBr
     return KoashiWinterBreakdown(c, eof, s_b, s_ab, eof + s_b - s_ab)
 
 
+def _koashi_winter_rows(lambda0, overlap) -> np.ndarray:
+    """discord_pure_koashi_winter(lambda0, overlap).discord, elementwise over arrays.
+
+    The same formulas in the same order, so each value has the bits of the
+    scalar call.
+    """
+    l0 = _unit_interval(lambda0, "lambda0")
+    ov = _unit_interval(overlap, "overlap")
+    c = _unit_interval(2.0 * np.sqrt(l0 * (1.0 - l0)) * ov, "concurrence")
+    eof = binary_entropy((1.0 + np.sqrt(_at_least_zero(1.0 - c * c))) / 2.0)
+    s = np.sqrt(_at_least_zero(1.0 - 4.0 * l0 * (1.0 - l0) * (1.0 - ov * ov)))
+    return eof + binary_entropy((1.0 + s) / 2.0) - binary_entropy(l0)
+
+
+def _at_least_zero(x):
+    """max(0.0, x) elementwise: 0.0 unless x > 0."""
+    return np.where(x > 0.0, x, 0.0)
+
+
 def example_discord_closed_form(theta: float) -> float:
     """Discord of the equal-weight mirror pair: h((1+sin t)/2) + h((1+cos t)/2) - 1."""
     theta = _half_angle(theta)
@@ -181,7 +221,7 @@ def example_discord_closed_form(theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _log_odds(x):
-    """log2(t0), log2(t1) and whether a factor was clamped, from x = (a.n, b.n, c.n).
+    """log2(t0), log2(t1) from x = (a.n, b.n, c.n).
 
     t_i = (1 + v_i.n)(1 - c.n) / ((1 - v_i.n)(1 + c.n)), so log2(t_i) is
     (2/ln 2)(artanh(v_i.n) - artanh(c.n)).  artanh keeps its relative
@@ -189,19 +229,20 @@ def _log_odds(x):
     symmetric configurations cancel exactly.  Projections within _LOG_CLAMP
     of +/-1 are clamped there.  x may hold a column of projections per row.
     """
-    singular = (np.abs(x) > 1.0 - _LOG_CLAMP).any(axis=0)
     r = np.arctanh(np.minimum(np.maximum(x, _LOG_CLAMP - 1.0), 1.0 - _LOG_CLAMP))
-    return _LOG2_ODDS * (r[0] - r[2]), _LOG2_ODDS * (r[1] - r[2]), singular
+    return _LOG2_ODDS * (r[0] - r[2]), _LOG2_ODDS * (r[1] - r[2])
 
 
 def _stationarity_terms(ens: QubitEnsemble, n, an, bn, a_perp, b_perp):
-    """Defect vector l0 log2(t0) a_perp + l1 log2(t1) b_perp and the log-odds.
+    """Defect vector l0 log2(t0) a_perp + l1 log2(t1) b_perp, the log-odds and the clamp flag.
 
     Takes the unit axis and the parts that _perp_parts returns for it.
+    singular tells whether _log_odds clamped a projection.
     """
-    log_t0, log_t1, singular = _log_odds(np.array([an, bn, float(average_state(ens) @ n)]))
+    x = np.array([an, bn, float(average_state(ens) @ n)])
+    log_t0, log_t1 = _log_odds(x)
     vec = ens.lambda0 * log_t0 * a_perp + ens.lambda1 * log_t1 * b_perp
-    return vec, log_t0, log_t1, bool(singular)
+    return vec, log_t0, log_t1, bool((np.abs(x) > 1.0 - _LOG_CLAMP).any())
 
 
 def stationarity_residual(ens: QubitEnsemble, n) -> float:
@@ -263,24 +304,68 @@ def _plane_basis(ens: QubitEnsemble) -> tuple[np.ndarray, np.ndarray]:
     return u1, _any_perpendicular(u1)
 
 
-def _pick_candidate(candidates, evals: int, degenerate_hint: bool = False):
-    best = max(v for v, _ in candidates)
-    tied = [canonical_axis(ax) for v, ax in candidates if v >= best - _TIE_TOL]
-    n_opt = max(tied, key=lambda ax: (ax[0], ax[1], ax[2]))
-    degenerate = degenerate_hint or any(
-        abs(float(ax @ n_opt)) < 1.0 - 1e-8 for ax in tied
-    )
-    return n_opt, best, evals, degenerate
+def _plane_basis_rows(rows: _EnsembleArrays) -> tuple[np.ndarray, np.ndarray]:
+    """_plane_basis of every row of a block, two arrays of shape (N, 3), to the bit.
+
+    Every row takes the first pass; a row that needs a branch of the scalar
+    form (both vectors vanish, a second pass, a collinear pair) gets the
+    scalar form itself.
+    """
+    a, b = rows.a, rows.b
+    na, nb = np.sqrt(_row_dot(a, a)), np.sqrt(_row_dot(b, b))
+    first = na >= nb
+    longer = np.where(first, na, nb)
+    # Rows whose norms vanish divide by 0 here and are redone below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u1 = np.where(first[:, None], a, b) / longer[:, None]
+        other = np.where(first[:, None], b, a)
+        w = other - _row_dot(other, u1)[:, None] * u1
+        nw = np.sqrt(_row_dot(w, w))
+        u2 = w / nw[:, None]
+    scalar = (longer <= 1e-12) | (np.abs(_row_dot(w, u1)) > 1e-12 * nw) | ~(nw > 1e-13)
+    for k in np.flatnonzero(scalar):
+        u1[k], u2[k] = _plane_basis(rows.ensemble(k))
+    return u1, u2
+
+
+def _pick_rows(owner, vals, axes):
+    """The optimum of every row from its candidates: axis, value and degenerate flag.
+
+    owner is sorted and names the row of each candidate, vals and axes its
+    value and axis.  A row's value is its best candidate value; the candidates
+    within _TIE_TOL of it tie, and the row's axis is the lexicographically
+    largest (x, then y, then z) of their canonical axes, the first of equals
+    winning.  The row is degenerate when a tied axis is well separated from
+    that one.  Returns the arrays of the rows, in order, and the start of
+    each row's candidates.
+    """
+    new = np.concatenate(([True], owner[1:] != owner[:-1]))
+    canon = _canonical_axes(axes)
+    if new.all():
+        # One candidate per row, the usual case: it is the row's pick.
+        apart = np.abs(_row_dot(canon, canon)) < 1.0 - 1e-8
+        return owner, canon, vals, apart, np.arange(len(owner))
+    starts = np.flatnonzero(new)
+    run = np.cumsum(new) - 1
+    best = np.maximum.reduceat(vals, starts)
+    tied = vals >= best[run] - _TIE_TOL
+    # Sorted by row, each row's tied axes first and the lexicographically
+    # largest of them leading; the sort is stable, so the first of equals
+    # leads, as with max.
+    order = np.lexsort((-canon[:, 2], -canon[:, 1], -canon[:, 0], ~tied, run))
+    n_opt = canon[order[starts]]
+    apart = tied & (np.abs(_row_dot(canon, n_opt[run])) < 1.0 - 1e-8)
+    return owner[starts], n_opt, best, np.logical_or.reduceat(apart, starts), starts
 
 
 def _scan_peaks(vals):
-    """Indices of the points of a cyclic scan at least as high as both neighbours.
+    """Mask of the points of each cyclic scan (a row of vals) at least as high as both neighbours.
 
     The scan covers phi in [0, pi), and an axis at phi + pi is the same
     measurement, so the last point and the first are neighbours.
     """
-    wrapped = np.concatenate((vals[-1:], vals, vals[:1]))
-    return np.flatnonzero((vals >= wrapped[:-2]) & (vals >= wrapped[2:]))
+    wrapped = np.concatenate((vals[..., -1:], vals, vals[..., :1]), axis=-1)
+    return (vals >= wrapped[..., :-2]) & (vals >= wrapped[..., 2:])
 
 
 def _plane_axes(phi, u1, u2):
@@ -344,7 +429,7 @@ def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
 
     def slope(phi):
         cos, sin = np.cos(phi), np.sin(phi)
-        log_t0, log_t1, _ = _log_odds(cos * on_u1 + sin * on_u2)
+        log_t0, log_t1 = _log_odds(cos * on_u1 + sin * on_u2)
         at, bt = cos * on_u2[:2] - sin * on_u1[:2]
         return half0 * log_t0 * at + half1 * log_t1 * bt
 
@@ -377,8 +462,9 @@ def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
                 np.where(up, halve * ghi, gx),
             )
             side = sign
-            closer = active & (np.abs(gx) < best_g)
-            best, best_g = np.where(closer, x, best), np.where(closer, np.abs(gx), best_g)
+            size = np.abs(gx)
+            closer = active & (size < best_g)
+            best, best_g = np.where(closer, x, best), np.where(closer, size, best_g)
             back = back[1:] + [width]
             evals += active
             active &= (gx != 0.0) & (hi - lo > _ROOT_TOL)
@@ -404,61 +490,96 @@ def _polish(phi0, u1, u2, consts):
     return n, _row_objective(consts)(n), evals + 1
 
 
-def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
-    """accessible_information of every ensemble, with one lockstep polish.
+@dataclass(frozen=True, eq=False)
+class _AccessibleRows:
+    """accessible_information of every row of a block, as arrays with one entry per row."""
 
-    Each ensemble gets its own plane basis and 720-point angular scan, which
-    brackets every local maximum (the objective can have several).  Flat
-    objectives (degenerate ensembles) and scans with more than 64 peaks
-    short-circuit to the tie-break.  The brackets of all other ensembles are
-    polished together by _polish, then each ensemble picks its candidate.
+    n_opt: np.ndarray
+    value: np.ndarray
+    stationarity_residual: np.ndarray
+    evaluations: np.ndarray
+    degenerate: np.ndarray
+
+    def results(self) -> list[OptimizationResult]:
+        """One OptimizationResult per row."""
+        columns = (self.value, self.stationarity_residual, self.evaluations, self.degenerate)
+        return [
+            OptimizationResult(n, value, residual, evals, IN_PLANE_METHOD, degenerate)
+            for n, (value, residual, evals, degenerate) in zip(
+                self.n_opt, zip(*(c.tolist() for c in columns))
+            )
+        ]
+
+
+def _accessible_information_rows(rows: _EnsembleArrays) -> _AccessibleRows:
+    """accessible_information of every row of a block, one array pass per stage.
+
+    Every row gets its plane basis and a 720-point angular scan, which
+    brackets every local maximum (the objective can have several); the scan
+    runs _SCAN_ROWS rows at a time, so its working set does not grow with the
+    block.  Flat objectives (degenerate ensembles) and scans with more than
+    64 peaks short-circuit to the tie-break among their scan points.  The
+    brackets of all other rows are polished together by _polish, then each
+    row picks its candidate and gets its stationarity residual.
     """
-    picks = [None] * len(ensembles)
-    polish = []
-    consts = _row_constants([(ens, False) for ens in ensembles])
-    for i, ens in enumerate(ensembles):
-        u1, u2 = _plane_basis(ens)
-        n = _unit_axes(_SCAN_COS * u1 + _SCAN_SIN * u2)
-        vals = _row_objective(tuple(c[i : i + 1] for c in consts))(n)
+    consts = _row_constants(rows, False)
+    u1, u2 = _plane_basis_rows(rows)
+    brackets = np.empty((len(rows), _SCAN_POINTS), dtype=bool)
+    capped = []  # (rows, values, axes) of the scan points of capped rows
+    for first in range(0, len(rows), _SCAN_ROWS):
+        part = slice(first, first + _SCAN_ROWS)
+        n = _unit_axes(_SCAN_COS * u1[part, None] + _SCAN_SIN * u2[part, None])
+        vals = _row_objective(tuple(c[part] for c in consts))(n)
+        peaks = _scan_peaks(vals)
         # A flat scan keeps all its points, so the peak cap sends it to the
         # tie-break too.
-        if float(vals.max() - vals.min()) < _FLAT_TOL:
-            peaks = np.arange(_SCAN_POINTS)
-        else:
-            peaks = _scan_peaks(vals)
-        if peaks.size > 64:
-            picks[i] = _pick_candidate(
-                list(zip(vals[peaks].tolist(), n[peaks])), _SCAN_POINTS, degenerate_hint=True
-            )
-        else:
-            polish.append((i, _PHIS[peaks], u1, u2))
+        peaks[vals.max(axis=1) - vals.min(axis=1) < _FLAT_TOL] = True
+        cap = (peaks.sum(axis=1) > 64)[:, None]
+        brackets[part] = peaks & ~cap
+        if cap.any():
+            i, k = np.nonzero(peaks & cap)
+            capped.append((first + i, vals[i, k], n[i, k]))
 
-    if polish:
-        owners, phi0, u1, u2 = zip(*polish)
-        counts = [p.size for p in phi0]
-        k = np.repeat(np.arange(len(polish)), counts)
-        rows, u1, u2 = (np.array(column)[k] for column in (owners, u1, u2))
-        axes, vals, used = _polish(np.concatenate(phi0), u1, u2, tuple(c[rows] for c in consts))
-        for i, end, count in zip(owners, np.cumsum(counts), counts):
-            ks = slice(end - count, end)
-            picks[i] = _pick_candidate(
-                list(zip(vals[ks].tolist(), axes[ks])), _SCAN_POINTS + int(used[ks].sum())
-            )
+    n_opt = np.empty((len(rows), 3))
+    value = np.empty(len(rows))
+    evals = np.full(len(rows), _SCAN_POINTS)
+    degenerate = np.zeros(len(rows), dtype=bool)
+    owner, k = np.nonzero(brackets)
+    if owner.size:
+        axes, vals, used = _polish(_PHIS[k], u1[owner], u2[owner], tuple(c[owner] for c in consts))
+        i, axis, best, apart, starts = _pick_rows(owner, vals, axes)
+        n_opt[i], value[i], degenerate[i] = axis, best, apart
+        evals[i] += np.add.reduceat(used, starts)
+    if capped:
+        owner, vals, axes = (np.concatenate(c) for c in zip(*capped))
+        i, axis, best, _, _ = _pick_rows(owner, vals, axes)
+        n_opt[i], value[i], degenerate[i] = axis, best, True
+    return _AccessibleRows(
+        n_opt=n_opt,
+        # max(value, 0.0), which keeps a -0.0 as np.maximum does not.
+        value=np.where(0.0 > value, 0.0, value),
+        stationarity_residual=_stationarity_rows(rows, n_opt),
+        evaluations=evals,
+        degenerate=degenerate,
+    )
 
-    return [
-        OptimizationResult(
-            n_opt=n_opt,
-            value=float(max(value, 0.0)),
-            # The axis was built as a unit vector here, so it skips the checks.
-            stationarity_residual=float(
-                np.linalg.norm(_stationarity_terms(ens, *_unit_perp_parts(ens, n_opt))[0])
-            ),
-            evaluations=evals,
-            method=IN_PLANE_METHOD,
-            degenerate=degenerate,
-        )
-        for ens, (n_opt, value, evals, degenerate) in zip(ensembles, picks)
-    ]
+
+def _stationarity_rows(rows: _EnsembleArrays, n) -> np.ndarray:
+    """stationarity_residual of every row at its unit axis n[k], without the checks.
+
+    The defect of _stationarity_terms, in the same order of operations.
+    """
+    an, bn, cn = (_row_dot(v, n) for v in (rows.a, rows.b, rows.average()))
+    log_t0, log_t1 = _log_odds(np.array([an, bn, cn]))
+    vec = (rows.lambda0 * log_t0)[:, None] * (rows.a - an[:, None] * n) + (
+        rows.lambda1 * log_t1
+    )[:, None] * (rows.b - bn[:, None] * n)
+    return np.sqrt(_row_dot(vec, vec))
+
+
+def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
+    """accessible_information of every ensemble of a list, as one block."""
+    return _accessible_information_rows(_EnsembleArrays.of(ensembles)).results()
 
 
 def accessible_information(ens: QubitEnsemble) -> OptimizationResult:
@@ -471,17 +592,21 @@ def accessible_information(ens: QubitEnsemble) -> OptimizationResult:
     return _accessible_information_batch([ens])[0]
 
 
-def _holevo_gap_batch(ensembles) -> list[tuple[float, OptimizationResult, float]]:
-    """chi, the accessible-information result and the discord chi - I_acc per ensemble.
+def _holevo_gap_rows(rows: _EnsembleArrays):
+    """chi, the accessible-information rows and the discord chi - I_acc of every row of a block.
 
     Round-off in [-1e-10, 0) of the gap is set to zero.
     """
-    out = []
-    for ens, acc in zip(ensembles, _accessible_information_batch(ensembles)):
-        chi = holevo_chi(ens)
-        gap = chi - acc.value
-        out.append((chi, acc, 0.0 if -1e-10 <= gap < 0.0 else gap))
-    return out
+    acc = _accessible_information_rows(rows)
+    chi = _holevo_chi_rows(rows)
+    gap = chi - acc.value
+    return chi, acc, np.where((-1e-10 <= gap) & (gap < 0.0), 0.0, gap)
+
+
+def _holevo_gap_batch(ensembles) -> list[tuple[float, OptimizationResult, float]]:
+    """_holevo_gap_rows of a list of ensembles, as (chi, result, gap) per ensemble."""
+    chi, acc, gap = _holevo_gap_rows(_EnsembleArrays.of(ensembles))
+    return list(zip(chi.tolist(), acc.results(), gap.tolist()))
 
 
 def quantum_discord(ens: QubitEnsemble) -> OptimizationResult:

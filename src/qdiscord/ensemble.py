@@ -15,6 +15,7 @@ import numpy as np
 
 from .qstate import (
     NORM_SLACK,
+    _row_dot,
     binary_entropy,
     example_pair_bloch,
     shannon_entropy,
@@ -52,6 +53,67 @@ class QubitEnsemble:
         return cls(lambda0, 1.0 - float(lambda0), a, b)
 
 
+@dataclass(frozen=True, eq=False)
+class _EnsembleArrays:
+    """A block of ensembles as a struct of arrays, row k holding ensemble k.
+
+    lambda0 and lambda1 have shape (N,), a and b shape (N, 3), with the bits
+    of the ensembles' own fields.  The rows are valid ensembles, so the array
+    forms that take a block check no vector again.
+    """
+
+    lambda0: np.ndarray
+    lambda1: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    @classmethod
+    def of(cls, ensembles) -> "_EnsembleArrays":
+        """The rows of a list of ensembles."""
+        return cls(
+            np.array([ens.lambda0 for ens in ensembles], dtype=float),
+            np.array([ens.lambda1 for ens in ensembles], dtype=float),
+            np.array([ens.a for ens in ensembles]).reshape(-1, 3),
+            np.array([ens.b for ens in ensembles]).reshape(-1, 3),
+        )
+
+    @classmethod
+    def pure_pairs(cls, thetas, lambda0: float) -> "_EnsembleArrays":
+        """The rows of QubitEnsemble.pure_pair(theta, lambda0) for every theta, to the bit."""
+        thetas = np.asarray(thetas, dtype=float)
+        if not ((thetas >= 0.0) & (thetas <= np.pi)).all():
+            raise ValueError("theta must lie in [0, pi]")
+        # One pair checks and clamps the weights as every row would.
+        first = QubitEnsemble.pure_pair(0.0, lambda0)
+        s, c = np.sin(thetas), np.cos(thetas)
+        zero = np.zeros_like(s)
+        return cls(
+            np.full(s.shape, first.lambda0),
+            np.full(s.shape, first.lambda1),
+            np.stack([s, zero, c], axis=1),
+            np.stack([-s, zero, c], axis=1),
+        )
+
+    def __len__(self) -> int:
+        return len(self.lambda0)
+
+    def average(self) -> np.ndarray:
+        """average_state of every row, shape (N, 3)."""
+        return self.lambda0[:, None] * self.a + self.lambda1[:, None] * self.b
+
+    def squared_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """lambda0**2 and lambda1**2 of every row, as ens.lambda0**2 computes them.
+
+        That is Python's float power, which differs from numpy's x**2 (x*x)
+        in the last bit on some weights.
+        """
+        return tuple(np.array([x**2 for x in w.tolist()]) for w in (self.lambda0, self.lambda1))
+
+    def ensemble(self, k: int) -> QubitEnsemble:
+        """Row k as an ensemble, for the scalar forms."""
+        return QubitEnsemble(self.lambda0[k], self.lambda1[k], self.a[k], self.b[k])
+
+
 def average_state(ens: QubitEnsemble) -> np.ndarray:
     """Bloch vector c = lambda0 a + lambda1 b of the ensemble average state."""
     return ens.lambda0 * ens.a + ens.lambda1 * ens.b
@@ -61,14 +123,23 @@ def holevo_chi(ens: QubitEnsemble) -> float:
     """Holevo bound chi = S(avg) - lambda0 S(a) - lambda1 S(b), in bits.
 
     Nonnegative by entropy concavity and at most h(lambda0); tiny negative
-    round-off is clamped to 0.
+    round-off is clamped to 0.  The one-row case of _holevo_chi_rows.
     """
-    chi = (
-        von_neumann_entropy(average_state(ens))
-        - ens.lambda0 * von_neumann_entropy(ens.a)
-        - ens.lambda1 * von_neumann_entropy(ens.b)
-    )
-    return max(float(chi), 0.0)
+    return float(_holevo_chi_rows(_EnsembleArrays.of([ens]))[0])
+
+
+def _holevo_chi_rows(rows: _EnsembleArrays) -> np.ndarray:
+    """holevo_chi of every row of a block, shape (N,).
+
+    Each entropy is h((1 + |r|)/2) of a norm clamped to 1, as
+    von_neumann_entropy computes it, and the three of a row are combined in
+    the same order, so the values are those of the scalar formula.
+    """
+    norms = np.sqrt(np.array([_row_dot(v, v) for v in (rows.average(), rows.a, rows.b)]))
+    s_c, s_a, s_b = binary_entropy((1.0 + np.minimum(norms, 1.0)) / 2.0)
+    chi = s_c - rows.lambda0 * s_a - rows.lambda1 * s_b
+    # max(chi, 0.0), which keeps a -0.0 as np.maximum does not.
+    return np.where(0.0 > chi, 0.0, chi)
 
 
 def cq_state_spectrum(ens: QubitEnsemble) -> np.ndarray:

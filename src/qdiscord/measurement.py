@@ -10,19 +10,20 @@ what keeps the dense sphere-grid oracle cheap.
 
 Both objectives, mutual information and post-measurement purity, are
 written once, in one row kernel: _row_constants builds the per-row
-constants of a list of (ensemble, purity) rows, and _row_objective turns
-them into the map from a batch of axes per row to each row's objective
-there.  Every evaluation goes through it: the public objectives are its
-one-row case, the discord module's 720-point scan evaluates each
-ensemble's scan axes on that ensemble's row, its in-plane polish one axis
-per row, and the oracle each row's grid and its tangent line searches.
+constants of a block of ensembles (the struct of arrays of the ensemble
+module) with a purity flag per row, and _row_objective turns them into the
+map from a batch of axes per row to each row's objective there.  Every
+evaluation goes through it: the public objectives are its one-row case, the
+discord module's 720-point scan evaluates a slice of rows, 720 axes each,
+its in-plane polish one axis per row, and the oracle each row's grid and
+its tangent line searches.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ensemble import QubitEnsemble
+from .ensemble import QubitEnsemble, _EnsembleArrays
 from .qstate import _neg_xlog2x, as_bloch, binary_entropy
 
 # Accepted deviation from unit norm before an axis is rejected outright.
@@ -46,6 +47,14 @@ def canonical_axis(n) -> np.ndarray:
     return n.copy()
 
 
+def _canonical_axes(n) -> np.ndarray:
+    """canonical_axis of every row of n, shape (N, 3), to the bit."""
+    m = n[:, [2, 0, 1]]
+    # The first component, in canonical_axis's order, beyond _SIGN_TOL (or z).
+    lead = m[np.arange(len(m)), np.argmax(np.abs(m) > _SIGN_TOL, axis=1)]
+    return np.where((lead < -_SIGN_TOL)[:, None], -n, n)
+
+
 def _unit_axes(n) -> np.ndarray:
     """Validate axes of shape (..., 3) and squash residual norm round-off.
 
@@ -55,12 +64,21 @@ def _unit_axes(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (3,):
         raise ValueError("measurement axes must have trailing dimension 3")
-    # Bit for bit np.linalg.norm(n, axis=-1), without its per-call overhead.
-    norms = np.sqrt((n * n).sum(axis=-1, keepdims=True))
+    norms = _norms(n)
     # Written so that NaN and inf norms fail the test too.
     if not (np.abs(norms - 1.0) <= UNIT_TOL).all():
         raise ValueError("measurement axes must be unit vectors")
     return n / norms
+
+
+def _norms(n):
+    # Bit for bit np.linalg.norm(n, axis=-1, keepdims=True), without its per-call overhead.
+    return np.sqrt((n * n).sum(axis=-1, keepdims=True))
+
+
+def _normalized(n):
+    """The squash of _unit_axes without its checks, for axes the caller built."""
+    return n / _norms(n)
 
 
 def _perp_parts(ens: QubitEnsemble, n):
@@ -115,25 +133,21 @@ def classical_mutual_information(ens: QubitEnsemble, n):
     return _one_row(ens, False, n)
 
 
-def _row_constants(rows):
-    """Per-row constants of the row objective, one row per (ensemble, purity) pair.
+def _row_constants(rows: _EnsembleArrays, purity):
+    """Per-row constants of the row objective, for a block and a purity flag per row.
 
     An information row (purity False) carries lambda_i/2 and h(lambda0), a
     purity row lambda_i^2/2, each computed as the public objective computes
     it; the constants of the other objective are zeros, which make its term
-    exactly +0.  Returns (a, b, half0, half1, h0, sq0, sq1), one entry per
-    row in each; the constants of a subset of rows are tuple(c[rows] for c in
-    consts).
+    exactly +0.  purity is one flag for every row or an array of them.
+    Returns (a, b, half0, half1, h0, sq0, sq1), one entry per row in each;
+    the constants of a subset of rows are tuple(c[rows] for c in consts).
     """
-    weights = [
-        (0.0, 0.0, 0.0, 0.5 * ens.lambda0**2, 0.5 * ens.lambda1**2) if geo
-        else (0.5 * ens.lambda0, 0.5 * ens.lambda1, binary_entropy(ens.lambda0), 0.0, 0.0)
-        for ens, geo in rows
-    ]
-    a = np.array([ens.a for ens, _ in rows])
-    b = np.array([ens.b for ens, _ in rows])
-    # The reshape keeps five columns when there are no rows.
-    return a, b, *np.array(weights).reshape(-1, 5).T
+    l0, l1 = rows.lambda0, rows.lambda1
+    info = ~np.asarray(purity)
+    half0, half1, h0 = (np.where(info, c, 0.0) for c in (0.5 * l0, 0.5 * l1, binary_entropy(l0)))
+    sq0, sq1 = (np.where(info, 0.0, 0.5 * w) for w in rows.squared_weights())
+    return rows.a, rows.b, half0, half1, h0, sq0, sq1
 
 
 def _row_objective(consts):
@@ -184,5 +198,5 @@ def post_measurement_purity(ens: QubitEnsemble, n):
 
 def _one_row(ens: QubitEnsemble, purity: bool, n):
     """A public objective: the row kernel of one row at the checked axes n."""
-    out = _row_objective(_row_constants([(ens, purity)]))(_unit_axes(n))
+    out = _row_objective(_row_constants(_EnsembleArrays.of([ens]), purity))(_unit_axes(n))
     return float(out) if out.ndim == 0 else out

@@ -34,7 +34,7 @@ from .discord import (
     _plane_axes,
     stationarity_residual,
 )
-from .ensemble import QubitEnsemble
+from .ensemble import QubitEnsemble, _EnsembleArrays
 from .geodiscord import ensemble_purity, geo_stationarity_residual
 from .measurement import _row_constants, _row_objective, _unit_axes, canonical_axis
 
@@ -108,10 +108,11 @@ def _brute_force_batch(acc_ensembles, geo_ensembles, grid_size: int = 10_000):
     """
     grid = fibonacci_sphere(grid_size)
     unit = _unit_axes(grid)
-    rows = [(ens, False) for ens in acc_ensembles] + [(ens, True) for ens in geo_ensembles]
-    consts = _row_constants(rows)
+    ensembles = list(acc_ensembles) + list(geo_ensembles)
+    purity = np.arange(len(ensembles)) >= len(acc_ensembles)
+    consts = _row_constants(_EnsembleArrays.of(ensembles), purity)
     start, floor = [], []
-    for i in range(len(rows)):
+    for i in range(len(ensembles)):
         vals = _row_objective(tuple(c[i : i + 1] for c in consts))(unit)
         k = int(np.argmax(vals))  # ties resolve to the lowest point index
         start.append(grid[k])
@@ -120,7 +121,9 @@ def _brute_force_batch(acc_ensembles, geo_ensembles, grid_size: int = 10_000):
     halfwidth = _BRACKET_SCALE / np.sqrt(grid_size)
     axes, best, polish_evals = _polish_rows(np.array(start), consts, halfwidth)
     out = []
-    for (ens, geo), axis, value, lowest, used in zip(rows, axes, best, floor, polish_evals):
+    for ens, geo, axis, value, lowest, used in zip(
+        ensembles, purity, axes, best, floor, polish_evals
+    ):
         axis = canonical_axis(axis)
         value = max(float(value), lowest)
         if geo:

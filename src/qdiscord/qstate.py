@@ -45,6 +45,16 @@ def _state_norm(r) -> float:
     return min(float(np.linalg.norm(r)), 1.0)
 
 
+def _row_dot(x, y):
+    """Row-wise dot products of (N, 3) arrays, bit for bit float(x[k] @ y[k]).
+
+    A 3-vector @ is a BLAS dot, and so is each (1, 3) @ (3, 1) product of a
+    stacked matmul; (x * y).sum(-1) would sum in another way and can move the
+    last bit.
+    """
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def _neg_xlog2x(x):
     """-x log2(x) elementwise, with the 0 log 0 = 0 convention."""
     x = np.asarray(x, dtype=float)

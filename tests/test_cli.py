@@ -180,6 +180,12 @@ def test_compute_usage_errors(tmp_path, capsys):
     assert (code, out) == (EXIT_USAGE, "") and "spec error: spec file is not UTF-8" in err
 
 
+def test_compute_spec_path_that_is_not_a_regular_file(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "compute", "--spec", str(tmp_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"spec error: spec path is not a regular file: {tmp_path}\n"
+
+
 def test_compute_output_into_missing_directory(tmp_path, capsys):
     target = tmp_path / "missing" / "report.txt"
     code, out, err = run_cli(capsys, "compute", "--theta", "0.7", "--output", str(target))
@@ -233,7 +239,7 @@ def test_size_arguments_out_of_range_are_usage_errors(capsys, monkeypatch, argv)
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    for name in ("_holevo_gap_batch", "holevo_chi", "random_ensemble"):
+    for name in ("_holevo_gap_batch", "_holevo_gap_rows", "holevo_chi", "random_ensemble"):
         monkeypatch.setattr(qdiscord.cli, name, no_work)
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
@@ -460,3 +466,26 @@ def test_module_entry_point():
         [sys.executable, "-m", "qdiscord", "compute"], capture_output=True, text=True
     )
     assert proc.returncode == 1
+
+
+# A fresh interpreter runs the sweep, so that the peak resident set of its
+# children is the sweep's own and not that of an earlier test's child.
+_SWEEP_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "qdiscord", "sweep", "--steps", "2048",
+                "--output", sys.argv[1]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_sweep_peak_memory_is_bounded(tmp_path):
+    """Four 512-row blocks, each scanned in slices, stay within 40 MB of resident set."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_PEAK_RSS, str(tmp_path / "sweep.csv")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    peak_mb = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb <= 40.0
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2049

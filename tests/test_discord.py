@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdiscord.discord as discord
+from qdiscord.ensemble import _EnsembleArrays
 from qdiscord.measurement import _row_constants, _row_objective
 
 from qdiscord import (
@@ -410,7 +411,7 @@ def test_golden_lockstep_follows_scalar_golden_section(rng, tol):
     ]
     ens_, u1, u2, phi0 = zip(*brackets)
     u1, u2 = np.array(u1), np.array(u2)
-    consts = _row_constants([(e, False) for e in ens_])
+    consts = _row_constants(_EnsembleArrays.of(ens_), False)
     phi0 = np.array(phi0)
     with mock.patch.object(discord, "_ANGLE_TOL", tol):
         phi, vals, used = discord._golden_lockstep(
@@ -531,6 +532,10 @@ def test_scan_peaks_match_the_rolled_comparison(rng):
     # Single maxima on either side of the wrap.
     scans += [np.cos(2.0 * phis), np.cos(2.0 * (phis + discord._DPHI))]
     for vals in scans:
-        np.testing.assert_array_equal(discord._scan_peaks(vals), _rolled_peaks(vals))
-    assert discord._scan_peaks(scans[-2]).tolist() == [0]
-    assert discord._scan_peaks(scans[-1]).tolist() == [count - 1]
+        np.testing.assert_array_equal(np.flatnonzero(discord._scan_peaks(vals)), _rolled_peaks(vals))
+    # Every scan at once, one row each, as the search takes them.
+    np.testing.assert_array_equal(
+        discord._scan_peaks(np.array(scans)), np.array([discord._scan_peaks(v) for v in scans])
+    )
+    assert np.flatnonzero(discord._scan_peaks(scans[-2])).tolist() == [0]
+    assert np.flatnonzero(discord._scan_peaks(scans[-1])).tolist() == [count - 1]

@@ -25,6 +25,7 @@ from qdiscord import (
     random_pure_pair,
     stationarity_residual,
 )
+from qdiscord.ensemble import _EnsembleArrays
 from qdiscord.measurement import _row_constants, _row_objective, _unit_axes
 from conftest import hard_region_ensembles, random_rotation, rotate_ensemble
 
@@ -192,6 +193,11 @@ def test_randomized_measurement_properties(seed):
     )
 
 
+def _constants(rows):
+    """_row_constants of a list of (ensemble, purity) rows."""
+    return _row_constants(_EnsembleArrays.of([ens for ens, _ in rows]), [geo for _, geo in rows])
+
+
 def _assert_rows_match_public(rows, rng):
     """The row kernel at one axis per row equals that row's public objective, to the bit."""
     raw = rng.normal(size=(len(rows), 3))
@@ -201,7 +207,7 @@ def _assert_rows_match_public(rows, rng):
         v = rows[k][0].a if np.linalg.norm(rows[k][0].a) > 0.5 else rows[k][0].b
         if np.linalg.norm(v) > 0.5:
             raw[k] = v / np.linalg.norm(v)
-    got = _row_objective(_row_constants(rows))(_unit_axes(raw))
+    got = _row_objective(_constants(rows))(_unit_axes(raw))
     want = [
         (post_measurement_purity if geo else classical_mutual_information)(ens, n)
         for (ens, geo), n in zip(rows, raw)
@@ -250,7 +256,7 @@ def test_row_objective_skips_the_information_term_when_every_h_is_zero(rng):
         with mock.patch.object(
             measurement, "_conditional_entropy", wraps=measurement._conditional_entropy
         ) as entropy:
-            _row_objective(_row_constants(batch))(axes[: len(batch)])
+            _row_objective(_constants(batch))(axes[: len(batch)])
         assert entropy.call_count == calls
 
 
@@ -288,7 +294,7 @@ def test_row_objective_on_a_batch_of_axes_per_row_matches_the_public_objectives(
                     n[0] = v
         batches.append(np.repeat(grid[None], len(rows), axis=0))
         for raw in batches:
-            got = _row_objective(_row_constants(rows))(_unit_axes(raw))
+            got = _row_objective(_constants(rows))(_unit_axes(raw))
             assert got.shape == raw.shape[:-1]
             for (ens, geo), n, values in zip(rows, raw, got):
                 want = (post_measurement_purity if geo else classical_mutual_information)(ens, n)
