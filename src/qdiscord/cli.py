@@ -26,12 +26,7 @@ import sys
 
 import numpy as np
 
-from .discord import (
-    _holevo_gap_batch,
-    _holevo_gap_rows,
-    _koashi_winter_rows,
-    discord_pure_koashi_winter,
-)
+from .discord import _holevo_gap_batch, _holevo_gap_rows, discord_pure_koashi_winter
 from .ensemble import (
     QubitEnsemble,
     _EnsembleArrays,
@@ -42,12 +37,7 @@ from .ensemble import (
     random_pure_pair,
     _sphere_point,
 )
-from .geodiscord import (
-    _geo_residual_rows,
-    _top_eigenpair_rows,
-    geometric_discord,
-    quadratic_form,
-)
+from .geodiscord import geometric_discord, quadratic_form
 from .measurement import classical_mutual_information
 from .oracle import _brute_force_batch
 from .qstate import _is_pure, binary_entropy, pure_overlap, von_neumann_entropy
@@ -290,14 +280,14 @@ def _pure_pair_geo_closed_form(lambda0: float, theta: float) -> float:
 
 
 def _sweep_rows(thetas: list[float], lambda0: float) -> list[tuple]:
-    rows = _EnsembleArrays.pure_pairs(thetas, lambda0)
-    chi, acc, gap = _holevo_gap_rows(rows)
-    _, second, geo_axes = _top_eigenpair_rows(rows)
-    # math.cos and math.sin per row: numpy's SIMD loops may move a last bit.
-    kw = _koashi_winter_rows(lambda0, [abs(math.cos(theta)) for theta in thetas])
+    chi, acc, gap = _holevo_gap_rows(_EnsembleArrays.pure_pairs(thetas, lambda0))
+    # math.cos per row: numpy's SIMD loop may move a last bit.
+    kw = discord_pure_koashi_winter(lambda0, np.array([abs(math.cos(theta)) for theta in thetas]))
+    geo = [geometric_discord(QubitEnsemble.pure_pair(theta, lambda0)) for theta in thetas]
     geo_closed = [_pure_pair_geo_closed_form(lambda0, theta) for theta in thetas]
-    # geometric_discord's value is half the second eigenvalue.
-    columns = (gap, kw, 0.5 * second, geo_closed, chi, acc.value, *acc.n_opt.T, *geo_axes.T)
+    geo_axes = np.array([g.n_opt for g in geo]).reshape(-1, 3)
+    geo_values = [g.value for g in geo]
+    columns = (gap, kw.discord, geo_values, geo_closed, chi, acc.value, *acc.n_opt.T, *geo_axes.T)
     return list(zip(thetas, *(np.asarray(c).tolist() for c in columns)))
 
 
@@ -397,11 +387,6 @@ def _cmd_verify(args) -> int:
         draws = [(random_ensemble(rng), _sphere_point(rng), random_pure_pair(rng)) for _ in trials]
         ensembles = [ens for ens, _, _ in draws]
         gaps = _holevo_gap_batch(ensembles + [pure for _, _, pure in draws])
-        rows = _EnsembleArrays.of(ensembles)
-        # geometric_discord of every trial: half the second eigenvalue, and its residual.
-        _, second, geo_axes = _top_eigenpair_rows(rows)
-        geo_values = (0.5 * second).tolist()
-        geo_residuals = _geo_residual_rows(rows, geo_axes).tolist()
         acc_oracles, geo_oracles = _brute_force_batch(ensembles, ensembles, args.grid)
         for j, trial in enumerate(trials):
             ens, axis, pure = draws[j]
@@ -431,13 +416,13 @@ def _cmd_verify(args) -> int:
                     trial, acc.stationarity_residual, tol(1e-6), ens
                 )
 
-            geo_value = geo_values[j]
+            geo = geometric_discord(ens)
             agreement = max(
-                abs(acc.value - oracle_acc.value), abs(geo_value - oracle_geo.value)
+                abs(acc.value - oracle_acc.value), abs(geo.value - oracle_geo.value)
             )
             suites["oracle_agreement"].check(trial, agreement, tol(1e-5), ens)
             # the grid can lag a true optimum but must never beat it
-            beat = max(oracle_acc.value - acc.value, geo_value - oracle_geo.value, 0.0)
+            beat = max(oracle_acc.value - acc.value, geo.value - oracle_geo.value, 0.0)
             suites["oracle_bound"].check(trial, beat, tol(1e-6), ens)
 
             kw = discord_pure_koashi_winter(pure.lambda0, pure_overlap(pure.a, pure.b))
@@ -447,7 +432,7 @@ def _cmd_verify(args) -> int:
             eig_res = float(
                 np.linalg.norm(form.m @ form.top_eigenvector - form.top_eigenvalue * form.top_eigenvector)
             )
-            geo_res = max(eig_res, geo_residuals[j])
+            geo_res = max(eig_res, geo.stationarity_residual)
             suites["geometric"].check(trial, geo_res, tol(1e-8), ens)
 
     lines = [

@@ -37,8 +37,8 @@ one-ensemble case.
 
 For ensembles of two pure states the optimization can be skipped entirely:
 purifying with an ancilla qubit turns the discord into an entanglement of
-formation plus marginal entropies, all closed form; _koashi_winter_rows is
-its array form, which the sweep uses.
+formation plus marginal entropies, all closed form and elementwise over
+arrays of overlaps, which the sweep passes a block at a time.
 """
 
 from __future__ import annotations
@@ -152,6 +152,11 @@ def _unit_interval(x, name: str):
     return float(x) if x.ndim == 0 else x
 
 
+def _at_least_zero(x):
+    """max(0.0, x) elementwise: 0.0 unless x > 0."""
+    return np.where(x > 0.0, x, 0.0)
+
+
 def concurrence_pure_ensemble(lambda0: float, overlap: float) -> float:
     """Concurrence 2 sqrt(lambda0 lambda1) |<phi0|phi1>| of the purifying pair."""
     l0 = _unit_interval(lambda0, "lambda0")
@@ -162,14 +167,14 @@ def concurrence_pure_ensemble(lambda0: float, overlap: float) -> float:
 def eof_from_concurrence(concurrence: float) -> float:
     """Entanglement of formation h((1 + sqrt(1 - C^2))/2), monotone in C."""
     c = _unit_interval(concurrence, "concurrence")
-    return binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return binary_entropy((1.0 + np.sqrt(_at_least_zero(1.0 - c * c))) / 2.0)
 
 
 def average_state_eigen_split(lambda0: float, overlap: float) -> tuple[float, float]:
     """Eigenvalues (1 +/- |c|)/2 of the average state of a pure pair."""
     l0 = _unit_interval(lambda0, "lambda0")
     ov = _unit_interval(overlap, "overlap")
-    s = np.sqrt(max(0.0, 1.0 - 4.0 * l0 * (1.0 - l0) * (1.0 - ov * ov)))
+    s = np.sqrt(_at_least_zero(1.0 - 4.0 * l0 * (1.0 - l0) * (1.0 - ov * ov)))
     return (1.0 + s) / 2.0, (1.0 - s) / 2.0
 
 
@@ -177,7 +182,8 @@ def discord_pure_koashi_winter(lambda0: float, overlap: float) -> KoashiWinterBr
     """Closed-form discord of an ensemble of two pure states.
 
     No measurement optimization: the value is eof + h(lambda_plus) - h(lambda0)
-    via the purification argument.
+    via the purification argument.  Elementwise over arrays, each value with
+    the bits of its scalar call.
     """
     c = concurrence_pure_ensemble(lambda0, overlap)
     eof = eof_from_concurrence(c)
@@ -185,25 +191,6 @@ def discord_pure_koashi_winter(lambda0: float, overlap: float) -> KoashiWinterBr
     s_b = binary_entropy(lam_plus)
     s_ab = binary_entropy(_unit_interval(lambda0, "lambda0"))
     return KoashiWinterBreakdown(c, eof, s_b, s_ab, eof + s_b - s_ab)
-
-
-def _koashi_winter_rows(lambda0, overlap) -> np.ndarray:
-    """discord_pure_koashi_winter(lambda0, overlap).discord, elementwise over arrays.
-
-    The same formulas in the same order, so each value has the bits of the
-    scalar call.
-    """
-    l0 = _unit_interval(lambda0, "lambda0")
-    ov = _unit_interval(overlap, "overlap")
-    c = _unit_interval(2.0 * np.sqrt(l0 * (1.0 - l0)) * ov, "concurrence")
-    eof = binary_entropy((1.0 + np.sqrt(_at_least_zero(1.0 - c * c))) / 2.0)
-    s = np.sqrt(_at_least_zero(1.0 - 4.0 * l0 * (1.0 - l0) * (1.0 - ov * ov)))
-    return eof + binary_entropy((1.0 + s) / 2.0) - binary_entropy(l0)
-
-
-def _at_least_zero(x):
-    """max(0.0, x) elementwise: 0.0 unless x > 0."""
-    return np.where(x > 0.0, x, 0.0)
 
 
 def example_discord_closed_form(theta: float) -> float:

@@ -11,10 +11,8 @@ which keeps full relative accuracy on nearly collinear pairs.  Nothing here
 depends on the numerical eigenpackage or on the grid oracle that
 cross-checks it.
 
-_top_eigenpair_rows and _geo_residual_rows are the array forms for a block
-of ensembles (sweep and verify), with the bits of the scalar forms; a single
-geometric_discord call keeps the scalar form, which is the faster one at one
-row.
+geometric_discord stays scalar, the faster form at one row; sweep and
+verify call it once per ensemble.
 """
 
 from __future__ import annotations
@@ -25,16 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discord import _CONDITION_TOL, OptimizationResult, _plane_basis
-from .ensemble import QubitEnsemble, _EnsembleArrays
-from .measurement import (
-    _SIGN_TOL,
-    _canonical_axes,
-    _normalized,
-    _perp_parts,
-    _unit_perp_parts,
-    canonical_axis,
-)
-from .qstate import _half_angle, _row_dot
+from .ensemble import QubitEnsemble
+from .measurement import _SIGN_TOL, _normalized, _perp_parts, _unit_perp_parts, canonical_axis
+from .qstate import _half_angle
 
 EIGENPAIR_METHOD = "closed-form eigenpair"
 # Eigenvalues within this of the top one are treated as a degenerate
@@ -137,20 +128,6 @@ def _geo_defect_norm(ens: QubitEnsemble, an, bn, a_perp, b_perp) -> float:
     return float(np.linalg.norm(ens.lambda0**2 * an * a_perp + ens.lambda1**2 * bn * b_perp))
 
 
-def _geo_residual_rows(rows: _EnsembleArrays, n) -> np.ndarray:
-    """The residual of geometric_discord for every row at its axis n[k], to the bit.
-
-    Squashes n as geometric_discord does, without the checks.
-    """
-    n = _normalized(n)
-    an, bn = _row_dot(rows.a, n), _row_dot(rows.b, n)
-    w0, w1 = rows.squared_weights()
-    vec = (w0 * an)[:, None] * (rows.a - an[:, None] * n) + (w1 * bn)[:, None] * (
-        rows.b - bn[:, None] * n
-    )
-    return np.sqrt(_row_dot(vec, vec))
-
-
 def geo_choice_classifier(ens: QubitEnsemble, n) -> GeoBranchReport:
     """Classify the cancellation pattern that makes the axis n stationary.
 
@@ -232,28 +209,3 @@ def _top_eigenpair(ens: QubitEnsemble) -> tuple[float, float, np.ndarray]:
         c0, c1 = r, 0.5 * (q - p + gap)
     v = c0 * ga + c1 * gb
     return top, second, canonical_axis(v / np.linalg.norm(v))
-
-
-def _top_eigenpair_rows(rows: _EnsembleArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_top_eigenpair of every row of a block: top (N,), second (N,) and axes (N, 3).
-
-    The closed form in array form, to the bit; the rows with a vanishing M or
-    a degenerate top eigenspace get their axis from the scalar form.
-    """
-    ga = rows.lambda0[:, None] * rows.a
-    gb = rows.lambda1[:, None] * rows.b
-    p, q, r = _row_dot(ga, ga), _row_dot(gb, gb), _row_dot(ga, gb)
-    # math.hypot, which np.hypot differs from in the last bit.
-    gap = np.array([math.hypot(x, y) for x, y in zip((p - q).tolist(), (2.0 * r).tolist())])
-    top = 0.5 * (p + q + gap)
-    cross = np.cross(ga, gb)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        second = np.where(top > 0.0, _row_dot(cross, cross) / top, 0.0)
-        big = p >= q
-        c0 = np.where(big, 0.5 * (p - q + gap), r)
-        c1 = np.where(big, r, 0.5 * (q - p + gap))
-        v = c0[:, None] * ga + c1[:, None] * gb
-        n = _canonical_axes(v / np.sqrt(_row_dot(v, v))[:, None])
-    for k in np.flatnonzero((top <= _EIGEN_GAP_TOL) | (gap <= _EIGEN_GAP_TOL)):
-        n[k] = _top_eigenpair(rows.ensemble(k))[2]
-    return top, second, n

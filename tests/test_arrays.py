@@ -1,14 +1,15 @@
 """Array forms of the per-ensemble stages against their scalar forms, bit for bit.
 
 A block of ensembles runs each stage as one array pass: holevo_chi, the
-Koashi-Winter discord, the rank-2 eigenpair and its residual, the plane
-basis, the 720-point scan, the pick and the stationarity residual.  Each row
+Koashi-Winter discord, the plane basis, the 720-point scan, the pick and
+the stationarity residual.  Each row
 must get the bits of the scalar form, which the tests here write out (or
 call) one ensemble at a time, so that no result depends on the block it was
 computed in.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,14 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdiscord.discord as discord
-import qdiscord.geodiscord as geodiscord
 from qdiscord import (
     QubitEnsemble,
     canonical_axis,
     classical_mutual_information,
     discord_pure_koashi_winter,
-    geo_stationarity_residual,
-    geometric_discord,
     random_ensemble,
     random_pure_pair,
 )
@@ -153,24 +151,15 @@ def test_rows_of_ensembles_and_of_the_sweep_grid_hold_their_fields():
 
 @given(seed=st.integers(0, 2**32 - 1), extra=HARD)
 @settings(max_examples=10, deadline=None)
-def test_holevo_chi_and_geometric_rows_match_the_scalar_forms(seed, extra):
+def test_holevo_chi_rows_match_the_scalar_formula(seed, extra):
     ensembles = _block(seed, extra)
     rows = _EnsembleArrays.of(ensembles)
     assert _bits(_holevo_chi_rows(rows)) == _bits([_scalar_chi(ens) for ens in ensembles])
-    top, second, axes = geodiscord._top_eigenpair_rows(rows)
-    residual = geodiscord._geo_residual_rows(rows, axes)
-    for k, ens in enumerate(ensembles):
-        want = geodiscord._top_eigenpair(ens)
-        assert (_bits(top[k]), _bits(second[k]), _bits(axes[k])) == tuple(map(_bits, want))
-        geo = geometric_discord(ens)
-        assert _bits(residual[k]) == _bits(geo.stationarity_residual)
-        # geometric_discord skips the checks of the public residual, not its squash.
-        assert _bits(geo.stationarity_residual) == _bits(geo_stationarity_residual(ens, geo.n_opt))
 
 
 @given(seed=st.integers(0, 2**32 - 1), extra=HARD)
 @settings(max_examples=10, deadline=None)
-def test_koashi_winter_rows_match_the_scalar_form(seed, extra):
+def test_koashi_winter_on_arrays_matches_its_scalar_calls(seed, extra):
     # The block's ensembles with both states pushed out to the sphere.
     pure = [
         QubitEnsemble(ens.lambda0, ens.lambda1, *(v / np.linalg.norm(v) for v in (ens.a, ens.b)))
@@ -179,13 +168,19 @@ def test_koashi_winter_rows_match_the_scalar_form(seed, extra):
     ]
     lambda0 = np.array([ens.lambda0 for ens in pure] + [0.0, -0.0, 1.0, 0.5, 0.5])
     overlap = np.array([pure_overlap(ens.a, ens.b) for ens in pure] + [0.5, 0.5, 0.5, 0.0, 1.0])
-    want = [discord_pure_koashi_winter(l0, ov).discord for l0, ov in zip(lambda0, overlap)]
-    assert _bits(discord._koashi_winter_rows(lambda0, overlap)) == _bits(want)
+
+    def fields(kw):
+        return tuple(_bits(x) for x in astuple(kw))
+
+    want = [fields(discord_pure_koashi_winter(l0, ov)) for l0, ov in zip(lambda0, overlap)]
+    got = discord_pure_koashi_winter(lambda0, overlap)
+    assert [tuple(_bits(x) for x in row) for row in zip(*astuple(got))] == want
     # The sweep's form: one weight for every row.
-    want = [discord_pure_koashi_winter(0.3, ov).discord for ov in overlap]
-    assert _bits(discord._koashi_winter_rows(0.3, overlap)) == _bits(want)
+    want = [_bits(discord_pure_koashi_winter(0.3, ov).discord) for ov in overlap]
+    got = discord_pure_koashi_winter(0.3, overlap).discord
+    assert [_bits(x) for x in got] == want
     with pytest.raises(ValueError, match="overlap"):
-        discord._koashi_winter_rows(0.3, [0.5, np.nan])
+        discord_pure_koashi_winter(0.3, np.array([0.5, np.nan]))
 
 
 @given(seed=st.integers(0, 2**32 - 1), extra=HARD)
@@ -275,11 +270,7 @@ def test_a_row_does_not_depend_on_the_block_or_the_scan_slices():
     def run(block):
         rows = _EnsembleArrays.of(block)
         chi, acc, gap = discord._holevo_gap_rows(rows)
-        top, second, axes = geodiscord._top_eigenpair_rows(rows)
-        return [
-            (_row_bits(acc, k), _bits(chi[k]), _bits(gap[k]), _bits(second[k]), _bits(axes[k]))
-            for k in range(len(block))
-        ]
+        return [(_row_bits(acc, k), _bits(chi[k]), _bits(gap[k])) for k in range(len(block))]
 
     whole = run(ensembles)
     size = discord._SCAN_ROWS

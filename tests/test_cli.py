@@ -472,20 +472,29 @@ def test_module_entry_point():
 # children is the sweep's own and not that of an earlier test's child.
 _SWEEP_PEAK_RSS = """
 import resource, subprocess, sys
-subprocess.run([sys.executable, "-m", "qdiscord", "sweep", "--steps", "2048",
-                "--output", sys.argv[1]], check=True)
+subprocess.run([sys.executable, "-m", "qdiscord", "sweep", "--steps", sys.argv[1],
+                "--output", sys.argv[2]], check=True)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def test_sweep_peak_memory_is_bounded(tmp_path):
-    """Four 512-row blocks, each scanned in slices, stay within 40 MB of resident set."""
+def _sweep_peak_mb(steps, output):
     proc = subprocess.run(
-        [sys.executable, "-c", _SWEEP_PEAK_RSS, str(tmp_path / "sweep.csv")],
+        [sys.executable, "-c", _SWEEP_PEAK_RSS, str(steps), str(output)],
         capture_output=True,
         text=True,
         check=True,
     )
-    peak_mb = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
-    assert peak_mb <= 40.0
+    return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_sweep_peak_memory_is_bounded(tmp_path):
+    """Four 512-row blocks, each scanned in slices, add at most 8 MB to a 2-row sweep.
+
+    The difference leaves out the interpreter's, numpy's and BLAS's start-up,
+    which varies with the host; a block scanned whole would add some 40 MB.
+    """
+    small = _sweep_peak_mb(2, tmp_path / "small.csv")
+    large = _sweep_peak_mb(2048, tmp_path / "sweep.csv")
+    assert large - small <= 8.0
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2049

@@ -15,9 +15,15 @@ from qdiscord import (
     quadratic_form,
     quantum_discord,
     random_ensemble,
+    random_pure_pair,
 )
 import qdiscord.geodiscord as geodiscord
-from conftest import random_rotation, rotate_ensemble
+from conftest import (
+    hard_region_ensembles,
+    near_degenerate_ensembles,
+    random_rotation,
+    rotate_ensemble,
+)
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -327,3 +333,19 @@ def test_geo_rotation_covariance(seed):
     assert res_rot.value == pytest.approx(res.value, abs=1e-12)
     if np.linalg.norm(np.cross(ens.a, ens.b)) > 1e-3 and ens.lambda0 * ens.lambda1 > 1e-3:
         assert abs((rot @ res.n_opt) @ res_rot.n_opt) == pytest.approx(1.0, abs=1e-6)
+
+
+
+@pytest.mark.host_bits
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hard=st.lists(st.one_of(near_degenerate_ensembles(), hard_region_ensembles()), max_size=4),
+)
+@settings(max_examples=20, deadline=None)
+def test_geometric_discord_residual_has_the_bits_of_the_public_residual(seed, hard):
+    """geometric_discord skips the checks of the public residual, not its squash."""
+    rng = np.random.default_rng(seed)
+    for ens in [random_ensemble(rng), random_pure_pair(rng)] + hard:
+        geo = geometric_discord(ens)
+        want = geo_stationarity_residual(ens, geo.n_opt)
+        assert geo.stationarity_residual.hex() == want.hex()
