@@ -280,14 +280,13 @@ def _pure_pair_geo_closed_form(lambda0: float, theta: float) -> float:
 
 
 def _sweep_rows(thetas: list[float], lambda0: float) -> list[tuple]:
-    chi, acc, gap = _holevo_gap_rows(_EnsembleArrays.pure_pairs(thetas, lambda0))
+    rows = _EnsembleArrays.pure_pairs(thetas, lambda0)
+    chi, acc, gap = _holevo_gap_rows(rows)
     # math.cos per row: numpy's SIMD loop may move a last bit.
     kw = discord_pure_koashi_winter(lambda0, np.array([abs(math.cos(theta)) for theta in thetas]))
-    geo = [geometric_discord(QubitEnsemble.pure_pair(theta, lambda0)) for theta in thetas]
+    geo = geometric_discord(rows)
     geo_closed = [_pure_pair_geo_closed_form(lambda0, theta) for theta in thetas]
-    geo_axes = np.array([g.n_opt for g in geo]).reshape(-1, 3)
-    geo_values = [g.value for g in geo]
-    columns = (gap, kw.discord, geo_values, geo_closed, chi, acc.value, *acc.n_opt.T, *geo_axes.T)
+    columns = (gap, kw.discord, geo.value, geo_closed, chi, acc.value, *acc.n_opt.T, *geo.n_opt.T)
     return list(zip(thetas, *(np.asarray(c).tolist() for c in columns)))
 
 
@@ -295,10 +294,11 @@ def _cmd_sweep(args) -> int:
     _check_range("--steps", args.steps, 2, 10**6)
     start = _angle(args.start, args.degrees)
     stop = _angle(args.stop, args.degrees)
-    thetas = np.linspace(start, stop, args.steps)
-    # Blocks are written as done, so check the end rows before opening the output.
-    for theta in thetas[[0, -1]]:
+    # Blocks are written as done, so check the end rows before opening the
+    # output, and before np.linspace, which warns on an infinite end.
+    for theta in (start, stop):
         QubitEnsemble.pure_pair(theta, args.lambda0)
+    thetas = np.linspace(start, stop, args.steps)
     with _open_output(args.output) as out:
         out.write(",".join(SWEEP_COLUMNS) + "\n")
         for k in range(0, args.steps, _BLOCK):
@@ -363,6 +363,8 @@ class _Suite:
 def _cmd_verify(args) -> int:
     _check_range("--trials", args.trials, 1, _MAX_TRIALS)
     _check_range("--grid", args.grid, 2, _MAX_GRID)
+    if args.seed < 0:
+        raise _UsageError("--seed must be nonnegative")
 
     def tol(default: float) -> float:
         return args.tol if args.tol is not None else default

@@ -48,13 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensemble import QubitEnsemble, _EnsembleArrays, _holevo_chi_rows, average_state
-from .measurement import (
-    _canonical_axes,
-    _perp_parts,
-    _row_constants,
-    _row_objective,
-    _unit_axes,
-)
+from .measurement import _perp_parts, _row_constants, _row_objective, _unit_axes, canonical_axis
 from .qstate import NORM_SLACK, _half_angle, _row_dot, binary_entropy
 
 IN_PLANE_METHOD = "in-plane root search"
@@ -327,7 +321,7 @@ def _pick_rows(owner, vals, axes):
     each row's candidates.
     """
     new = np.concatenate(([True], owner[1:] != owner[:-1]))
-    canon = _canonical_axes(axes)
+    canon = canonical_axis(axes)
     if new.all():
         # One candidate per row, the usual case: it is the row's pick.
         apart = np.abs(_row_dot(canon, canon)) < 1.0 - 1e-8

@@ -11,8 +11,11 @@ which keeps full relative accuracy on nearly collinear pairs.  Nothing here
 depends on the numerical eigenpackage or on the grid oracle that
 cross-checks it.
 
-geometric_discord stays scalar, the faster form at one row; sweep and
-verify call it once per ensemble.
+geometric_discord takes one ensemble, or a block of them as a struct of
+arrays (_EnsembleArrays), which it computes in one array pass with each
+row's bits from its one-ensemble call.  sweep passes its blocks; verify,
+compute and the one-ensemble callers keep the scalar body, the faster form
+at one row.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discord import _CONDITION_TOL, OptimizationResult, _plane_basis
-from .ensemble import QubitEnsemble
+from .ensemble import QubitEnsemble, _EnsembleArrays
 from .measurement import _SIGN_TOL, _normalized, _perp_parts, _unit_perp_parts, canonical_axis
-from .qstate import _half_angle
+from .qstate import _half_angle, _row_dot
 
 EIGENPAIR_METHOD = "closed-form eigenpair"
 # Eigenvalues within this of the top one are treated as a degenerate
@@ -87,14 +90,20 @@ def quadratic_form(ens: QubitEnsemble) -> GeoQuadraticForm:
     return GeoQuadraticForm(m=m, top_eigenvalue=w, top_eigenvector=v)
 
 
-def geometric_discord(ens: QubitEnsemble) -> OptimizationResult:
+def geometric_discord(ens) -> OptimizationResult:
     """Minimum purity deficit over projective measurements on the qubit.
 
     value = ensemble_purity - (l0^2 + l1^2)/2 - top_eigenvalue(M)/2, which
     is half the second eigenvalue of M: zero exactly when the two Bloch
     vectors are collinear or a weight vanishes.  The optimal axis is the top
     eigenvector of M.
+
+    ens is a QubitEnsemble, or a block of ensembles (_EnsembleArrays); for a
+    block, n_opt has shape (N, 3) and value and stationarity_residual shape
+    (N,), row k holding the bits of the call on ensemble k.
     """
+    if isinstance(ens, _EnsembleArrays):
+        return _geometric_discord_rows(ens)
     _, second, n_opt = _top_eigenpair(ens)
     # The axis was built here, so it skips the checks of _perp_parts; the
     # squash stays, as the residual's last bit follows it.
@@ -104,6 +113,47 @@ def geometric_discord(ens: QubitEnsemble) -> OptimizationResult:
         value=0.5 * second,
         stationarity_residual=_geo_defect_norm(ens, *parts[1:]),
         evaluations=1,
+        method=EIGENPAIR_METHOD,
+    )
+
+
+def _geometric_discord_rows(rows: _EnsembleArrays) -> OptimizationResult:
+    """geometric_discord of a block: _top_eigenpair and the residual on arrays.
+
+    Each step is the scalar one row by row, in its order of operations; rows
+    with a degenerate top eigenspace take the scalar _top_eigenpair.
+    """
+    ga = rows.lambda0[:, None] * rows.a
+    gb = rows.lambda1[:, None] * rows.b
+    p, q, r = _row_dot(ga, ga), _row_dot(gb, gb), _row_dot(ga, gb)
+    # math.hypot per row: np.hypot differs from it in the last bit on some pairs.
+    gap = np.array([math.hypot(x, y) for x, y in zip((p - q).tolist(), (2.0 * r).tolist())])
+    top = 0.5 * (p + q + gap)
+    # np.cross, product by product.
+    (a0, a1, a2), (b0, b1, b2) = ga.T, gb.T
+    cross = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+    # Rows that vanish or tie divide by 0 here and are redone below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        second = np.where(top > 0.0, _row_dot(cross, cross) / top, 0.0)
+        larger = p >= q
+        c0 = np.where(larger, 0.5 * (p - q + gap), r)
+        c1 = np.where(larger, r, 0.5 * (q - p + gap))
+        v = c0[:, None] * ga + c1[:, None] * gb
+        n_opt = canonical_axis(v / np.sqrt(_row_dot(v, v))[:, None])
+    for k in np.flatnonzero((top <= _EIGEN_GAP_TOL) | (gap <= _EIGEN_GAP_TOL)):
+        n_opt[k] = _top_eigenpair(rows.ensemble(k))[2]
+    # The residual of geometric_discord: _unit_perp_parts and _geo_defect_norm.
+    n = _normalized(n_opt)
+    an, bn = _row_dot(rows.a, n), _row_dot(rows.b, n)
+    w0, w1 = rows.squared_weights()
+    defect = (w0 * an)[:, None] * (rows.a - an[:, None] * n) + (w1 * bn)[:, None] * (
+        rows.b - bn[:, None] * n
+    )
+    return OptimizationResult(
+        n_opt=n_opt,
+        value=0.5 * second,
+        stationarity_residual=np.sqrt(_row_dot(defect, defect)),
+        evaluations=len(rows),
         method=EIGENPAIR_METHOD,
     )
 

@@ -36,23 +36,22 @@ def canonical_axis(n) -> np.ndarray:
     """Antipode-normalize an axis: sign fixed so n_z > 0, then n_x, then n_y.
 
     An axis and its antipode define the same measurement up to outcome
-    relabeling; this picks the deterministic representative.
+    relabeling; this picks the deterministic representative.  Takes one
+    axis of shape (3,) or a block of shape (N, 3), each row of which gets
+    the bits of its one-axis call.
     """
     n = np.asarray(n, dtype=float)
+    if n.ndim == 2:
+        m = n[:, [2, 0, 1]]
+        # The first component, in the order above, beyond _SIGN_TOL (or z).
+        lead = m[np.arange(len(m)), np.argmax(np.abs(m) > _SIGN_TOL, axis=1)]
+        return np.where((lead < -_SIGN_TOL)[:, None], -n, n)
     for k in (2, 0, 1):
         if n[k] > _SIGN_TOL:
             return n.copy()
         if n[k] < -_SIGN_TOL:
             return -n
     return n.copy()
-
-
-def _canonical_axes(n) -> np.ndarray:
-    """canonical_axis of every row of n, shape (N, 3), to the bit."""
-    m = n[:, [2, 0, 1]]
-    # The first component, in canonical_axis's order, beyond _SIGN_TOL (or z).
-    lead = m[np.arange(len(m)), np.argmax(np.abs(m) > _SIGN_TOL, axis=1)]
-    return np.where((lead < -_SIGN_TOL)[:, None], -n, n)
 
 
 def _unit_axes(n) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Array forms of the per-ensemble stages against their scalar forms, bit for bit.
 
 A block of ensembles runs each stage as one array pass: holevo_chi, the
-Koashi-Winter discord, the plane basis, the 720-point scan, the pick and
-the stationarity residual.  Each row
+Koashi-Winter discord, the plane basis, the 720-point scan, the pick, the
+stationarity residual and the geometric discord.  Each row
 must get the bits of the scalar form, which the tests here write out (or
 call) one ensemble at a time, so that no result depends on the block it was
 computed in.
@@ -22,17 +22,12 @@ from qdiscord import (
     canonical_axis,
     classical_mutual_information,
     discord_pure_koashi_winter,
+    geometric_discord,
     random_ensemble,
     random_pure_pair,
 )
 from qdiscord.ensemble import _EnsembleArrays, _holevo_chi_rows, average_state
-from qdiscord.measurement import (
-    _SIGN_TOL,
-    _canonical_axes,
-    _row_constants,
-    _unit_axes,
-    _unit_perp_parts,
-)
+from qdiscord.measurement import _SIGN_TOL, _row_constants, _unit_axes, _unit_perp_parts
 from qdiscord.qstate import pure_overlap, von_neumann_entropy
 
 from conftest import hard_region_ensembles, near_degenerate_ensembles
@@ -51,6 +46,17 @@ EDGES = [
     QubitEnsemble.pure_pair(math.pi / 4),
     QubitEnsemble.pure_pair(0.0),
     QubitEnsemble.pure_pair(1e-9, 0.3),
+]
+
+# Rows that take the geometric form's branches: M vanishes (top <= tol), a
+# tie (gap <= tol, the mirror pair at pi/4 among them), a zero weight and
+# signed zeros in the vectors.
+GEO_EDGES = EDGES + [
+    QubitEnsemble(0.5, 0.5, [0.5, 0, 0], [0, 0.5, 0]),
+    QubitEnsemble(0.5, 0.5, [0, 0, 1e-7], [1e-7, 0, 0]),
+    QubitEnsemble(0.0, 1.0, [-0.0, 0.3, -0.4], [0.5, -0.0, 0]),
+    QubitEnsemble(0.7, 0.3, [-0.0, -0.0, -0.6], [0.2, -0.0, -0.0]),
+    QubitEnsemble(0.5, 0.5, [-0.0, 0.6, 0.0], [0.6, -0.0, -0.0]),
 ]
 
 HARD = st.lists(st.one_of(near_degenerate_ensembles(), hard_region_ensembles()), max_size=6)
@@ -197,8 +203,53 @@ def test_plane_basis_and_canonical_rows_match_the_scalar_forms(seed, extra):
     axes[rng.random((64, 3)) < 0.2] = -0.0
     small = rng.choice([_SIGN_TOL, -_SIGN_TOL, 0.5 * _SIGN_TOL, -2.0 * _SIGN_TOL], size=(64, 3))
     axes = np.where(rng.random((64, 3)) < 0.3, small, axes)
-    got = _canonical_axes(axes)
+    got = canonical_axis(axes)
     assert [row.tobytes() for row in got] == [canonical_axis(ax).tobytes() for ax in axes]
+
+
+def _geo_bits(result, k=None):
+    """Axis bytes, value and residual of a one-ensemble result, or of row k of a block's."""
+    fields = (result.n_opt, result.value, result.stationarity_residual)
+    n_opt, value, residual = fields if k is None else (f[k] for f in fields)
+    return n_opt.tobytes(), float(value).hex(), float(residual).hex()
+
+
+@given(seed=st.integers(0, 2**32 - 1), extra=HARD)
+@settings(max_examples=10, deadline=None)
+def test_geometric_discord_of_a_block_matches_its_one_ensemble_calls(seed, extra):
+    ensembles = _block(seed, extra) + GEO_EDGES
+    got = geometric_discord(_EnsembleArrays.of(ensembles))
+    assert got.n_opt.shape == (len(ensembles), 3)
+    assert got.value.shape == got.stationarity_residual.shape == (len(ensembles),)
+    assert got.evaluations == len(ensembles)
+    for k, ens in enumerate(ensembles):
+        assert _geo_bits(got, k) == _geo_bits(geometric_discord(ens))
+    # The sweep's rows, straight from its angle grid.
+    rng = np.random.default_rng(seed)
+    thetas = np.concatenate([np.linspace(0.0, np.pi, 41), rng.uniform(0.0, np.pi, 16), [np.pi / 4]])
+    lambda0 = float(rng.choice([0.5, 0.3, 1e-9, 1.0]))
+    got = geometric_discord(_EnsembleArrays.pure_pairs(thetas, lambda0))
+    for k, theta in enumerate(thetas.tolist()):
+        assert _geo_bits(got, k) == _geo_bits(geometric_discord(QubitEnsemble.pure_pair(theta, lambda0)))
+
+
+def test_geometric_discord_of_a_row_does_not_depend_on_the_block():
+    """Rows of a 512-row block match those of blocks of 1, 7 and 20 rows, to the bit."""
+    rng = np.random.default_rng(4048)
+    ensembles = [random_ensemble(rng) for _ in range(380)] + [random_pure_pair(rng) for _ in range(80)]
+    ensembles += GEO_EDGES
+    ensembles += [QubitEnsemble.pure_pair(t, 0.3) for t in rng.uniform(0, np.pi, 512 - len(ensembles))]
+    ensembles = [ensembles[i] for i in rng.permutation(len(ensembles))]
+    assert len(ensembles) == 512
+
+    def run(block):
+        result = geometric_discord(_EnsembleArrays.of(block))
+        return [_geo_bits(result, k) for k in range(len(block))]
+
+    whole = run(ensembles)
+    for count in (1, 7, 20):
+        for start in (0, 101, 512 - count):
+            assert run(ensembles[start : start + count]) == whole[start : start + count]
 
 
 def test_pick_rows_matches_max_over_candidates():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import qdiscord.cli
+import qdiscord.discord
+import qdiscord.geodiscord
 from qdiscord import QubitEnsemble
 from qdiscord.cli import (
     EXIT_INTERNAL,
@@ -304,7 +306,16 @@ def test_sweep_deterministic_and_file_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("--stop", "4"), ("--start", "-0.1"), ("--lambda0", "1.5"), ("--lambda0", "nan")]
+    "argv",
+    [
+        ("--stop", "4"),
+        ("--start", "-0.1"),
+        ("--start", "inf"),
+        # argparse reads a separate "-inf" as an option, so the value is attached.
+        ("--stop=-inf",),
+        ("--lambda0", "1.5"),
+        ("--lambda0", "nan"),
+    ],
 )
 def test_sweep_invalid_range_writes_nothing(tmp_path, capsys, argv):
     """Rows are streamed, so a bad range or weight must fail before the output opens."""
@@ -313,6 +324,45 @@ def test_sweep_invalid_range_writes_nothing(tmp_path, capsys, argv):
     assert code == EXIT_INVARIANT, err
     assert out == ""
     assert not path.exists()
+
+
+def test_sweep_block_goes_through_the_public_layer_functions(monkeypatch, tmp_path):
+    """A block makes one geometric_discord call and builds no ensemble per row.
+
+    Its measurement work goes through the public canonical_axis, so a tracer
+    that wraps public functions sees every layer of the sweep.
+    """
+    calls = {"geometric_discord": 0, "canonical_axis": 0, "QubitEnsemble": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        qdiscord.cli, "geometric_discord", counted("geometric_discord", qdiscord.cli.geometric_discord)
+    )
+    for module in (qdiscord.discord, qdiscord.geodiscord):
+        monkeypatch.setattr(module, "canonical_axis", counted("canonical_axis", module.canonical_axis))
+    monkeypatch.setattr(
+        QubitEnsemble, "__post_init__", counted("QubitEnsemble", QubitEnsemble.__post_init__)
+    )
+
+    def sweep(steps):
+        for name in calls:
+            calls[name] = 0
+        path = tmp_path / f"sweep{steps}.csv"
+        assert main(["sweep", "--steps", str(steps), "--output", str(path)]) == EXIT_OK
+        return dict(calls)
+
+    few = sweep(20)
+    assert few["geometric_discord"] == 1
+    assert few["canonical_axis"] >= 1
+    many = sweep(400)
+    assert many["geometric_discord"] == 1
+    assert many["QubitEnsemble"] <= few["QubitEnsemble"]
 
 
 def test_sweep_degrees_matches_radians(capsys):
@@ -433,6 +483,10 @@ def test_verify_matches_golden_output(tmp_path):
 def test_verify_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--trials", "0")[0] == EXIT_USAGE
     assert run_cli(capsys, "verify", "--grid", "1")[0] == EXIT_USAGE
+    # Refused before the generator is seeded, which would be exit 2.
+    code, _, err = run_cli(capsys, "verify", "--seed", "-1", "--trials", "2")
+    assert code == EXIT_USAGE
+    assert "--seed" in err
 
 
 def test_verify_corrupted_tolerance_reports_failures(capsys):
