@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .discord import _holevo_gap_batch, _holevo_gap_rows, discord_pure_koashi_winter
+from .discord import _holevo_gap, accessible_information, discord_pure_koashi_winter
 from .ensemble import (
     QubitEnsemble,
     _EnsembleArrays,
@@ -86,6 +86,27 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage problems; the contract wants 1
     def error(self, message):
         raise _UsageError(message)
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_number_values(argv: list[str]) -> list[str]:
+    # argparse reads a separate value that starts with "-" but is not a plain
+    # decimal, such as -1e-3 or -inf, as an option.  No option parses as a
+    # number, so such a token is joined to the option before it by "=".
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and token.startswith("-") and _is_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _fmt(x: float) -> str:
@@ -207,7 +228,8 @@ def ensemble_to_document(ens: QubitEnsemble) -> dict:
 # ---------------------------------------------------------------------------
 
 def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
-    chi, acc, gap = _holevo_gap_batch([ens])[0]
+    chi, acc = holevo_chi(ens), accessible_information(ens)
+    gap = _holevo_gap(chi, acc.value)
     geo = geometric_discord(ens)
     pairs = [
         ("lambda0", ens.lambda0),
@@ -281,7 +303,8 @@ def _pure_pair_geo_closed_form(lambda0: float, theta: float) -> float:
 
 def _sweep_rows(thetas: list[float], lambda0: float) -> list[tuple]:
     rows = _EnsembleArrays.pure_pairs(thetas, lambda0)
-    chi, acc, gap = _holevo_gap_rows(rows)
+    chi, acc = holevo_chi(rows), accessible_information(rows)
+    gap = _holevo_gap(chi, acc.value)
     # math.cos per row: numpy's SIMD loop may move a last bit.
     kw = discord_pure_koashi_winter(lambda0, np.array([abs(math.cos(theta)) for theta in thetas]))
     geo = geometric_discord(rows)
@@ -388,12 +411,16 @@ def _cmd_verify(args) -> int:
         # The rng order of the per-trial loop: ens, axis, pure, trial by trial.
         draws = [(random_ensemble(rng), _sphere_point(rng), random_pure_pair(rng)) for _ in trials]
         ensembles = [ens for ens, _, _ in draws]
-        gaps = _holevo_gap_batch(ensembles + [pure for _, _, pure in draws])
+        # One block for the ensembles and the pure pairs, so one polish.
+        rows = _EnsembleArrays.of(ensembles + [pure for _, _, pure in draws])
+        chi, acc = holevo_chi(rows), accessible_information(rows)
+        columns = (chi, acc.value, _holevo_gap(chi, acc.value), acc.stationarity_residual, acc.degenerate)
+        results = list(zip(*(c.tolist() for c in columns)))
         acc_oracles, geo_oracles = _brute_force_batch(ensembles, ensembles, args.grid)
         for j, trial in enumerate(trials):
             ens, axis, pure = draws[j]
-            chi, acc, discord = gaps[j]
-            d_pure = gaps[len(draws) + j][2]
+            chi, i_acc, discord, residual, degenerate = results[j]
+            d_pure = results[len(draws) + j][2]
             oracle_acc, oracle_geo = acc_oracles[j], geo_oracles[j]
 
             s_joint = cq_state_entropy(ens)
@@ -410,21 +437,19 @@ def _cmd_verify(args) -> int:
             margin = classical_mutual_information(ens, axis) - chi
             suites["holevo_bound"].check(trial, margin, tol(1e-12), ens)
 
-            comp = max(abs(chi - acc.value - discord), acc.value - chi)
+            comp = max(abs(chi - i_acc - discord), i_acc - chi)
             suites["complementarity"].check(trial, comp, tol(1e-10), ens)
 
-            if not acc.degenerate:
-                suites["stationarity"].check(
-                    trial, acc.stationarity_residual, tol(1e-6), ens
-                )
+            if not degenerate:
+                suites["stationarity"].check(trial, residual, tol(1e-6), ens)
 
             geo = geometric_discord(ens)
             agreement = max(
-                abs(acc.value - oracle_acc.value), abs(geo.value - oracle_geo.value)
+                abs(i_acc - oracle_acc.value), abs(geo.value - oracle_geo.value)
             )
             suites["oracle_agreement"].check(trial, agreement, tol(1e-5), ens)
             # the grid can lag a true optimum but must never beat it
-            beat = max(oracle_acc.value - acc.value, geo.value - oracle_geo.value, 0.0)
+            beat = max(oracle_acc.value - i_acc, geo.value - oracle_geo.value, 0.0)
             suites["oracle_bound"].check(trial, beat, tol(1e-6), ens)
 
             kw = discord_pure_koashi_winter(pure.lambda0, pure_overlap(pure.a, pure.b))
@@ -533,6 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _attach_number_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -8,9 +8,11 @@ search below exploits that plane restriction; the full-sphere grid oracle
 (see the oracle module) exists to verify the restriction rather than trust
 it.
 
-The search takes a block of ensembles as a struct of arrays (_EnsembleArrays:
-lambda0 and lambda1 of shape (N,), a and b of shape (N, 3)) and runs each
-stage as one array pass over the block: the plane bases, the 720-point
+accessible_information and quantum_discord take one ensemble, or a block of
+them as a struct of arrays (_EnsembleArrays: lambda0 and lambda1 of shape
+(N,), a and b of shape (N, 3)) whose result holds a column per field; one
+ensemble is the block of one row.  The search runs each stage, whatever the
+block's size, as one array pass over it: the plane bases, the 720-point
 angular scan on the rows of the row kernel of the measurement module
 (_row_constants, _row_objective), which the oracle shares, its peaks, and at
 the end each row's pick and stationarity residual.  The scan runs
@@ -31,9 +33,8 @@ off once it has converged.
 
 Every array form gives each row the bits of its scalar form, which stays
 for the rows that take a rare branch (a plane basis of a nearly collinear
-or vanishing pair) and as the reference of the tests; so a result does not
-depend on the block it was computed in, and accessible_information is the
-one-ensemble case.
+or vanishing pair) and as the reference of the tests; so a row's result
+does not depend on the block it was computed in.
 
 For ensembles of two pure states the optimization can be skipped entirely:
 purifying with an ancilla qubit turns the discord into an entanglement of
@@ -47,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import QubitEnsemble, _EnsembleArrays, _holevo_chi_rows, average_state
+from .ensemble import QubitEnsemble, _EnsembleArrays, average_state, holevo_chi
 from .measurement import _perp_parts, _row_constants, _row_objective, _unit_axes, canonical_axis
 from .qstate import NORM_SLACK, _half_angle, _row_dot, binary_entropy
 
@@ -84,7 +85,8 @@ class OptimizationResult:
     """Optimal measurement axis with its objective value and diagnostics.
 
     degenerate is set when several well-separated axes tie at the optimum
-    (the reported axis is then the deterministic tie-break winner).
+    (the reported axis is then the deterministic tie-break winner).  For a
+    block every field but method is a column, row k the call on ensemble k.
     """
 
     n_opt: np.ndarray
@@ -471,38 +473,25 @@ def _polish(phi0, u1, u2, consts):
     return n, _row_objective(consts)(n), evals + 1
 
 
-@dataclass(frozen=True, eq=False)
-class _AccessibleRows:
-    """accessible_information of every row of a block, as arrays with one entry per row."""
+def accessible_information(ens) -> OptimizationResult:
+    """Maximum classical mutual information over projective measurements.
 
-    n_opt: np.ndarray
-    value: np.ndarray
-    stationarity_residual: np.ndarray
-    evaluations: np.ndarray
-    degenerate: np.ndarray
+    Value lies in [0, holevo_chi(ens)].  Degenerate ensembles (identical
+    states or a vanishing weight) give a flat objective; the value is then 0
+    and the axis is the deterministic tie-break representative.
 
-    def results(self) -> list[OptimizationResult]:
-        """One OptimizationResult per row."""
-        columns = (self.value, self.stationarity_residual, self.evaluations, self.degenerate)
-        return [
-            OptimizationResult(n, value, residual, evals, IN_PLANE_METHOD, degenerate)
-            for n, (value, residual, evals, degenerate) in zip(
-                self.n_opt, zip(*(c.tolist() for c in columns))
-            )
-        ]
-
-
-def _accessible_information_rows(rows: _EnsembleArrays) -> _AccessibleRows:
-    """accessible_information of every row of a block, one array pass per stage.
-
-    Every row gets its plane basis and a 720-point angular scan, which
-    brackets every local maximum (the objective can have several); the scan
-    runs _SCAN_ROWS rows at a time, so its working set does not grow with the
-    block.  Flat objectives (degenerate ensembles) and scans with more than
-    64 peaks short-circuit to the tie-break among their scan points.  The
-    brackets of all other rows are polished together by _polish, then each
-    row picks its candidate and gets its stationarity residual.
+    ens is a QubitEnsemble, or a block of ensembles (_EnsembleArrays) whose
+    result has a column per field (see OptimizationResult).  Every row gets
+    its plane basis and a 720-point angular scan, which brackets every local
+    maximum (the objective can have several); the scan runs _SCAN_ROWS rows
+    at a time, so its working set does not grow with the block.  Flat
+    objectives and scans with more than 64 peaks short-circuit to the
+    tie-break among their scan points.  The brackets of all other rows are
+    polished together by _polish, then each row picks its candidate.
     """
+    if not isinstance(ens, _EnsembleArrays):
+        return _first_row(accessible_information(_EnsembleArrays.of([ens])))
+    rows = ens
     consts = _row_constants(rows, False)
     u1, u2 = _plane_basis_rows(rows)
     brackets = np.empty((len(rows), _SCAN_POINTS), dtype=bool)
@@ -535,14 +524,21 @@ def _accessible_information_rows(rows: _EnsembleArrays) -> _AccessibleRows:
         owner, vals, axes = (np.concatenate(c) for c in zip(*capped))
         i, axis, best, _, _ = _pick_rows(owner, vals, axes)
         n_opt[i], value[i], degenerate[i] = axis, best, True
-    return _AccessibleRows(
+    return OptimizationResult(
         n_opt=n_opt,
         # max(value, 0.0), which keeps a -0.0 as np.maximum does not.
         value=np.where(0.0 > value, 0.0, value),
         stationarity_residual=_stationarity_rows(rows, n_opt),
         evaluations=evals,
+        method=IN_PLANE_METHOD,
         degenerate=degenerate,
     )
+
+
+def _first_row(result: OptimizationResult) -> OptimizationResult:
+    """Row 0 of a block's result, with the Python scalars of a one-ensemble call."""
+    columns = ("value", "stationarity_residual", "evaluations", "degenerate")
+    return replace(result, n_opt=result.n_opt[0], **{c: getattr(result, c)[0].item() for c in columns})
 
 
 def _stationarity_rows(rows: _EnsembleArrays, n) -> np.ndarray:
@@ -558,43 +554,20 @@ def _stationarity_rows(rows: _EnsembleArrays, n) -> np.ndarray:
     return np.sqrt(_row_dot(vec, vec))
 
 
-def _accessible_information_batch(ensembles) -> list[OptimizationResult]:
-    """accessible_information of every ensemble of a list, as one block."""
-    return _accessible_information_rows(_EnsembleArrays.of(ensembles)).results()
+def _holevo_gap(chi, i_acc):
+    """The discord chi - I_acc, elementwise, with round-off in [-1e-10, 0) set to zero."""
+    gap = chi - i_acc
+    return np.where((-1e-10 <= gap) & (gap < 0.0), 0.0, gap)
 
 
-def accessible_information(ens: QubitEnsemble) -> OptimizationResult:
-    """Maximum classical mutual information over projective measurements.
-
-    Value lies in [0, holevo_chi(ens)].  Degenerate ensembles (identical
-    states or a vanishing weight) give a flat objective; the value is then 0
-    and the axis is the deterministic tie-break representative.
-    """
-    return _accessible_information_batch([ens])[0]
-
-
-def _holevo_gap_rows(rows: _EnsembleArrays):
-    """chi, the accessible-information rows and the discord chi - I_acc of every row of a block.
-
-    Round-off in [-1e-10, 0) of the gap is set to zero.
-    """
-    acc = _accessible_information_rows(rows)
-    chi = _holevo_chi_rows(rows)
-    gap = chi - acc.value
-    return chi, acc, np.where((-1e-10 <= gap) & (gap < 0.0), 0.0, gap)
-
-
-def _holevo_gap_batch(ensembles) -> list[tuple[float, OptimizationResult, float]]:
-    """_holevo_gap_rows of a list of ensembles, as (chi, result, gap) per ensemble."""
-    chi, acc, gap = _holevo_gap_rows(_EnsembleArrays.of(ensembles))
-    return list(zip(chi.tolist(), acc.results(), gap.tolist()))
-
-
-def quantum_discord(ens: QubitEnsemble) -> OptimizationResult:
+def quantum_discord(ens) -> OptimizationResult:
     """Discord as the Holevo-accessible gap, with the shared optimal axis.
 
     value = holevo_chi - accessible information; nonnegative, with round-off
-    in [-1e-10, 0) clamped to zero.
+    in [-1e-10, 0) clamped to zero.  ens is one ensemble or a block, as for
+    accessible_information.
     """
-    _, acc, gap = _holevo_gap_batch([ens])[0]
-    return replace(acc, value=gap)
+    rows = ens if isinstance(ens, _EnsembleArrays) else _EnsembleArrays.of([ens])
+    acc = accessible_information(rows)
+    result = replace(acc, value=_holevo_gap(holevo_chi(rows), acc.value))
+    return result if rows is ens else _first_row(result)

@@ -3,7 +3,9 @@
 An ensemble {lambda_i, rho_i} is equivalent to a joint state that correlates
 a classical label with the prepared qubit.  That joint state is block
 diagonal, so its full spectrum is {lambda_i (1 +/- |v_i|)/2} and is computed
-directly; the 4x4 matrix is never materialized.
+directly; the 4x4 matrix is never materialized.  A block of ensembles is a
+struct of arrays (_EnsembleArrays), one row each, and holevo_chi of a block
+is a column with one value per row.
 """
 
 from __future__ import annotations
@@ -119,25 +121,22 @@ def average_state(ens: QubitEnsemble) -> np.ndarray:
     return ens.lambda0 * ens.a + ens.lambda1 * ens.b
 
 
-def holevo_chi(ens: QubitEnsemble) -> float:
+def holevo_chi(ens) -> float | np.ndarray:
     """Holevo bound chi = S(avg) - lambda0 S(a) - lambda1 S(b), in bits.
 
     Nonnegative by entropy concavity and at most h(lambda0); tiny negative
-    round-off is clamped to 0.  The one-row case of _holevo_chi_rows.
-    """
-    return float(_holevo_chi_rows(_EnsembleArrays.of([ens]))[0])
-
-
-def _holevo_chi_rows(rows: _EnsembleArrays) -> np.ndarray:
-    """holevo_chi of every row of a block, shape (N,).
+    round-off is clamped to 0.  ens is a QubitEnsemble, or a block of
+    ensembles (_EnsembleArrays) whose entry k has the bits of ensemble k's.
 
     Each entropy is h((1 + |r|)/2) of a norm clamped to 1, as
     von_neumann_entropy computes it, and the three of a row are combined in
     the same order, so the values are those of the scalar formula.
     """
-    norms = np.sqrt(np.array([_row_dot(v, v) for v in (rows.average(), rows.a, rows.b)]))
+    if not isinstance(ens, _EnsembleArrays):
+        return float(holevo_chi(_EnsembleArrays.of([ens]))[0])
+    norms = np.sqrt(np.array([_row_dot(v, v) for v in (ens.average(), ens.a, ens.b)]))
     s_c, s_a, s_b = binary_entropy((1.0 + np.minimum(norms, 1.0)) / 2.0)
-    chi = s_c - rows.lambda0 * s_a - rows.lambda1 * s_b
+    chi = s_c - ens.lambda0 * s_a - ens.lambda1 * s_b
     # max(chi, 0.0), which keeps a -0.0 as np.maximum does not.
     return np.where(0.0 > chi, 0.0, chi)
 

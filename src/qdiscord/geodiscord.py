@@ -12,10 +12,10 @@ depends on the numerical eigenpackage or on the grid oracle that
 cross-checks it.
 
 geometric_discord takes one ensemble, or a block of them as a struct of
-arrays (_EnsembleArrays), which it computes in one array pass with each
-row's bits from its one-ensemble call.  sweep passes its blocks; verify,
-compute and the one-ensemble callers keep the scalar body, the faster form
-at one row.
+arrays (_EnsembleArrays), which it computes in one array pass; every field
+of a block's result is a column with one entry per row, the bits of the
+one-ensemble call.  sweep passes its blocks; verify, compute and the
+one-ensemble callers keep the scalar body, the faster form at one row.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def geometric_discord(ens) -> OptimizationResult:
     eigenvector of M.
 
     ens is a QubitEnsemble, or a block of ensembles (_EnsembleArrays); for a
-    block, n_opt has shape (N, 3) and value and stationarity_residual shape
+    block, n_opt has shape (N, 3) and the other fields but method shape
     (N,), row k holding the bits of the call on ensemble k.
     """
     if isinstance(ens, _EnsembleArrays):
@@ -153,8 +153,9 @@ def _geometric_discord_rows(rows: _EnsembleArrays) -> OptimizationResult:
         n_opt=n_opt,
         value=0.5 * second,
         stationarity_residual=np.sqrt(_row_dot(defect, defect)),
-        evaluations=len(rows),
+        evaluations=np.ones(len(rows), dtype=int),
         method=EIGENPAIR_METHOD,
+        degenerate=np.zeros(len(rows), dtype=bool),
     )
 
 

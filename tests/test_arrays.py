@@ -5,9 +5,13 @@ Koashi-Winter discord, the plane basis, the 720-point scan, the pick, the
 stationarity residual and the geometric discord.  Each row
 must get the bits of the scalar form, which the tests here write out (or
 call) one ensemble at a time, so that no result depends on the block it was
-computed in.
+computed in.  The four measures (holevo_chi, accessible_information,
+quantum_discord and geometric_discord) take the block through their public
+names, and every field of a block's result is a column whose row k is the
+one-ensemble call on ensemble k.
 """
 
+import dataclasses
 import math
 from dataclasses import astuple
 
@@ -18,15 +22,19 @@ from hypothesis import strategies as st
 
 import qdiscord.discord as discord
 from qdiscord import (
+    OptimizationResult,
     QubitEnsemble,
+    accessible_information,
     canonical_axis,
     classical_mutual_information,
     discord_pure_koashi_winter,
     geometric_discord,
+    holevo_chi,
+    quantum_discord,
     random_ensemble,
     random_pure_pair,
 )
-from qdiscord.ensemble import _EnsembleArrays, _holevo_chi_rows, average_state
+from qdiscord.ensemble import _EnsembleArrays, average_state
 from qdiscord.measurement import _SIGN_TOL, _row_constants, _unit_axes, _unit_perp_parts
 from qdiscord.qstate import pure_overlap, von_neumann_entropy
 
@@ -60,6 +68,8 @@ GEO_EDGES = EDGES + [
 ]
 
 HARD = st.lists(st.one_of(near_degenerate_ensembles(), hard_region_ensembles()), max_size=6)
+
+MEASURES = (holevo_chi, accessible_information, quantum_discord, geometric_discord)
 
 
 def _block(seed, extra):
@@ -119,6 +129,25 @@ def _scalar_search(ens):
     return n_opt, max(best, 0.0), residual, evals, degenerate
 
 
+def _fields(result, k=None):
+    """Each field of a measure's one-ensemble result, or of row k of a block's, as bytes.
+
+    holevo_chi returns a value, the others an OptimizationResult; the method
+    name is one string for a block.  A field's dtype is part of its bytes.
+    """
+    if isinstance(result, OptimizationResult):
+        fields = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    else:
+        fields = [result]
+    out = []
+    for x in fields:
+        if not isinstance(x, str):
+            x = np.asarray(x if k is None else x[k])
+            x = (x.dtype.str, x.shape, x.tobytes())
+        out.append(x)
+    return out
+
+
 def _row_bits(acc, k):
     return (
         acc.n_opt[k].tobytes(),
@@ -157,10 +186,10 @@ def test_rows_of_ensembles_and_of_the_sweep_grid_hold_their_fields():
 
 @given(seed=st.integers(0, 2**32 - 1), extra=HARD)
 @settings(max_examples=10, deadline=None)
-def test_holevo_chi_rows_match_the_scalar_formula(seed, extra):
+def test_holevo_chi_of_a_block_matches_the_scalar_formula(seed, extra):
     ensembles = _block(seed, extra)
     rows = _EnsembleArrays.of(ensembles)
-    assert _bits(_holevo_chi_rows(rows)) == _bits([_scalar_chi(ens) for ens in ensembles])
+    assert _bits(holevo_chi(rows)) == _bits([_scalar_chi(ens) for ens in ensembles])
 
 
 @given(seed=st.integers(0, 2**32 - 1), extra=HARD)
@@ -221,7 +250,7 @@ def test_geometric_discord_of_a_block_matches_its_one_ensemble_calls(seed, extra
     got = geometric_discord(_EnsembleArrays.of(ensembles))
     assert got.n_opt.shape == (len(ensembles), 3)
     assert got.value.shape == got.stationarity_residual.shape == (len(ensembles),)
-    assert got.evaluations == len(ensembles)
+    assert got.evaluations.tolist() == [1] * len(ensembles)
     for k, ens in enumerate(ensembles):
         assert _geo_bits(got, k) == _geo_bits(geometric_discord(ens))
     # The sweep's rows, straight from its angle grid.
@@ -250,6 +279,20 @@ def test_geometric_discord_of_a_row_does_not_depend_on_the_block():
     for count in (1, 7, 20):
         for start in (0, 101, 512 - count):
             assert run(ensembles[start : start + count]) == whole[start : start + count]
+
+
+@given(seed=st.integers(0, 2**32 - 1), extra=HARD)
+@settings(max_examples=6, deadline=None)
+def test_every_measure_of_a_block_matches_its_one_ensemble_calls(seed, extra):
+    """Every field of every measure, row by row, with the bits and types of the lone call."""
+    ensembles = _block(seed, extra) + GEO_EDGES
+    rows = _EnsembleArrays.of(ensembles)
+    for measure in MEASURES:
+        block = measure(rows)
+        for k, ens in enumerate(ensembles):
+            assert _fields(block, k) == _fields(measure(ens)), (measure.__name__, k)
+        columns = [block] if isinstance(block, np.ndarray) else astuple(block)
+        assert all(len(c) == len(ensembles) for c in columns if not isinstance(c, str))
 
 
 def test_pick_rows_matches_max_over_candidates():
@@ -291,7 +334,7 @@ def test_scan_and_search_rows_match_one_ensemble_at_a_time(seed, extra):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(discord, "_scan_peaks", peaks)
-        acc = discord._accessible_information_rows(rows)
+        acc = accessible_information(rows)
     vals = np.concatenate(scans)  # the scan's slices, in order
     assert len(scans) == -(-len(ensembles) // discord._SCAN_ROWS)
     u1, u2 = discord._plane_basis_rows(rows)
@@ -320,8 +363,8 @@ def test_a_row_does_not_depend_on_the_block_or_the_scan_slices():
 
     def run(block):
         rows = _EnsembleArrays.of(block)
-        chi, acc, gap = discord._holevo_gap_rows(rows)
-        return [(_row_bits(acc, k), _bits(chi[k]), _bits(gap[k])) for k in range(len(block))]
+        results = [measure(rows) for measure in MEASURES]
+        return [[_fields(result, k) for result in results] for k in range(len(block))]
 
     whole = run(ensembles)
     size = discord._SCAN_ROWS

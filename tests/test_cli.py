@@ -205,6 +205,10 @@ def test_compute_invariant_violation_exit_code(capsys):
         capsys, "compute", "--spec", '{"weights": [0.5, 0.5], "bloch": [[0,0,1.5],[0,0,0]]}'
     )
     assert code == EXIT_INVARIANT
+    # A negative angle in exponent form is a value, and out of range.
+    code, out, err = run_cli(capsys, "compute", "--theta", "-1e-3")
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert "theta must lie in [0, pi]" in err
 
 
 def test_compute_non_finite_weight_is_rejected_at_the_ensemble(capsys):
@@ -241,7 +245,7 @@ def test_size_arguments_out_of_range_are_usage_errors(capsys, monkeypatch, argv)
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    for name in ("_holevo_gap_batch", "_holevo_gap_rows", "holevo_chi", "random_ensemble"):
+    for name in ("accessible_information", "holevo_chi", "random_ensemble"):
         monkeypatch.setattr(qdiscord.cli, name, no_work)
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
@@ -311,10 +315,10 @@ def test_sweep_deterministic_and_file_output(tmp_path, capsys):
         ("--stop", "4"),
         ("--start", "-0.1"),
         ("--start", "inf"),
-        # argparse reads a separate "-inf" as an option, so the value is attached.
         ("--stop=-inf",),
         ("--lambda0", "1.5"),
         ("--lambda0", "nan"),
+        ("--stop", "-inf"),
     ],
 )
 def test_sweep_invalid_range_writes_nothing(tmp_path, capsys, argv):
@@ -326,28 +330,40 @@ def test_sweep_invalid_range_writes_nothing(tmp_path, capsys, argv):
     assert not path.exists()
 
 
-def test_sweep_block_goes_through_the_public_layer_functions(monkeypatch, tmp_path):
-    """A block makes one geometric_discord call and builds no ensemble per row.
+# The measures cli computes a block with, each through its public name.
+_BLOCK_MEASURES = ("geometric_discord", "accessible_information", "holevo_chi")
 
-    Its measurement work goes through the public canonical_axis, so a tracer
+
+def _counter(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def _count_block_measures(monkeypatch, calls):
+    for name in _BLOCK_MEASURES:
+        calls[name] = 0
+        monkeypatch.setattr(qdiscord.cli, name, _counter(calls, name, getattr(qdiscord.cli, name)))
+
+
+def test_sweep_block_goes_through_the_public_layer_functions(monkeypatch, tmp_path):
+    """A block makes one call of each public measure and builds no ensemble per row.
+
+    Its optimizer runs inside the public accessible_information and its
+    measurement work goes through the public canonical_axis, so a tracer
     that wraps public functions sees every layer of the sweep.
     """
-    calls = {"geometric_discord": 0, "canonical_axis": 0, "QubitEnsemble": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        qdiscord.cli, "geometric_discord", counted("geometric_discord", qdiscord.cli.geometric_discord)
-    )
+    calls = {"canonical_axis": 0, "QubitEnsemble": 0}
+    _count_block_measures(monkeypatch, calls)
     for module in (qdiscord.discord, qdiscord.geodiscord):
-        monkeypatch.setattr(module, "canonical_axis", counted("canonical_axis", module.canonical_axis))
+        counted = _counter(calls, "canonical_axis", module.canonical_axis)
+        monkeypatch.setattr(module, "canonical_axis", counted)
     monkeypatch.setattr(
-        QubitEnsemble, "__post_init__", counted("QubitEnsemble", QubitEnsemble.__post_init__)
+        QubitEnsemble, "__post_init__", _counter(calls, "QubitEnsemble", QubitEnsemble.__post_init__)
     )
 
     def sweep(steps):
@@ -358,11 +374,14 @@ def test_sweep_block_goes_through_the_public_layer_functions(monkeypatch, tmp_pa
         return dict(calls)
 
     few = sweep(20)
-    assert few["geometric_discord"] == 1
+    assert all(few[name] == 1 for name in _BLOCK_MEASURES)
     assert few["canonical_axis"] >= 1
     many = sweep(400)
-    assert many["geometric_discord"] == 1
+    assert all(many[name] == 1 for name in _BLOCK_MEASURES)
     assert many["QubitEnsemble"] <= few["QubitEnsemble"]
+    # One call of each per block of cli._BLOCK rows.
+    blocks = sweep(2 * qdiscord.cli._BLOCK + 1)
+    assert all(blocks[name] == 3 for name in _BLOCK_MEASURES)
 
 
 def test_sweep_degrees_matches_radians(capsys):
@@ -446,6 +465,19 @@ def test_landscape_usage_errors(capsys):
     assert run_cli(capsys, "landscape")[0] == EXIT_USAGE
 
 
+def test_landscape_negative_angle_in_exponent_form_is_a_value(capsys):
+    """A separate -1e-3 is the option's value, as its attached form is."""
+    landscape = ("landscape", "--theta", "0.5", "--delta-steps", "2")
+    attached = run_cli(capsys, *landscape, "--delta-start=-1e-3")
+    assert attached[0] == EXIT_OK
+    assert run_cli(capsys, *landscape, "--delta-start", "-1e-3") == attached
+    assert run_cli(capsys, *landscape, "--delta-sta", "-1e-3") == attached  # an abbreviation
+    # A token that is not a number stays an option.
+    code, _, err = run_cli(capsys, *landscape, "--delta-start", "-x")
+    assert code == EXIT_USAGE
+    assert "expected one argument" in err
+
+
 def test_landscape_non_finite_angle_is_rejected(capsys):
     code, out, err = run_cli(
         capsys, "landscape", "--theta", "1", "--delta-start", "nan", "--delta-steps", "3"
@@ -478,6 +510,18 @@ def test_verify_matches_golden_output(tmp_path):
     out = tmp_path / "verify.txt"
     assert main(["verify", "--seed", "1", "--trials", "20", "--output", str(out)]) == EXIT_OK
     assert out.read_bytes() == (DATA / "verify_seed1_trials20.txt").read_bytes()
+
+
+def test_verify_block_goes_through_the_public_layer_functions(monkeypatch, tmp_path):
+    """A block of trials, with its pure pairs, makes one accessible_information and one holevo_chi call.
+
+    geometric_discord stays a one-ensemble call per trial.
+    """
+    calls = {}
+    _count_block_measures(monkeypatch, calls)
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--seed", "1", "--trials", "20", "--output", str(out)]) == EXIT_OK
+    assert calls == {"geometric_discord": 20, "accessible_information": 1, "holevo_chi": 1}
 
 
 def test_verify_usage_errors(capsys):

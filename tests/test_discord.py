@@ -388,13 +388,18 @@ def _spy(name):
     return mock.patch.object(discord, name, wraps=getattr(discord, name))
 
 
-def _bits(res):
+def _bits(res, k=None):
+    """The fields of a one-ensemble result, or of row k of a block's result."""
+
+    def row(x):
+        return x if k is None else x[k]
+
     return (
-        res.n_opt.tobytes(),
-        float(res.value).hex(),
-        float(res.stationarity_residual).hex(),
-        res.evaluations,
-        res.degenerate,
+        row(res.n_opt).tobytes(),
+        float(row(res.value)).hex(),
+        float(row(res.stationarity_residual)).hex(),
+        int(row(res.evaluations)),
+        bool(row(res.degenerate)),
         res.method,
     )
 
@@ -439,7 +444,7 @@ def test_golden_lockstep_follows_scalar_golden_section(rng, tol):
 )
 @settings(max_examples=6, deadline=None)
 def test_batch_matches_single_calls(seed, extra):
-    """One mixed batch gives the results of one-ensemble calls, to the bit.
+    """accessible_information of a mixed block gives the one-ensemble results, to the bit.
 
     MULTI_PEAK and NO_SIGN_CHANGE send brackets to the golden-section fallback
     and the others to the root search, in the same batch.
@@ -461,13 +466,13 @@ def test_batch_matches_single_calls(seed, extra):
             _spy("_slope_root_lockstep") as root,
             _spy("_golden_lockstep") as golden,
         ):
-            together = discord._accessible_information_batch(batch)
+            together = accessible_information(_EnsembleArrays.of(batch))
         # 24 of MULTI_PEAK's 26 brackets and one of NO_SIGN_CHANGE's two fall back.
         assert 25 <= golden.call_args.args[1].size < root.call_args.args[0].size
         with mock.patch.object(discord, "_ANGLE_TOL", tol):
             alone = [accessible_information(ens) for ens in batch]
-        assert [_bits(r) for r in together] == [_bits(r) for r in alone]
-    evaluations = {ens: r.evaluations for ens, r in zip(batch, together)}
+        assert [_bits(together, k) for k in range(len(batch))] == [_bits(r) for r in alone]
+    evaluations = dict(zip(batch, together.evaluations.tolist()))
     # 2046 at the default tolerance: SPLIT_TOL stops the golden-section brackets early
     assert evaluations[MULTI_PEAK] < 720 + 26 * 51
 
