@@ -263,12 +263,12 @@ def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
             ("kw_discord", kw.discord),
         ]
     if verify_grid is not None:
-        [oracle_acc], [oracle_geo] = _brute_force_batch([ens], [ens], verify_grid)
+        oracle = _brute_force_batch(_EnsembleArrays.of([ens, ens]), [False, True], verify_grid).value
         pairs += [
             ("oracle_grid", float(verify_grid)),
-            ("oracle_i_acc", oracle_acc.value),
-            ("oracle_discord", chi - oracle_acc.value),
-            ("oracle_geo_discord", oracle_geo.value),
+            ("oracle_i_acc", oracle[0]),
+            ("oracle_discord", chi - oracle[0]),
+            ("oracle_geo_discord", oracle[1]),
         ]
     lines = [f"{key} = {_fmt(val)}" for key, val in pairs]
     lines.insert(0, f"degenerate_optimum = {'true' if acc.degenerate else 'false'}")
@@ -278,13 +278,15 @@ def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
 def _cmd_compute(args) -> int:
     if (args.spec is None) == (args.theta is None):
         raise _UsageError("provide exactly one of --spec or --theta")
+    if args.spec is not None and (args.lambda0 is not None or args.degrees):
+        raise _UsageError("--lambda0 and --degrees go with --theta, not with --spec")
     if args.verify is not None:
         _check_range("--verify", args.verify, 2, _MAX_GRID)
     if args.spec is not None:
         ens = load_ensemble_spec(args.spec)
     else:
         theta = _angle(args.theta, args.degrees)
-        ens = QubitEnsemble.pure_pair(theta, args.lambda0)
+        ens = QubitEnsemble.pure_pair(theta, 0.5 if args.lambda0 is None else args.lambda0)
     lines = _compute_lines(ens, args.verify)
     _write_lines(args.output, lines)
     return EXIT_OK
@@ -339,6 +341,9 @@ def _cmd_landscape(args) -> int:
     theta = _angle(args.theta, args.degrees)
     d0 = _angle(args.delta_start, args.degrees)
     d1 = _angle(args.delta_stop, args.degrees)
+    for flag, delta in (("--delta-start", d0), ("--delta-stop", d1)):
+        if not math.isfinite(delta):
+            raise ValueError(f"{flag} must be finite, got {delta!r}")
     ens = QubitEnsemble.pure_pair(theta, args.lambda0)
     chi = holevo_chi(ens)
     deltas = np.linspace(d0, d1, args.delta_steps)
@@ -416,12 +421,13 @@ def _cmd_verify(args) -> int:
         chi, acc = holevo_chi(rows), accessible_information(rows)
         columns = (chi, acc.value, _holevo_gap(chi, acc.value), acc.stationarity_residual, acc.degenerate)
         results = list(zip(*(c.tolist() for c in columns)))
-        acc_oracles, geo_oracles = _brute_force_batch(ensembles, ensembles, args.grid)
+        purity = np.repeat([False, True], len(draws))
+        oracles = _brute_force_batch(_EnsembleArrays.of(ensembles * 2), purity, args.grid).value.tolist()
         for j, trial in enumerate(trials):
             ens, axis, pure = draws[j]
             chi, i_acc, discord, residual, degenerate = results[j]
             d_pure = results[len(draws) + j][2]
-            oracle_acc, oracle_geo = acc_oracles[j], geo_oracles[j]
+            oracle_i_acc, oracle_geo = oracles[j], oracles[len(draws) + j]
 
             s_joint = cq_state_entropy(ens)
             s_formula = (
@@ -444,12 +450,10 @@ def _cmd_verify(args) -> int:
                 suites["stationarity"].check(trial, residual, tol(1e-6), ens)
 
             geo = geometric_discord(ens)
-            agreement = max(
-                abs(i_acc - oracle_acc.value), abs(geo.value - oracle_geo.value)
-            )
+            agreement = max(abs(i_acc - oracle_i_acc), abs(geo.value - oracle_geo))
             suites["oracle_agreement"].check(trial, agreement, tol(1e-5), ens)
             # the grid can lag a true optimum but must never beat it
-            beat = max(oracle_acc.value - i_acc, geo.value - oracle_geo.value, 0.0)
+            beat = max(oracle_i_acc - i_acc, geo.value - oracle_geo, 0.0)
             suites["oracle_bound"].check(trial, beat, tol(1e-6), ens)
 
             kw = discord_pure_koashi_winter(pure.lambda0, pure_overlap(pure.a, pure.b))
@@ -520,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="all measures for one ensemble")
     p.add_argument("--spec", help="ensemble spec: file path or inline JSON")
     p.add_argument("--theta", type=float, help="pure-pair shorthand: half-angle")
-    p.add_argument("--lambda0", type=float, default=0.5)
+    p.add_argument("--lambda0", type=float, help="pure-pair shorthand: weight (default 0.5)")
     p.add_argument("--verify", type=int, metavar="N", help="add brute-force oracle values at grid size N")
     p.add_argument("--degrees", action="store_true", help="interpret angles as degrees")
     p.add_argument("--output", default=None)

@@ -16,6 +16,7 @@ arrays (_EnsembleArrays), which it computes in one array pass; every field
 of a block's result is a column with one entry per row, the bits of the
 one-ensemble call.  sweep passes its blocks; verify, compute and the
 one-ensemble callers keep the scalar body, the faster form at one row.
+ensemble_purity takes a block too, and the oracle shares _geo_defect_rows.
 """
 
 from __future__ import annotations
@@ -76,11 +77,13 @@ class GeoBranchReport:
     tolerance: float
 
 
-def ensemble_purity(ens: QubitEnsemble) -> float:
-    """Purity of the label-qubit joint state: (l0^2 (1+|a|^2) + l1^2 (1+|b|^2))/2."""
-    na2 = min(float(ens.a @ ens.a), 1.0)
-    nb2 = min(float(ens.b @ ens.b), 1.0)
-    return 0.5 * (ens.lambda0**2 * (1.0 + na2) + ens.lambda1**2 * (1.0 + nb2))
+def ensemble_purity(ens) -> float | np.ndarray:
+    """Purity (l0^2 (1+|a|^2) + l1^2 (1+|b|^2))/2 of the label-qubit state, per row for a block."""
+    if not isinstance(ens, _EnsembleArrays):
+        return float(ensemble_purity(_EnsembleArrays.of([ens]))[0])
+    na2, nb2 = (np.minimum(_row_dot(v, v), 1.0) for v in (ens.a, ens.b))
+    w0, w1 = ens.squared_weights()
+    return 0.5 * (w0 * (1.0 + na2) + w1 * (1.0 + nb2))
 
 
 def quadratic_form(ens: QubitEnsemble) -> GeoQuadraticForm:
@@ -142,21 +145,23 @@ def _geometric_discord_rows(rows: _EnsembleArrays) -> OptimizationResult:
         n_opt = canonical_axis(v / np.sqrt(_row_dot(v, v))[:, None])
     for k in np.flatnonzero((top <= _EIGEN_GAP_TOL) | (gap <= _EIGEN_GAP_TOL)):
         n_opt[k] = _top_eigenpair(rows.ensemble(k))[2]
-    # The residual of geometric_discord: _unit_perp_parts and _geo_defect_norm.
-    n = _normalized(n_opt)
-    an, bn = _row_dot(rows.a, n), _row_dot(rows.b, n)
-    w0, w1 = rows.squared_weights()
-    defect = (w0 * an)[:, None] * (rows.a - an[:, None] * n) + (w1 * bn)[:, None] * (
-        rows.b - bn[:, None] * n
-    )
     return OptimizationResult(
         n_opt=n_opt,
         value=0.5 * second,
-        stationarity_residual=np.sqrt(_row_dot(defect, defect)),
+        stationarity_residual=_geo_defect_rows(rows, _normalized(n_opt)),
         evaluations=np.ones(len(rows), dtype=int),
         method=EIGENPAIR_METHOD,
         degenerate=np.zeros(len(rows), dtype=bool),
     )
+
+
+def _geo_defect_rows(rows: _EnsembleArrays, n) -> np.ndarray:
+    """geo_stationarity_residual of every row at its unit axis n[k], to the bit."""
+    an, bn = _row_dot(rows.a, n), _row_dot(rows.b, n)
+    w0, w1 = rows.squared_weights()
+    a_perp, b_perp = rows.a - an[:, None] * n, rows.b - bn[:, None] * n
+    defect = (w0 * an)[:, None] * a_perp + (w1 * bn)[:, None] * b_perp
+    return np.sqrt(_row_dot(defect, defect))
 
 
 def example_geo_closed_form(theta: float) -> float:

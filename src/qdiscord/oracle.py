@@ -19,8 +19,9 @@ bit as its public objective.  The rows are then polished in lockstep: each
 golden-section step evaluates every live row's new point in one vectorised
 call of the same row kernel, through the line-search kernel the in-plane
 optimizer also uses.  The tangent frames and accepted moves stay row by row,
-so every row gets the bits of a search on its own; brute_force_accessible
-and brute_force_geo are the one-row case.
+so every row gets the bits of a search on its own.  The rows come as a block
+(_EnsembleArrays) and the result is one OptimizationResult of columns, as for
+the measures; brute_force_accessible and brute_force_geo are the one-row case.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ import numpy as np
 from .discord import (
     OptimizationResult,
     _any_perpendicular,
+    _first_row,
     _golden_lockstep,
     _plane_axes,
-    stationarity_residual,
+    _stationarity_rows,
 )
 from .ensemble import QubitEnsemble, _EnsembleArrays
-from .geodiscord import ensemble_purity, geo_stationarity_residual
-from .measurement import _row_constants, _row_objective, _unit_axes, canonical_axis
+from .geodiscord import _geo_defect_rows, ensemble_purity
+from .measurement import _normalized, _row_constants, _row_objective, _unit_axes, canonical_axis
 
 FULL_SPHERE_METHOD = "full-sphere grid + refine"
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -98,56 +100,44 @@ def _polish_rows(start: np.ndarray, consts, halfwidth: float):
     return p, best, evals
 
 
-def _brute_force_batch(acc_ensembles, geo_ensembles, grid_size: int = 10_000):
-    """brute_force_accessible of every acc_ensembles entry, brute_force_geo of every geo one.
+def _brute_force_batch(rows: _EnsembleArrays, purity, grid_size: int = 10_000) -> OptimizationResult:
+    """brute_force_geo of every purity row of a block, brute_force_accessible of every other.
 
-    Each is a row.  The rows share one grid, checked once, and each takes its
-    argmax there with its row of the row kernel; their polishes then run in
-    lockstep.  A row's result does not depend on the batch.  Returns the two
-    lists of results.
+    purity is one flag or one per row.  The rows share one grid, checked
+    once, and each takes its argmax there with its row of the row kernel;
+    their polishes then run in lockstep.  Row k of the result has the bits
+    of the one-row call.
     """
     grid = fibonacci_sphere(grid_size)
     unit = _unit_axes(grid)
-    ensembles = list(acc_ensembles) + list(geo_ensembles)
-    purity = np.arange(len(ensembles)) >= len(acc_ensembles)
-    consts = _row_constants(_EnsembleArrays.of(ensembles), purity)
-    start, floor = [], []
-    for i in range(len(ensembles)):
+    consts = _row_constants(rows, purity)
+    start, floor = np.empty((len(rows), 3)), np.empty(len(rows))
+    for i in range(len(rows)):
         vals = _row_objective(tuple(c[i : i + 1] for c in consts))(unit)
         k = int(np.argmax(vals))  # ties resolve to the lowest point index
-        start.append(grid[k])
-        floor.append(float(vals[k]))
+        start[i], floor[i] = grid[k], vals[k]
         del vals  # so that two rows' grid values are never alive at once
-    halfwidth = _BRACKET_SCALE / np.sqrt(grid_size)
-    axes, best, polish_evals = _polish_rows(np.array(start), consts, halfwidth)
-    out = []
-    for ens, geo, axis, value, lowest, used in zip(
-        ensembles, purity, axes, best, floor, polish_evals
-    ):
-        axis = canonical_axis(axis)
-        value = max(float(value), lowest)
-        if geo:
-            value = max(ensemble_purity(ens) - value, 0.0)
-            residual = geo_stationarity_residual(ens, axis)
-        else:
-            residual = stationarity_residual(ens, axis)
-        out.append(
-            OptimizationResult(
-                n_opt=axis,
-                value=value,
-                stationarity_residual=residual,
-                evaluations=grid_size + int(used),
-                method=FULL_SPHERE_METHOD,
-            )
-        )
-    return out[: len(acc_ensembles)], out[len(acc_ensembles) :]
+    axes, best, polish_evals = _polish_rows(start, consts, _BRACKET_SCALE / np.sqrt(grid_size))
+    n_opt = canonical_axis(axes)
+    n = _normalized(n_opt)
+    # max(best, floor), then max(purity - value, 0.0) on the purity rows.
+    value = np.where(floor > best, floor, best)
+    deficit = ensemble_purity(rows) - value
+    return OptimizationResult(
+        n_opt=n_opt,
+        value=np.where(purity, np.where(0.0 > deficit, 0.0, deficit), value),
+        stationarity_residual=np.where(purity, _geo_defect_rows(rows, n), _stationarity_rows(rows, n)),
+        evaluations=grid_size + polish_evals,
+        method=FULL_SPHERE_METHOD,
+        degenerate=np.zeros(len(rows), dtype=bool),
+    )
 
 
 def brute_force_accessible(ens: QubitEnsemble, grid_size: int = 10_000) -> OptimizationResult:
     """Grid-plus-polish maximum of the classical mutual information."""
-    return _brute_force_batch([ens], [], grid_size)[0][0]
+    return _first_row(_brute_force_batch(_EnsembleArrays.of([ens]), False, grid_size))
 
 
 def brute_force_geo(ens: QubitEnsemble, grid_size: int = 10_000) -> OptimizationResult:
     """Grid-plus-polish purity deficit (the geometric discord, brute force)."""
-    return _brute_force_batch([], [ens], grid_size)[1][0]
+    return _first_row(_brute_force_batch(_EnsembleArrays.of([ens]), True, grid_size))

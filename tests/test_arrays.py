@@ -5,10 +5,10 @@ Koashi-Winter discord, the plane basis, the 720-point scan, the pick, the
 stationarity residual and the geometric discord.  Each row
 must get the bits of the scalar form, which the tests here write out (or
 call) one ensemble at a time, so that no result depends on the block it was
-computed in.  The four measures (holevo_chi, accessible_information,
-quantum_discord and geometric_discord) take the block through their public
-names, and every field of a block's result is a column whose row k is the
-one-ensemble call on ensemble k.
+computed in.  The measures (holevo_chi, accessible_information,
+quantum_discord, geometric_discord and ensemble_purity) take the block
+through their public names, and every field of a block's result is a column
+whose row k is the one-ensemble call on ensemble k.
 """
 
 import dataclasses
@@ -28,6 +28,7 @@ from qdiscord import (
     canonical_axis,
     classical_mutual_information,
     discord_pure_koashi_winter,
+    ensemble_purity,
     geometric_discord,
     holevo_chi,
     quantum_discord,
@@ -69,7 +70,7 @@ GEO_EDGES = EDGES + [
 
 HARD = st.lists(st.one_of(near_degenerate_ensembles(), hard_region_ensembles()), max_size=6)
 
-MEASURES = (holevo_chi, accessible_information, quantum_discord, geometric_discord)
+MEASURES = (holevo_chi, accessible_information, quantum_discord, geometric_discord, ensemble_purity)
 
 
 def _block(seed, extra):
@@ -92,6 +93,13 @@ def _scalar_chi(ens):
         - ens.lambda1 * von_neumann_entropy(ens.b)
     )
     return max(float(chi), 0.0)
+
+
+def _scalar_purity(ens):
+    """ensemble_purity as its scalar formula, one squared norm per state."""
+    na2 = min(float(ens.a @ ens.a), 1.0)
+    nb2 = min(float(ens.b @ ens.b), 1.0)
+    return 0.5 * (ens.lambda0**2 * (1.0 + na2) + ens.lambda1**2 * (1.0 + nb2))
 
 
 def _scalar_search(ens):
@@ -132,8 +140,9 @@ def _scalar_search(ens):
 def _fields(result, k=None):
     """Each field of a measure's one-ensemble result, or of row k of a block's, as bytes.
 
-    holevo_chi returns a value, the others an OptimizationResult; the method
-    name is one string for a block.  A field's dtype is part of its bytes.
+    holevo_chi and ensemble_purity return a value, the others an
+    OptimizationResult; the method name is one string for a block.  A
+    field's dtype is part of its bytes.
     """
     if isinstance(result, OptimizationResult):
         fields = [getattr(result, f.name) for f in dataclasses.fields(result)]
@@ -190,6 +199,14 @@ def test_holevo_chi_of_a_block_matches_the_scalar_formula(seed, extra):
     ensembles = _block(seed, extra)
     rows = _EnsembleArrays.of(ensembles)
     assert _bits(holevo_chi(rows)) == _bits([_scalar_chi(ens) for ens in ensembles])
+
+
+@given(seed=st.integers(0, 2**32 - 1), extra=HARD)
+@settings(max_examples=10, deadline=None)
+def test_ensemble_purity_of_a_block_matches_the_scalar_formula(seed, extra):
+    ensembles = _block(seed, extra) + GEO_EDGES
+    rows = _EnsembleArrays.of(ensembles)
+    assert _bits(ensemble_purity(rows)) == _bits([_scalar_purity(ens) for ens in ensembles])
 
 
 @given(seed=st.integers(0, 2**32 - 1), extra=HARD)

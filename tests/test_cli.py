@@ -167,6 +167,9 @@ def test_compute_usage_errors(tmp_path, capsys):
     assert run_cli(capsys, "compute", "--spec", "{}", "--theta", "1")[0] == EXIT_USAGE
     code, _, err = run_cli(capsys, "compute", "--spec", "/nonexistent/path.json")
     assert code == EXIT_USAGE and "not found" in err
+    for option in (["--lambda0", "0.3"], ["--degrees"]):
+        code, out, err = run_cli(capsys, "compute", "--spec", '{"pure_pair": {"theta": 0.5}}', *option)
+        assert (code, out) == (EXIT_USAGE, "") and option[0] in err
     code, _, err = run_cli(capsys, "compute", "--spec", '{"weights": [0.5,0.5]')
     assert code == EXIT_USAGE and "line" in err
     code, out, err = run_cli(
@@ -478,13 +481,16 @@ def test_landscape_negative_angle_in_exponent_form_is_a_value(capsys):
     assert "expected one argument" in err
 
 
-def test_landscape_non_finite_angle_is_rejected(capsys):
-    code, out, err = run_cli(
-        capsys, "landscape", "--theta", "1", "--delta-start", "nan", "--delta-steps", "3"
-    )
+@pytest.mark.parametrize(
+    "end",
+    [["--delta-start", "nan"], ["--delta-stop", "inf"], ["--delta-stop=-inf"]],
+    ids=["nan", "inf", "minus_inf"],
+)
+def test_landscape_non_finite_angle_is_rejected(capsys, end):
+    code, out, err = run_cli(capsys, "landscape", "--theta", "1", *end, "--delta-steps", "3")
     assert code == EXIT_INVARIANT
     assert out == ""
-    assert "unit vectors" in err
+    assert end[0].split("=")[0] in err
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from qdiscord import (
     random_pure_pair,
     stationarity_residual,
 )
+from qdiscord.ensemble import _EnsembleArrays
+
 from conftest import golden_max, hard_region_ensembles, near_degenerate_ensembles
 
 # h((2+sqrt(2))/4) based, frozen from mpmath
@@ -198,6 +200,19 @@ def _bits(res):
     )
 
 
+COLUMNS = (
+    ("n_opt", float),
+    ("value", float),
+    ("stationarity_residual", float),
+    ("evaluations", int),
+    ("degenerate", bool),
+)
+
+
+def _column_bits(columns):
+    return [(c.dtype.str, c.shape, c.tobytes()) for c in columns]
+
+
 @pytest.mark.host_bits
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -214,10 +229,20 @@ def test_mixed_oracle_batch_matches_one_row_calls_and_the_scalar_polish(seed, ex
     ensembles += [random_pure_pair(rng) for _ in range(2)] + extra
     acc_rows = [ensembles[i] for i in rng.permutation(len(ensembles))]
     geo_rows = [ensembles[i] for i in rng.permutation(len(ensembles))[:-1]]
-    acc, geo = oracle._brute_force_batch(acc_rows, geo_rows, grid_size)
-    assert [_bits(r) for r in acc] == [
-        _bits(brute_force_accessible(ens, grid_size)) for ens in acc_rows
+    rows = acc_rows + geo_rows
+    purity = np.arange(len(rows)) >= len(acc_rows)
+    block = oracle._brute_force_batch(_EnsembleArrays.of(rows), purity, grid_size)
+    lone = [
+        brute_force_geo(ens, grid_size) if geo else brute_force_accessible(ens, grid_size)
+        for ens, geo in zip(rows, purity)
     ]
-    assert [_bits(r) for r in geo] == [_bits(brute_force_geo(ens, grid_size)) for ens in geo_rows]
-    assert [_bits(r) for r in acc] == [_reference_bits(ens, grid_size, False) for ens in acc_rows]
-    assert [_bits(r) for r in geo] == [_reference_bits(ens, grid_size, True) for ens in geo_rows]
+    # Every field but method is a column whose row k is the lone call on row k,
+    # which gives Python scalars.
+    assert block.method == oracle.FULL_SPHERE_METHOD
+    assert all(type(getattr(r, f)) is t for r in lone for f, t in COLUMNS[1:])
+    assert _column_bits(getattr(block, f) for f, _ in COLUMNS) == _column_bits(
+        np.array([getattr(r, f) for r in lone], dtype=dtype) for f, dtype in COLUMNS
+    )
+    assert [_bits(r) for r in lone] == [
+        _reference_bits(ens, grid_size, geo) for ens, geo in zip(rows, purity)
+    ]
