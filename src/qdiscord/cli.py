@@ -344,6 +344,9 @@ def _cmd_landscape(args) -> int:
     for flag, delta in (("--delta-start", d0), ("--delta-stop", d1)):
         if not math.isfinite(delta):
             raise ValueError(f"{flag} must be finite, got {delta!r}")
+    # np.linspace would overflow on the span, and every axis would be NaN.
+    if not math.isfinite(d1 - d0):
+        raise ValueError(f"--delta-stop minus --delta-start must be finite, got {d1 - d0!r}")
     ens = QubitEnsemble.pure_pair(theta, args.lambda0)
     chi = holevo_chi(ens)
     deltas = np.linspace(d0, d1, args.delta_steps)

@@ -25,11 +25,11 @@ mixed states) taken along the plane: Illinois steps, safeguarded by the
 bracket and by bisection, that place the axis to round-off in about six
 steps.  A bracket whose ends show no sign change of the slope keeps a
 golden-section polish of the value, by _golden_lockstep, the one
-golden-section kernel of the package (the oracle's tangent line searches use
-it too).  The value objective of that fallback and the final evaluation are
-the same row kernel, one axis per row.  Each step of either search is one
-vectorised evaluation at every bracket's new point, and a bracket is masked
-off once it has converged.
+golden-section kernel of the package (the oracle polishes by trust-region
+rounds of its own).  The value objective of that fallback and the final
+evaluation are the same row kernel, one axis per row.  Each step of either
+search is one vectorised evaluation at every bracket's new point, and a
+bracket is masked off once it has converged.
 
 Every array form gives each row the bits of its scalar form, which stays
 for the rows that take a rare branch (a plane basis of a nearly collinear
@@ -360,14 +360,13 @@ def _golden_lockstep(f, lo, hi):
     """Golden-section maximization of f over [lo[k], hi[k]] for every row k at once.
 
     The one golden-section kernel: it polishes the in-plane brackets whose
-    slope shows no sign change, and the oracle's tangent line searches.  f
-    maps an array of points, one per row, to the values there.  Each step
-    makes one call of f at every row's new point; a row whose width is down
-    to _ANGLE_TOL is masked off (its ends stop moving and it stops counting
-    evaluations) while the others go on.  Every row takes the steps of a
-    scalar golden-section search on its own bracket, so its bits do not
-    depend on the other rows.  Returns the midpoints, their values and the
-    evaluations per row.
+    slope shows no sign change.  f maps an array of points, one per row, to
+    the values there.  Each step makes one call of f at every row's new
+    point; a row whose width is down to _ANGLE_TOL is masked off (its ends
+    stop moving and it stops counting evaluations) while the others go on.
+    Every row takes the steps of a scalar golden-section search on its own
+    bracket, so its bits do not depend on the other rows.  Returns the
+    midpoints, their values and the evaluations per row.
     """
     width = hi - lo
     x1 = hi - _INVPHI * width

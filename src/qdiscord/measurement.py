@@ -16,7 +16,7 @@ map from a batch of axes per row to each row's objective there.  Every
 evaluation goes through it: the public objectives are its one-row case, the
 discord module's 720-point scan evaluates a slice of rows, 720 axes each,
 its in-plane polish one axis per row, and the oracle each row's grid and
-its tangent line searches.
+the stencils and steps of its polish.
 """
 
 from __future__ import annotations

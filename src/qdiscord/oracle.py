@@ -8,45 +8,53 @@ reproduce exactly.
 Grid resolution: the worst nearest-neighbor spacing of the lattice is below
 about 3.6/sqrt(N) radians, so the unpolished grid maximum of a smooth
 objective with curvature kappa sits within roughly kappa * 6.5/N of the true
-optimum.  The local polish (alternating golden-section line searches along
-the two tangent great circles around the best grid point) tightens that to
-optimizer precision for every objective used here.
+optimum.  The local polish tightens that to optimizer precision for every
+objective used here.  It is a derivative-free trust-region method (Conn,
+Gould and Toint, Trust-Region Methods, 2000) on the tangent plane of the
+best point so far: an 8-point stencil of objective values gives the
+central-difference gradient and Hessian of a quadratic model, whose step,
+kept inside the trust radius, is tried, and the radius grows after a step
+that gains and shrinks after one that does not.  It uses only differences
+of objective values, never the plane reduction or the stationarity
+condition, and smooth rows reach round-off in about six rounds.
 
 A batch of rows, each one ensemble with one objective (mutual information or
 post-measurement purity), shares one grid, checked once per batch; each row
 reads its grid values from its row of measurement._row_objective, bit for
-bit as its public objective.  The rows are then polished in lockstep: each
-golden-section step evaluates every live row's new point in one vectorised
-call of the same row kernel, through the line-search kernel the in-plane
-optimizer also uses.  The tangent frames and accepted moves stay row by row,
-so every row gets the bits of a search on its own.  The rows come as a block
-(_EnsembleArrays) and the result is one OptimizationResult of columns, as for
-the measures; brute_force_accessible and brute_force_geo are the one-row case.
+bit as its public objective.  The rows are then polished in lockstep: a
+round evaluates every live row's stencil in one call of the same row kernel
+and every row's step in one more, and a row that stops is frozen.  Every
+operation is row by row, so each row gets the bits of a polish on its own.
+The rows come as a block (_EnsembleArrays) and the result is one
+OptimizationResult of columns, as for the measures; brute_force_accessible
+and brute_force_geo are the one-row case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .discord import (
-    OptimizationResult,
-    _any_perpendicular,
-    _first_row,
-    _golden_lockstep,
-    _plane_axes,
-    _stationarity_rows,
-)
+from .discord import OptimizationResult, _first_row, _stationarity_rows
 from .ensemble import QubitEnsemble, _EnsembleArrays
 from .geodiscord import _geo_defect_rows, ensemble_purity
 from .measurement import _normalized, _row_constants, _row_objective, _unit_axes, canonical_axis
 
 FULL_SPHERE_METHOD = "full-sphere grid + refine"
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
-# Polish bracket half-width, comfortably above the worst grid spacing.
-_BRACKET_SCALE = 5.0
-_POLISH_SWEEPS = 3
-# A row ends its sweeps once a sweep gains less than this.
-_MIN_GAIN = 1e-15
+# The first trust radius times sqrt(grid size), comfortably above the worst
+# grid spacing.
+_RADIUS_SCALE = 5.0
+# Stencil spacing bounds: central differences lose to truncation above the
+# upper bound and to round-off below the lower one.
+_MIN_SPACING, _MAX_SPACING = 1e-5, 1e-3
+# A row stops once its step is shorter than this, or after _MAX_ROUNDS rounds.
+_MIN_STEP = 1e-10
+_MAX_ROUNDS = 40
+_TINY = np.finfo(float).tiny
+# The stencil, in units of the spacing along (t1, t2).
+_STENCIL = np.array(
+    [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
+)
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -64,37 +72,95 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _polish_rows(start: np.ndarray, consts, halfwidth: float):
-    """Golden-section line searches along the two tangent great circles, per row.
+def _tangent_frames(p):
+    """An orthonormal tangent pair (t1, t2) at every row of p, shape (N, 3) each.
 
-    Each row gets a single local polish around its best grid point: up to
-    _POLISH_SWEEPS sweeps, re-deriving the tangent frame after each accepted
-    move, with no re-gridding.  Both line searches of a sweep run for every
-    live row at once.
+    t1 is the part of the coordinate axis of p's smallest component normal
+    to p, normalized, and t2 = p x t1.
     """
-    p = np.array(start, dtype=float)
-    best = _row_objective(consts)(_unit_axes(p))
-    evals = np.ones(len(p), dtype=int)
+    rows = np.arange(len(p))
+    k = np.argmin(np.abs(p), axis=1)
+    w = -p[rows, k][:, None] * p
+    w[rows, k] += 1.0
+    t1 = _normalized(w)
+    return t1, np.cross(p, t1)
+
+
+def _model_steps(f, f0, h, radius):
+    """Each row's step along (t1, t2) from its stencil values f, shape (N, 8).
+
+    The gradient g and Hessian H of the quadratic model are central
+    differences of spacing h around the centre value f0.  The step solves
+    (sigma - H) s = g with sigma = max(0, mu + |g|/radius), mu the larger
+    eigenvalue of H.  That is the Newton step where the model is concave and
+    the shift is 0; elsewhere the shift turns the step toward the gradient
+    and keeps it at most the radius long, and it follows a curved ridge
+    where a plain gradient step would zig-zag across it.
+    """
+    fx, fxm, fy, fym, fpp, fpm, fmp, fmm = f.T
+    g1, g2 = (fx - fxm) / (2.0 * h), (fy - fym) / (2.0 * h)
+    hh = h * h
+    h11 = (fx - 2.0 * f0 + fxm) / hh
+    h22 = (fy - 2.0 * f0 + fym) / hh
+    h12 = (fpp - fpm - fmp + fmm) / (4.0 * hh)
+    half = 0.5 * (h11 - h22)
+    mu = 0.5 * (h11 + h22) + np.sqrt(half * half + h12 * h12)
+    sigma = np.maximum(mu + np.sqrt(g1 * g1 + g2 * g2) / radius, 0.0)
+    a11, a22 = sigma - h11, sigma - h22
+    v1, v2 = a22 * g1 + h12 * g2, h12 * g1 + a11 * g2
+    # The step is v/det.  Dividing by |v|/radius instead, where that is
+    # larger, keeps it inside the radius when round-off leaves the shifted
+    # matrix singular, and the floor keeps 0/0 off a zero gradient.
+    det = a11 * a22 - h12 * h12
+    scale = np.maximum(np.maximum(det, np.sqrt(v1 * v1 + v2 * v2) / radius), _TINY)
+    return v1 / scale, v2 / scale
+
+
+def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
+    """Trust-region polish of every row from its best grid point.
+
+    A row holds a point p with its value (floor at the start) and a trust
+    radius r.  Each round evaluates every live row's 8-point stencil
+    p +/- h t1, p +/- h t2, p +/- h t1 +/- h t2 (normalized; (t1, t2) the
+    tangent frame at p, h = r clipped to [_MIN_SPACING, _MAX_SPACING]) in
+    one call of the row kernel, takes the model step from it and evaluates
+    the step's end in one more call.  The row moves to the best of these
+    nine points when it beats the row's value.  r becomes twice the step
+    after a step that gained and a quarter of it after one that did not,
+    and at least h after a move to a stencil point.  A row stops once its
+    step is below _MIN_STEP and no stencil point moved it, or after
+    _MAX_ROUNDS rounds; stopped rows are frozen, so no row depends on the
+    others.
+    """
+    p, best = np.array(start, dtype=float), np.array(floor, dtype=float)
+    radii = np.full(len(p), radius)
+    evals = np.zeros(len(p), dtype=int)
     live = np.arange(len(p))
-    for _ in range(_POLISH_SWEEPS):
+    for _ in range(_MAX_ROUNDS):
         objective = _row_objective(tuple(c[live] for c in consts))
-        bracket = np.full(live.size, halfwidth)
-        gained = np.zeros(live.size)
-        t1 = np.array([_any_perpendicular(p[k]) for k in live])
-        t2 = np.array([np.cross(p[k], t) for k, t in zip(live, t1)])
-        for t in (t1, t2):
-            center = p[live]
-            alpha, vals, used = _golden_lockstep(
-                lambda x: objective(_plane_axes(x, center, t)), -bracket, bracket
-            )
-            evals[live] += used
-            for j in np.flatnonzero(vals > best[live]):
-                k = live[j]
-                gained[j] = max(gained[j], vals[j] - best[k])
-                q = np.cos(alpha[j]) * p[k] + np.sin(alpha[j]) * t[j]
-                p[k] = q / np.linalg.norm(q)
-                best[k] = vals[j]
-        live = live[gained >= _MIN_GAIN]
+        q, f0, r = p[live], best[live], radii[live]
+        t1, t2 = _tangent_frames(q)
+        h = np.clip(r, _MIN_SPACING, _MAX_SPACING)
+        offsets = _STENCIL[:, :1] * t1[:, None] + _STENCIL[:, 1:] * t2[:, None]
+        stencil = _normalized(q[:, None] + h[:, None, None] * offsets)
+        # The public objectives squash their axes once more; so does the kernel here.
+        f = objective(_normalized(stencil))
+        s1, s2 = _model_steps(f, f0, h, r)
+        end = _normalized(q + s1[:, None] * t1 + s2[:, None] * t2)
+        f_end = objective(_normalized(end))
+        evals[live] += len(_STENCIL) + 1
+        points = np.concatenate((stencil, end[:, None]), axis=1)
+        vals = np.concatenate((f, f_end[:, None]), axis=1)
+        won = np.argmax(vals, axis=1)
+        pick = np.arange(len(won)), won
+        moved = vals[pick] > f0
+        by_stencil = moved & (won < len(_STENCIL))
+        p[live] = np.where(moved[:, None], points[pick], q)
+        best[live] = np.where(moved, vals[pick], f0)
+        step = np.sqrt(s1 * s1 + s2 * s2)
+        r = np.where(f_end > f0, 2.0 * step, 0.25 * step)
+        radii[live] = np.where(by_stencil, np.maximum(r, h), r)
+        live = live[(step >= _MIN_STEP) | by_stencil]
         if not live.size:
             break
     return p, best, evals
@@ -117,11 +183,10 @@ def _brute_force_batch(rows: _EnsembleArrays, purity, grid_size: int = 10_000) -
         k = int(np.argmax(vals))  # ties resolve to the lowest point index
         start[i], floor[i] = grid[k], vals[k]
         del vals  # so that two rows' grid values are never alive at once
-    axes, best, polish_evals = _polish_rows(start, consts, _BRACKET_SCALE / np.sqrt(grid_size))
+    axes, value, polish_evals = _polish_rows(start, floor, consts, _RADIUS_SCALE / np.sqrt(grid_size))
     n_opt = canonical_axis(axes)
     n = _normalized(n_opt)
-    # max(best, floor), then max(purity - value, 0.0) on the purity rows.
-    value = np.where(floor > best, floor, best)
+    # max(purity - value, 0.0) on the purity rows.
     deficit = ensemble_purity(rows) - value
     return OptimizationResult(
         n_opt=n_opt,

@@ -68,25 +68,23 @@ def golden_max(f, lo: float, hi: float, tol: float):
     return x, f(x), evals + 1
 
 
-@st.composite
-def near_degenerate_ensembles(draw) -> QubitEnsemble:
-    """Near-collinear and near-identical pairs: the inputs nondegenerate drops.
+def near_degenerate_ensemble(
+    rng, kind: str, eps: float, l0: float, norm: float, scale: float
+) -> QubitEnsemble:
+    """A near-collinear or near-identical pair: the inputs nondegenerate drops.
 
-    b is a scaled copy of a (collinear) or a itself (identical), moved off it
-    by eps in [1e-12, 1e-6] along a random direction; for the collinear kind
-    that direction is perpendicular to a.
+    a has the given norm along a random direction u.  b is scale * a
+    ("near_collinear") or a itself ("near_identical"), moved off it by eps
+    along a random direction, which for the collinear kind is perpendicular
+    to u.
     """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["near_collinear", "near_identical"]))
-    eps = 10.0 ** draw(st.floats(-12.0, -6.0))
-    l0 = draw(st.floats(0.0, 1.0))
     u = rng.normal(size=3)
     u /= np.linalg.norm(u)
-    a = u * draw(st.floats(1e-3, 1.0))
+    a = u * norm
     d = rng.normal(size=3)
     if kind == "near_collinear":
         d -= (d @ u) * u
-        b = draw(st.floats(-1.0, 1.0)) * a
+        b = scale * a
     else:
         b = a.copy()
     b = b + eps * d / np.linalg.norm(d)
@@ -95,26 +93,44 @@ def near_degenerate_ensembles(draw) -> QubitEnsemble:
 
 
 @st.composite
-def hard_region_ensembles(draw) -> QubitEnsemble:
+def near_degenerate_ensembles(draw) -> QubitEnsemble:
+    """near_degenerate_ensemble with eps in [1e-12, 1e-6], norm in [1e-3, 1], scale in [-1, 1]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["near_collinear", "near_identical"]))
+    eps = 10.0 ** draw(st.floats(-12.0, -6.0))
+    l0 = draw(st.floats(0.0, 1.0))
+    norm, scale = draw(st.floats(1e-3, 1.0)), draw(st.floats(-1.0, 1.0))
+    return near_degenerate_ensemble(rng, kind, eps, l0, norm, scale)
+
+
+def hard_region_ensemble(rng, kind: str, eps: float, l0: float) -> QubitEnsemble:
     """Extreme weights, pure states and tiny norms: the rest of what nondegenerate drops.
 
-    With eps in [1e-12, 1e-2]: lambda0 is eps or 1 - eps with each state pure
-    or of uniform norm ("extreme_weight"), both states are pure ("pure"), or
-    a has norm eps and b a log-uniform norm in [1e-12, 1] ("tiny_norm").
-    Directions are uniform on the sphere.
+    For "extreme_weight" (l0 is eps or 1 - eps) each state is pure or of
+    uniform norm; "pure" makes both states pure; "tiny_norm" gives a the norm eps
+    and b a log-uniform norm in [1e-12, 1].  Directions are uniform on the
+    sphere.
     """
+    if kind == "extreme_weight":
+        norms = np.where(rng.uniform(size=2) < 0.5, 1.0, rng.uniform(size=2))
+    else:
+        norms = np.ones(2) if kind == "pure" else np.array([eps, 10.0 ** rng.uniform(-12.0, 0.0)])
+    d = rng.normal(size=(2, 3))
+    a, b = d / np.linalg.norm(d, axis=1, keepdims=True) * norms[:, None]
+    return QubitEnsemble(l0, 1.0 - l0, a, b)
+
+
+@st.composite
+def hard_region_ensembles(draw) -> QubitEnsemble:
+    """hard_region_ensemble with eps in [1e-12, 1e-2]; l0 in [0, 1] but for extreme weights."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["extreme_weight", "pure", "tiny_norm"]))
     eps = 10.0 ** draw(st.floats(-12.0, -2.0))
     if kind == "extreme_weight":
         l0 = draw(st.sampled_from([eps, 1.0 - eps]))
-        norms = np.where(rng.uniform(size=2) < 0.5, 1.0, rng.uniform(size=2))
     else:
         l0 = draw(st.floats(0.0, 1.0))
-        norms = np.ones(2) if kind == "pure" else np.array([eps, 10.0 ** rng.uniform(-12.0, 0.0)])
-    d = rng.normal(size=(2, 3))
-    a, b = d / np.linalg.norm(d, axis=1, keepdims=True) * norms[:, None]
-    return QubitEnsemble(l0, 1.0 - l0, a, b)
+    return hard_region_ensemble(rng, kind, eps, l0)
 
 
 @pytest.fixture

@@ -493,6 +493,14 @@ def test_landscape_non_finite_angle_is_rejected(capsys, end):
     assert end[0].split("=")[0] in err
 
 
+def test_landscape_span_beyond_float_range_is_rejected(capsys):
+    ends = ("--delta-start", "-1e308", "--delta-stop", "1e308")
+    code, out, err = run_cli(capsys, "landscape", "--theta", "0.5", *ends, "--delta-steps", "3")
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert "--delta-start" in err and "--delta-stop" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-import qdiscord.discord as discord
 import qdiscord.oracle as oracle
 from qdiscord import (
     QubitEnsemble,
@@ -26,7 +25,12 @@ from qdiscord import (
 )
 from qdiscord.ensemble import _EnsembleArrays
 
-from conftest import golden_max, hard_region_ensembles, near_degenerate_ensembles
+from conftest import (
+    hard_region_ensemble,
+    hard_region_ensembles,
+    near_degenerate_ensemble,
+    near_degenerate_ensembles,
+)
 
 # h((2+sqrt(2))/4) based, frozen from mpmath
 MI_PI4 = 0.399123963307143899
@@ -85,6 +89,18 @@ def test_brute_force_geo_examples():
     assert res.value == pytest.approx(0.0, abs=1e-9)
 
 
+def test_polish_leaves_a_critical_grid_point():
+    """At grid size 2 the start is the z pole, where the gradient of this pair vanishes by symmetry.
+
+    The pole is the information minimum and a saddle of the purity, so no
+    model step leaves it; the polish gets away by moving to a better stencil
+    point.
+    """
+    ens = QubitEnsemble.pure_pair(1.2)
+    assert brute_force_accessible(ens, 2).value == pytest.approx(accessible_information(ens).value, abs=1e-12)
+    assert brute_force_geo(ens, 2).value == pytest.approx(geometric_discord(ens).value, abs=1e-12)
+
+
 def test_oracle_never_beats_the_optimizer(rng):
     for _ in range(40):
         ens = random_ensemble(rng)
@@ -134,6 +150,41 @@ def test_oracle_converges_with_grid_size(rng):
     assert abs(means[2]) <= 1e-5
 
 
+def _seeded_hard_inputs(rng, count):
+    """count draws of each kind of input.
+
+    The kinds are random ensembles, random pure pairs, the hard-region kinds
+    (low and high extreme weights, pure pairs, tiny norms) and both kinds of
+    near-degenerate pairs.
+    """
+    ensembles = [random_ensemble(rng) for _ in range(count)] + [random_pure_pair(rng) for _ in range(count)]
+    hard = (("extreme_weight", "low"), ("extreme_weight", "high"), ("pure", None), ("tiny_norm", None))
+    for kind, weight in hard:
+        for _ in range(count):
+            eps = 10.0 ** rng.uniform(-12.0, -2.0)
+            l0 = {"low": eps, "high": 1.0 - eps}[weight] if weight else rng.uniform()
+            ensembles.append(hard_region_ensemble(rng, kind, eps, l0))
+    for kind in ("near_collinear", "near_identical"):
+        for _ in range(count):
+            eps = 10.0 ** rng.uniform(-12.0, -6.0)
+            l0, norm, scale = rng.uniform(), rng.uniform(1e-3, 1.0), rng.uniform(-1.0, 1.0)
+            ensembles.append(near_degenerate_ensemble(rng, kind, eps, l0, norm, scale))
+    return ensembles
+
+
+@pytest.mark.parametrize("grid_size", [300, 1000, 10_000])
+def test_oracle_reaches_the_optimizers_on_seeded_hard_inputs(grid_size):
+    """The polish reaches the in-plane optimum and the geometric closed form, and never beats them."""
+    rows = _EnsembleArrays.of(_seeded_hard_inputs(np.random.default_rng(15), 100))
+    acc, geo = accessible_information(rows).value, geometric_discord(rows).value
+    oracle_acc = oracle._brute_force_batch(rows, False, grid_size).value
+    oracle_geo = oracle._brute_force_batch(rows, True, grid_size).value
+    assert np.abs(oracle_acc - acc).max() <= 1e-9
+    assert np.abs(oracle_geo - geo).max() <= 1e-9
+    assert (oracle_acc - acc).max() <= 1e-12
+    assert (geo - oracle_geo).max() <= 1e-12
+
+
 def test_oracle_result_metadata():
     res = brute_force_accessible(QubitEnsemble.pure_pair(1.0), 500)
     assert res.method == "full-sphere grid + refine"
@@ -141,33 +192,64 @@ def test_oracle_result_metadata():
     assert np.linalg.norm(res.n_opt) == pytest.approx(1.0, abs=1e-12)
 
 
-def _polish_reference(objective, start, halfwidth):
-    """The oracle's polish for one row, on the public objective and scalar golden section.
+# The oracle's stencil, in units of its spacing along the tangent pair (t1, t2).
+STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
-    Up to three sweeps of two tangent line searches, re-deriving the frame
-    after each accepted move and stopping once a sweep gains < 1e-15.
+
+def _unit(v):
+    return v / np.sqrt((v * v).sum(axis=-1, keepdims=True))
+
+
+def _polish_reference(objective, start, floor, radius):
+    """The oracle's polish for one row, on the public objective, one scalar step at a time.
+
+    Up to 40 rounds.  Each takes the tangent pair at p, the 8-point stencil
+    of spacing h = radius clipped to [1e-5, 1e-3], the central-difference
+    gradient g and Hessian H there, and the step s solving
+    (sigma - H) s = g with sigma = max(0, mu + |g|/radius), mu the larger
+    eigenvalue of H, cut back to the radius; it moves to the best of the
+    nine new points if that beats the best value.  The radius becomes twice
+    the step after a step that gained, a quarter of it after one that did
+    not, and at least h after a move to a stencil point.  The row stops once
+    its step is below 1e-10 and no stencil point moved it.
     """
-    p = np.array(start, dtype=float)
-    best = float(objective(p))
-    evals = 1
-    for _ in range(3):
-        gained = 0.0
-        t1 = discord._any_perpendicular(p)
+    p, best, evals = np.array(start, dtype=float), float(floor), 0
+    for _ in range(40):
+        k = int(np.argmin(np.abs(p)))
+        w = -p[k] * p
+        w[k] += 1.0
+        t1 = _unit(w)
         t2 = np.cross(p, t1)
-        for t in (t1, t2):
-            alpha, val, used = golden_max(
-                lambda a, axis=t, center=p: float(objective(np.cos(a) * center + np.sin(a) * axis)),
-                -halfwidth,
-                halfwidth,
-                discord._ANGLE_TOL,
-            )
-            evals += used
-            if val > best:
-                gained = max(gained, val - best)
-                p = np.cos(alpha) * p + np.sin(alpha) * t
-                p /= np.linalg.norm(p)
-                best = val
-        if gained < 1e-15:
+        h = min(max(radius, 1e-5), 1e-3)
+        points = [_unit(p + h * (c1 * t1 + c2 * t2)) for c1, c2 in STENCIL]
+        f = [float(v) for v in objective(np.array(points))]
+        fx, fxm, fy, fym, fpp, fpm, fmp, fmm = f
+        g1, g2 = (fx - fxm) / (2.0 * h), (fy - fym) / (2.0 * h)
+        h11 = (fx - 2.0 * best + fxm) / (h * h)
+        h22 = (fy - 2.0 * best + fym) / (h * h)
+        h12 = (fpp - fpm - fmp + fmm) / (4.0 * (h * h))
+        half = 0.5 * (h11 - h22)
+        mu = 0.5 * (h11 + h22) + np.sqrt(half * half + h12 * h12)  # the larger eigenvalue
+        sigma = max(mu + np.sqrt(g1 * g1 + g2 * g2) / radius, 0.0)
+        a11, a22 = sigma - h11, sigma - h22
+        v1, v2 = a22 * g1 + h12 * g2, h12 * g1 + a11 * g2
+        det = a11 * a22 - h12 * h12
+        scale = max(det, np.sqrt(v1 * v1 + v2 * v2) / radius, np.finfo(float).tiny)
+        s1, s2 = v1 / scale, v2 / scale
+        end = _unit(p + s1 * t1 + s2 * t2)
+        f_end = float(objective(end))
+        evals += 9
+        points.append(end)
+        f.append(f_end)
+        won = int(np.argmax(f))
+        by_stencil = f[won] > best and won < 8
+        step = np.sqrt(s1 * s1 + s2 * s2)
+        radius = 2.0 * step if f_end > best else 0.25 * step
+        if by_stencil:
+            radius = max(radius, h)
+        if f[won] > best:
+            p, best = points[won], f[won]
+        if step < 1e-10 and not by_stencil:
             break
     return p, best, evals
 
@@ -179,10 +261,9 @@ def _reference_bits(ens, grid_size, geo):
     vals = public(ens, grid)
     k = int(np.argmax(vals))
     axis, value, evals = _polish_reference(
-        lambda n: public(ens, n), grid[k], oracle._BRACKET_SCALE / np.sqrt(grid_size)
+        lambda n: public(ens, n), grid[k], vals[k], oracle._RADIUS_SCALE / np.sqrt(grid_size)
     )
     axis = canonical_axis(axis)
-    value = max(value, float(vals[k]))
     if geo:
         value = max(ensemble_purity(ens) - value, 0.0)
         residual = geo_stationarity_residual(ens, axis)
