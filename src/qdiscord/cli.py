@@ -267,7 +267,7 @@ def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
         pairs += [
             ("oracle_grid", float(verify_grid)),
             ("oracle_i_acc", oracle[0]),
-            ("oracle_discord", chi - oracle[0]),
+            ("oracle_discord", _holevo_gap(chi, oracle[0])),
             ("oracle_geo_discord", oracle[1]),
         ]
     lines = [f"{key} = {_fmt(val)}" for key, val in pairs]

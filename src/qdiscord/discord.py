@@ -18,18 +18,17 @@ angular scan on the rows of the row kernel of the measurement module
 the end each row's pick and stationarity residual.  The scan runs
 _SCAN_ROWS rows at a time, which bounds its working set.  Every scan peak
 becomes a bracket one scan step wide on either side.  The brackets of all
-ensembles are then polished in lockstep by a root search on the slope
+ensembles are then polished in lockstep by one root search on the slope
 dI/dphi, which is the paper's stationarity condition
 sum_i lambda_i log2(t_i) v_i_perp = 0 (Fuchs and Caves' condition for two
 mixed states) taken along the plane: Illinois steps, safeguarded by the
 bracket and by bisection, that place the axis to round-off in about six
-steps.  A bracket whose ends show no sign change of the slope keeps a
-golden-section polish of the value, by _golden_lockstep, the one
-golden-section kernel of the package (the oracle polishes by trust-region
-rounds of its own).  The value objective of that fallback and the final
-evaluation are the same row kernel, one axis per row.  Each step of either
-search is one vectorised evaluation at every bracket's new point, and a
-bracket is masked off once it has converged.
+steps.  Each step is one vectorised evaluation at every bracket's new
+point, and a bracket is masked off once it has converged.  A bracket whose
+ends show no sign change of the slope keeps its scan angle; that happens
+only where the objective is flat to round-off, so the scan point is as
+good as any.  Every bracket's axis then gets one evaluation of the row
+kernel for its value.
 
 Every array form gives each row the bits of its scalar form, which stays
 for the rows that take a rare branch (a plane basis of a nearly collinear
@@ -61,12 +60,10 @@ _SCAN_POINTS = 720
 # 0.1 MB a row; a whole 512-row block would add some 50 MB to the peak, and
 # slices of 8 rows ran faster here than slices of 4, 16 or 32.
 _SCAN_ROWS = 8
-_ANGLE_TOL = 1e-12
 _TIE_TOL = 1e-10
 # The root search stops once a bracket is this narrow: a few ulps of an angle.
 _ROOT_TOL = 1e-14
 _FLAT_TOL = 1e-14
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _PHIS = np.linspace(0.0, np.pi, _SCAN_POINTS, endpoint=False)
 _SCAN_COS = np.cos(_PHIS)[:, None]
 _SCAN_SIN = np.sin(_PHIS)[:, None]
@@ -356,40 +353,6 @@ def _plane_axes(phi, u1, u2):
     return _unit_axes(np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2)
 
 
-def _golden_lockstep(f, lo, hi):
-    """Golden-section maximization of f over [lo[k], hi[k]] for every row k at once.
-
-    The one golden-section kernel: it polishes the in-plane brackets whose
-    slope shows no sign change.  f maps an array of points, one per row, to
-    the values there.  Each step makes one call of f at every row's new
-    point; a row whose width is down to _ANGLE_TOL is masked off (its ends
-    stop moving and it stops counting evaluations) while the others go on.
-    Every row takes the steps of a scalar golden-section search on its own
-    bracket, so its bits do not depend on the other rows.  Returns the
-    midpoints, their values and the evaluations per row.
-    """
-    width = hi - lo
-    x1 = hi - _INVPHI * width
-    x2 = lo + _INVPHI * width
-    f1, f2 = f(x1), f(x2)
-    evals = np.full(lo.shape, 3)  # x1, x2 and the final midpoint
-    while (active := width > _ANGLE_TOL).any():
-        left = f1 >= f2
-        lo = np.where(active & ~left, x1, lo)
-        hi = np.where(active & left, x2, hi)
-        width = hi - lo
-        step = _INVPHI * width
-        # Only lo and hi are frozen once a row is done; its interior points
-        # may move on, as the final midpoint never reads them.
-        x = np.where(left, hi - step, lo + step)
-        fx = f(x)
-        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
-        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
-        evals += active
-    x = 0.5 * (lo + hi)
-    return x, f(x), evals
-
-
 def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
     """Root of dI/dphi in [phi0 - dphi, phi0 + dphi] for every bracket at once.
 
@@ -456,19 +419,12 @@ def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
 def _polish(phi0, u1, u2, consts):
     """Every bracket's maximum: its axis, value and evaluations.
 
-    Brackets go to _slope_root_lockstep; those whose ends bracket no root of
-    the slope keep the value polish of _golden_lockstep on the row objective.
+    Each bracket takes the root of the slope that _slope_root_lockstep finds;
+    one whose ends show no sign change of the slope keeps its scan angle
+    phi0.  Either way the axis gets one last evaluation of the row objective.
     """
     phi, evals = _slope_root_lockstep(phi0, u1, u2, *consts[:4])
-    fallback = np.isnan(phi)
-    if fallback.any():
-        start, v1, v2 = phi0[fallback], u1[fallback], u2[fallback]
-        objective = _row_objective(tuple(c[fallback] for c in consts))
-        phi[fallback], _, used = _golden_lockstep(
-            lambda p: objective(_plane_axes(p, v1, v2)), start - _DPHI, start + _DPHI
-        )
-        evals[fallback] += used - 1
-    n = _plane_axes(phi, u1, u2)
+    n = _plane_axes(np.where(np.isnan(phi), phi0, phi), u1, u2)
     return n, _row_objective(consts)(n), evals + 1
 
 
@@ -482,11 +438,13 @@ def accessible_information(ens) -> OptimizationResult:
     ens is a QubitEnsemble, or a block of ensembles (_EnsembleArrays) whose
     result has a column per field (see OptimizationResult).  Every row gets
     its plane basis and a 720-point angular scan, which brackets every local
-    maximum (the objective can have several); the scan runs _SCAN_ROWS rows
-    at a time, so its working set does not grow with the block.  Flat
-    objectives and scans with more than 64 peaks short-circuit to the
-    tie-break among their scan points.  The brackets of all other rows are
-    polished together by _polish, then each row picks its candidate.
+    maximum at least one scan step wide (the objective can have several; a
+    narrower one can fall between two scan points).  The scan runs
+    _SCAN_ROWS rows at a time, so its working set does not grow with the
+    block.  Flat objectives and scans with more than 64 peaks short-circuit
+    to the tie-break among their scan points.  The brackets of all other
+    rows are polished together by _polish, then each row picks its
+    candidate.
     """
     if not isinstance(ens, _EnsembleArrays):
         return _first_row(accessible_information(_EnsembleArrays.of([ens])))

@@ -38,36 +38,6 @@ def nondegenerate(ens: QubitEnsemble) -> bool:
     )
 
 
-INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_max(f, lo: float, hi: float, tol: float):
-    """Scalar golden-section maximization on [lo, hi]: returns (x, f(x), evaluations).
-
-    The reference that every row of the library's lockstep kernel must follow
-    step for step; the bracket shrinks until it is at most tol wide.
-    """
-    width = hi - lo
-    x1 = hi - INVPHI * width
-    x2 = lo + INVPHI * width
-    f1, f2 = f(x1), f(x2)
-    evals = 2
-    while width > tol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            width = hi - lo
-            x1 = hi - INVPHI * width
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            width = hi - lo
-            x2 = lo + INVPHI * width
-            f2 = f(x2)
-        evals += 1
-    x = 0.5 * (lo + hi)
-    return x, f(x), evals + 1
-
-
 def near_degenerate_ensemble(
     rng, kind: str, eps: float, l0: float, norm: float, scale: float
 ) -> QubitEnsemble:

@@ -148,6 +148,15 @@ def test_compute_with_oracle(capsys):
     assert abs(float(doc["oracle_geo_discord"]) - float(doc["geo_discord"])) <= 1e-5
 
 
+def test_compute_oracle_discord_clamps_round_off_as_discord_does(capsys):
+    """At theta = 0 the oracle's I_acc exceeds chi = 0 by round-off; both discords print 0."""
+    code, out, _ = run_cli(capsys, "compute", "--theta", "0", "--verify", "10000")
+    assert code == EXIT_OK
+    doc = parse_report(out)
+    assert float(doc["oracle_i_acc"]) > float(doc["chi"]) == 0.0
+    assert doc["discord"] == doc["oracle_discord"] == "0"
+
+
 def test_compute_spec_from_file(tmp_path, capsys):
     path = tmp_path / "ens.json"
     path.write_text('{"pure_pair": {"theta": 0.9}}')
