@@ -431,9 +431,12 @@ def _polish(phi0, u1, u2, consts):
 def accessible_information(ens) -> OptimizationResult:
     """Maximum classical mutual information over projective measurements.
 
-    Value lies in [0, holevo_chi(ens)].  Degenerate ensembles (identical
-    states or a vanishing weight) give a flat objective; the value is then 0
-    and the axis is the deterministic tie-break representative.
+    Value lies in [0, holevo_chi(ens)] up to round-off of about 1e-15, which
+    can put it above holevo_chi: two identical pure states give 2^-51
+    against a chi of 0.  _holevo_gap clamps that excess for the discord.
+    Degenerate ensembles (identical states or a vanishing weight) give a
+    flat objective; the value is then 0 up to that round-off, and the axis
+    is the deterministic tie-break representative.
 
     ens is a QubitEnsemble, or a block of ensembles (_EnsembleArrays) whose
     result has a column per field (see OptimizationResult).  Every row gets

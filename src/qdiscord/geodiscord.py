@@ -14,7 +14,7 @@ cross-checks it.
 geometric_discord takes one ensemble, or a block of them as a struct of
 arrays (_EnsembleArrays), which it computes in one array pass; every field
 of a block's result is a column with one entry per row, the bits of the
-one-ensemble call.  sweep passes its blocks; verify, compute and the
+one-ensemble call.  sweep and verify pass their blocks; compute and the
 one-ensemble callers keep the scalar body, the faster form at one row.
 ensemble_purity takes a block too, and the oracle shares _geo_defect_rows.
 """

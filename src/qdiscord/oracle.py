@@ -19,9 +19,11 @@ of objective values, never the plane reduction or the stationarity
 condition, and smooth rows reach round-off in about six rounds.
 
 A batch of rows, each one ensemble with one objective (mutual information or
-post-measurement purity), shares one grid, checked once per batch; each row
-reads its grid values from its row of measurement._row_objective, bit for
-bit as its public objective.  The rows are then polished in lockstep: a
+post-measurement purity), shares one grid.  The grid is built and checked
+once per grid size in a process, one size at a time (_grid), so up to 48 MB
+stays alive after a batch at 10^6 points.  Each row reads its grid values
+from its row of measurement._row_objective, bit for bit as its public
+objective.  The rows are then polished in lockstep: a
 round evaluates every live row's stencil in one call of the same row kernel
 and every row's step in one more, and a row that stops is frozen.  Every
 operation is row by row, so each row gets the bits of a polish on its own.
@@ -31,6 +33,8 @@ and brute_force_geo are the one-row case.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -72,6 +76,19 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+@functools.lru_cache(maxsize=1)
+def _grid(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """fibonacci_sphere(grid_size) and its _unit_axes form, both read-only.
+
+    Cached for the last grid size asked for, so a process builds and checks
+    a grid once however many batches share it.
+    """
+    grid = fibonacci_sphere(grid_size)
+    unit = _unit_axes(grid)
+    grid.flags.writeable = unit.flags.writeable = False
+    return grid, unit
+
+
 def _tangent_frames(p):
     """An orthonormal tangent pair (t1, t2) at every row of p, shape (N, 3) each.
 
@@ -83,7 +100,9 @@ def _tangent_frames(p):
     w = -p[rows, k][:, None] * p
     w[rows, k] += 1.0
     t1 = _normalized(w)
-    return t1, np.cross(p, t1)
+    # np.cross(p, t1), product by product.
+    (p0, p1, p2), (u0, u1, u2) = p.T, t1.T
+    return t1, np.stack([p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0], axis=1)
 
 
 def _model_steps(f, f0, h, radius):
@@ -169,13 +188,12 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
 def _brute_force_batch(rows: _EnsembleArrays, purity, grid_size: int = 10_000) -> OptimizationResult:
     """brute_force_geo of every purity row of a block, brute_force_accessible of every other.
 
-    purity is one flag or one per row.  The rows share one grid, checked
-    once, and each takes its argmax there with its row of the row kernel;
+    purity is one flag or one per row.  The rows share the cached grid of
+    _grid, and each takes its argmax there with its row of the row kernel;
     their polishes then run in lockstep.  Row k of the result has the bits
     of the one-row call.
     """
-    grid = fibonacci_sphere(grid_size)
-    unit = _unit_axes(grid)
+    grid, unit = _grid(grid_size)
     consts = _row_constants(rows, purity)
     start, floor = np.empty((len(rows), 3)), np.empty(len(rows))
     for i in range(len(rows)):

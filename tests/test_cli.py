@@ -9,7 +9,16 @@ import pytest
 import qdiscord.cli
 import qdiscord.discord
 import qdiscord.geodiscord
-from qdiscord import QubitEnsemble
+from qdiscord import (
+    QubitEnsemble,
+    classical_mutual_information,
+    discord_pure_koashi_winter,
+    geometric_discord,
+    pure_overlap,
+    random_ensemble,
+    random_pure_pair,
+)
+from qdiscord.ensemble import _sphere_point
 from qdiscord.cli import (
     EXIT_INTERNAL,
     EXIT_INVARIANT,
@@ -538,13 +547,34 @@ def test_verify_matches_golden_output(tmp_path):
 def test_verify_block_goes_through_the_public_layer_functions(monkeypatch, tmp_path):
     """A block of trials, with its pure pairs, makes one accessible_information and one holevo_chi call.
 
-    geometric_discord stays a one-ensemble call per trial.
+    Its geometric discord is one geometric_discord call on the block of
+    trial ensembles too.
     """
     calls = {}
     _count_block_measures(monkeypatch, calls)
     out = tmp_path / "verify.txt"
     assert main(["verify", "--seed", "1", "--trials", "20", "--output", str(out)]) == EXIT_OK
-    assert calls == {"geometric_discord": 20, "accessible_information": 1, "holevo_chi": 1}
+    assert calls == {"geometric_discord": 1, "accessible_information": 1, "holevo_chi": 1}
+
+
+@pytest.mark.host_bits
+@pytest.mark.parametrize("trials", range(1, 10))
+def test_verify_block_checks_match_the_one_ensemble_calls(trials):
+    """Each trial's fixed-axis information, Koashi-Winter discord and geometric
+    value and residual from the block have the bits of the public one-ensemble calls.
+
+    The golden verify output cannot show these bits: the holevo_bound margin
+    is never above 0, so that suite always prints a worst residual of 0.
+    """
+    rng = np.random.default_rng(100 + trials)
+    draws = [(random_ensemble(rng), _sphere_point(rng), random_pure_pair(rng)) for _ in range(trials)]
+    lone = []
+    for ens, axis, pure in draws:
+        geo = geometric_discord(ens)
+        kw = discord_pure_koashi_winter(pure.lambda0, pure_overlap(pure.a, pure.b))
+        lone.append((classical_mutual_information(ens, axis), kw.discord, geo.value, geo.stationarity_residual))
+    block = qdiscord.cli._verify_block_checks(draws)
+    assert [[float(x).hex() for x in row] for row in block] == [[float(x).hex() for x in row] for row in lone]
 
 
 def test_verify_usage_errors(capsys):

@@ -156,6 +156,21 @@ def test_accessible_information_identical_states():
     np.testing.assert_array_equal(res.n_opt, res2.n_opt)
 
 
+def test_round_off_can_put_accessible_information_above_chi():
+    """Two identical pure states: chi is 0, the information 2^-51, and the discord clamps to 0.
+
+    The [0, chi] range of the docstring holds up to this round-off: the
+    information keeps it, and _holevo_gap clamps it out of the discord.
+    """
+    ens = QubitEnsemble.pure_pair(0.0)
+    chi, acc = holevo_chi(ens), accessible_information(ens)
+    assert chi == 0.0
+    assert acc.value == 2.0**-51
+    assert acc.degenerate
+    assert quantum_discord(ens).value == 0.0
+    assert discord._holevo_gap(chi, acc.value) == 0.0
+
+
 def test_two_maximally_mixed_states_take_the_x_tie_break():
     """a = b = 0: the plane basis falls back to (x, y), and the flat scan picks x."""
     ens = QubitEnsemble(0.5, 0.5, [0, 0, 0], [0, 0, 0])

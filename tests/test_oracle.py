@@ -63,6 +63,40 @@ def test_fibonacci_deterministic():
     np.testing.assert_array_equal(fibonacci_sphere(500), fibonacci_sphere(500))
 
 
+def test_fibonacci_sphere_returns_a_fresh_writable_array():
+    cached, _ = oracle._grid(400)
+    grid = fibonacci_sphere(400)
+    assert grid.flags.writeable and grid is not cached
+    grid[0] = 0.0
+    np.testing.assert_array_equal(cached, fibonacci_sphere(400))
+
+
+def test_cached_grid_is_read_only():
+    for array in oracle._grid(400):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            array *= 2.0
+
+
+def test_cached_grid_gives_the_bits_of_a_cold_call():
+    """Oracle results at 10^4 points match a call on a fresh cache, also after another size."""
+    ens = random_ensemble(np.random.default_rng(5))
+
+    def bits():
+        return [_bits(f(ens, 10_000)) for f in (brute_force_accessible, brute_force_geo)]
+
+    oracle._grid.cache_clear()
+    cold = bits()
+    assert oracle._grid.cache_info().misses == 1
+    assert bits() == cold
+    assert oracle._grid.cache_info().hits >= 1
+    brute_force_accessible(ens, 400)
+    assert bits() == cold
+    assert oracle._grid.cache_info().misses == 3
+
+
 def test_fibonacci_spacing_regression():
     # measured once and frozen: the lattice stays below C/sqrt(N) with C ~ 3.6
     assert _max_nn_angle(fibonacci_sphere(10_000)) < 0.04
