@@ -38,8 +38,8 @@ from .ensemble import (
     _sphere_point,
 )
 from .geodiscord import geometric_discord, quadratic_form
-from .measurement import _row_constants, _row_objective, _unit_axes, classical_mutual_information
-from .oracle import _brute_force_batch
+from .measurement import classical_mutual_information
+from .oracle import brute_force_batch
 from .qstate import _is_pure, binary_entropy, pure_overlap, von_neumann_entropy
 
 EXIT_OK = 0
@@ -263,7 +263,7 @@ def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
             ("kw_discord", kw.discord),
         ]
     if verify_grid is not None:
-        oracle = _brute_force_batch(_EnsembleArrays.of([ens, ens]), [False, True], verify_grid).value
+        oracle = brute_force_batch(_EnsembleArrays.of([ens, ens]), [False, True], verify_grid).value
         pairs += [
             ("oracle_grid", float(verify_grid)),
             ("oracle_i_acc", oracle[0]),
@@ -400,8 +400,7 @@ def _verify_block_checks(draws) -> list[tuple]:
     with the bits of the one-ensemble call.
     """
     block = _EnsembleArrays.of([ens for ens, _, _ in draws])
-    # One axis per row: the row kernel behind classical_mutual_information.
-    info = _row_objective(_row_constants(block, False))(_unit_axes(np.array([axis for _, axis, _ in draws])))
+    info = classical_mutual_information(block, np.array([axis for _, axis, _ in draws]))
     pures = [pure for _, _, pure in draws]
     kw = discord_pure_koashi_winter(
         np.array([pure.lambda0 for pure in pures]), np.array([pure_overlap(pure.a, pure.b) for pure in pures])
@@ -446,7 +445,7 @@ def _cmd_verify(args) -> int:
         results = list(zip(*(c.tolist() for c in columns)))
         checks = _verify_block_checks(draws)
         purity = np.repeat([False, True], len(draws))
-        oracles = _brute_force_batch(_EnsembleArrays.of(ensembles * 2), purity, args.grid).value.tolist()
+        oracles = brute_force_batch(_EnsembleArrays.of(ensembles * 2), purity, args.grid).value.tolist()
         for j, trial in enumerate(trials):
             ens, _, pure = draws[j]
             chi, i_acc, discord, residual, degenerate = results[j]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .discord import _CONDITION_TOL, OptimizationResult, _plane_basis
 from .ensemble import QubitEnsemble, _EnsembleArrays
-from .measurement import _SIGN_TOL, _normalized, _perp_parts, _unit_perp_parts, canonical_axis
+from .measurement import _SIGN_TOL, _cross, _normalized, _perp_parts, _unit_perp_parts, canonical_axis
 from .qstate import _half_angle, _row_dot
 
 EIGENPAIR_METHOD = "closed-form eigenpair"
@@ -132,9 +132,7 @@ def _geometric_discord_rows(rows: _EnsembleArrays) -> OptimizationResult:
     # math.hypot per row: np.hypot differs from it in the last bit on some pairs.
     gap = np.array([math.hypot(x, y) for x, y in zip((p - q).tolist(), (2.0 * r).tolist())])
     top = 0.5 * (p + q + gap)
-    # np.cross, product by product.
-    (a0, a1, a2), (b0, b1, b2) = ga.T, gb.T
-    cross = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+    cross = _cross(ga, gb)
     # Rows that vanish or tie divide by 0 here and are redone below.
     with np.errstate(divide="ignore", invalid="ignore"):
         second = np.where(top > 0.0, _row_dot(cross, cross) / top, 0.0)

@@ -13,10 +13,11 @@ written once, in one row kernel: _row_constants builds the per-row
 constants of a block of ensembles (the struct of arrays of the ensemble
 module) with a purity flag per row, and _row_objective turns them into the
 map from a batch of axes per row to each row's objective there.  Every
-evaluation goes through it: the public objectives are its one-row case, the
-discord module's 720-point scan evaluates a slice of rows, 720 axes each,
-its in-plane polish one axis per row, and the oracle each row's grid and
-the stencils and steps of its polish.
+evaluation goes through it: the public objectives are its one-row case, or
+a block's rows at a batch of axes each, the discord module's 720-point
+scan evaluates a slice of rows, 720 axes each, its in-plane polish one axis
+per row, and the oracle each row's grid and the stencils and steps of its
+polish.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ def _normalized(n):
     return n / _norms(n)
 
 
+def _cross(u, v):
+    """np.cross of two (N, 3) arrays row by row, product by product, without its per-call overhead."""
+    (u0, u1, u2), (v0, v1, v2) = u.T, v.T
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=1)
+
+
 def _perp_parts(ens: QubitEnsemble, n):
     """The checked unit axis n, a.n, b.n and the parts of a, b normal to n."""
     return _unit_perp_parts(ens, _unit_axes(as_bloch(n)))
@@ -123,13 +130,15 @@ def conditional_entropy(ens: QubitEnsemble, n):
     return float(out) if out.ndim == 0 else out
 
 
-def classical_mutual_information(ens: QubitEnsemble, n):
+def classical_mutual_information(ens, n):
     """Mutual information h(lambda0) - S(n) between the label and the outcome.
 
     Bounded by the Holevo quantity for every axis.  Broadcasts like
-    conditional_entropy.
+    conditional_entropy.  ens may also be a block of N ensembles
+    (_EnsembleArrays) with axes of shape (N, ..., 3), row k's at n[k]; each
+    value has the bits of the one-ensemble call.
     """
-    return _one_row(ens, False, n)
+    return _objective(ens, False, n)
 
 
 def _row_constants(rows: _EnsembleArrays, purity):
@@ -186,16 +195,22 @@ def _row_objective(consts):
     return objective
 
 
-def post_measurement_purity(ens: QubitEnsemble, n):
+def post_measurement_purity(ens, n):
     """Purity of the joint state after the unselective measurement along n.
 
     Equals lambda0^2 (1 + (a.n)^2)/2 + lambda1^2 (1 + (b.n)^2)/2; never
-    exceeds the pre-measurement purity.  Broadcasts over (..., 3) axes.
+    exceeds the pre-measurement purity.  Broadcasts over (..., 3) axes, and
+    takes a block like classical_mutual_information.
     """
-    return _one_row(ens, True, n)
+    return _objective(ens, True, n)
 
 
-def _one_row(ens: QubitEnsemble, purity: bool, n):
-    """A public objective: the row kernel of one row at the checked axes n."""
-    out = _row_objective(_row_constants(_EnsembleArrays.of([ens]), purity))(_unit_axes(n))
+def _objective(ens, purity: bool, n):
+    """A public objective: the row kernel at the checked axes n, of one ensemble or a block."""
+    n = _unit_axes(n)
+    if isinstance(ens, _EnsembleArrays):
+        if n.ndim < 2 or len(n) != len(ens):
+            raise ValueError("a block of ensembles needs axes of shape (N, ..., 3), one batch per row")
+        return _row_objective(_row_constants(ens, purity))(n)
+    out = _row_objective(_row_constants(_EnsembleArrays.of([ens]), purity))(n)
     return float(out) if out.ndim == 0 else out

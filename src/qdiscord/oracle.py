@@ -27,9 +27,9 @@ objective.  The rows are then polished in lockstep: a
 round evaluates every live row's stencil in one call of the same row kernel
 and every row's step in one more, and a row that stops is frozen.  Every
 operation is row by row, so each row gets the bits of a polish on its own.
-The rows come as a block (_EnsembleArrays) and the result is one
-OptimizationResult of columns, as for the measures; brute_force_accessible
-and brute_force_geo are the one-row case.
+The rows come as a block (_EnsembleArrays) to brute_force_batch, whose
+result is one OptimizationResult of columns, as for the measures;
+brute_force_accessible and brute_force_geo are its one-row case.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from .discord import OptimizationResult, _first_row, _stationarity_rows
 from .ensemble import QubitEnsemble, _EnsembleArrays
 from .geodiscord import _geo_defect_rows, ensemble_purity
-from .measurement import _normalized, _row_constants, _row_objective, _unit_axes, canonical_axis
+from .measurement import _cross, _normalized, _row_constants, _row_objective, _unit_axes, canonical_axis
 
 FULL_SPHERE_METHOD = "full-sphere grid + refine"
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -100,9 +100,7 @@ def _tangent_frames(p):
     w = -p[rows, k][:, None] * p
     w[rows, k] += 1.0
     t1 = _normalized(w)
-    # np.cross(p, t1), product by product.
-    (p0, p1, p2), (u0, u1, u2) = p.T, t1.T
-    return t1, np.stack([p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0], axis=1)
+    return t1, _cross(p, t1)
 
 
 def _model_steps(f, f0, h, radius):
@@ -185,10 +183,11 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
     return p, best, evals
 
 
-def _brute_force_batch(rows: _EnsembleArrays, purity, grid_size: int = 10_000) -> OptimizationResult:
+def brute_force_batch(rows: _EnsembleArrays, purity, grid_size: int = 10_000) -> OptimizationResult:
     """brute_force_geo of every purity row of a block, brute_force_accessible of every other.
 
-    purity is one flag or one per row.  The rows share the cached grid of
+    purity is one flag or one per row, so one call can check both measures
+    of a set of ensembles, as verify does.  The rows share the cached grid of
     _grid, and each takes its argmax there with its row of the row kernel;
     their polishes then run in lockstep.  Row k of the result has the bits
     of the one-row call.
@@ -218,9 +217,9 @@ def _brute_force_batch(rows: _EnsembleArrays, purity, grid_size: int = 10_000) -
 
 def brute_force_accessible(ens: QubitEnsemble, grid_size: int = 10_000) -> OptimizationResult:
     """Grid-plus-polish maximum of the classical mutual information."""
-    return _first_row(_brute_force_batch(_EnsembleArrays.of([ens]), False, grid_size))
+    return _first_row(brute_force_batch(_EnsembleArrays.of([ens]), False, grid_size))
 
 
 def brute_force_geo(ens: QubitEnsemble, grid_size: int = 10_000) -> OptimizationResult:
     """Grid-plus-polish purity deficit (the geometric discord, brute force)."""
-    return _first_row(_brute_force_batch(_EnsembleArrays.of([ens]), True, grid_size))
+    return _first_row(brute_force_batch(_EnsembleArrays.of([ens]), True, grid_size))

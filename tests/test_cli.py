@@ -548,13 +548,19 @@ def test_verify_block_goes_through_the_public_layer_functions(monkeypatch, tmp_p
     """A block of trials, with its pure pairs, makes one accessible_information and one holevo_chi call.
 
     Its geometric discord is one geometric_discord call on the block of
-    trial ensembles too.
+    trial ensembles too, its fixed-axis information one
+    classical_mutual_information call and its oracle one brute_force_batch
+    call, so a tracer that wraps public functions books each to its layer.
     """
     calls = {}
     _count_block_measures(monkeypatch, calls)
+    for name in ("classical_mutual_information", "brute_force_batch"):
+        calls[name] = 0
+        monkeypatch.setattr(qdiscord.cli, name, _counter(calls, name, getattr(qdiscord.cli, name)))
     out = tmp_path / "verify.txt"
     assert main(["verify", "--seed", "1", "--trials", "20", "--output", str(out)]) == EXIT_OK
-    assert calls == {"geometric_discord": 1, "accessible_information": 1, "holevo_chi": 1}
+    assert calls == {"geometric_discord": 1, "accessible_information": 1, "holevo_chi": 1,
+                     "classical_mutual_information": 1, "brute_force_batch": 1}
 
 
 @pytest.mark.host_bits

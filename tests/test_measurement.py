@@ -300,3 +300,34 @@ def test_row_objective_on_a_batch_of_axes_per_row_matches_the_public_objectives(
                 want = (post_measurement_purity if geo else classical_mutual_information)(ens, n)
                 # The bits, as .hex() compares them, without 10^5 calls of it.
                 np.testing.assert_array_equal(values.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.host_bits
+@pytest.mark.parametrize("rows", [1, 2, 9])
+@pytest.mark.parametrize("objective", [classical_mutual_information, post_measurement_purity])
+def test_public_objectives_of_a_block_match_their_one_ensemble_calls(objective, rows, rng):
+    """A block with one axis per row, or a batch per row, gives each row's one-ensemble bits."""
+    ensembles = [random_ensemble(rng) for _ in range(rows - 1)] + EDGE_WEIGHTS[:1]
+    block = _EnsembleArrays.of(ensembles)
+    for shape in ((), (5,)):
+        axes = rng.normal(size=(rows, *shape, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        got = objective(block, axes)
+        assert got.shape == (rows, *shape)
+        want = np.array([objective(ens, n) for ens, n in zip(ensembles, axes)])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_public_objectives_of_a_block_need_one_batch_of_axes_per_row(rng):
+    block = _EnsembleArrays.of([random_ensemble(rng) for _ in range(2)])
+    for axes in (Z, np.array([X, Y, Z]), np.array([X, Y, Z, X])):
+        with pytest.raises(ValueError, match="one batch per row"):
+            classical_mutual_information(block, axes)
+    with pytest.raises(ValueError, match="unit vectors"):
+        post_measurement_purity(block, np.array([X, 2.0 * Y]))
+
+
+@pytest.mark.host_bits
+def test_cross_matches_np_cross_bit_for_bit(rng):
+    u, v = rng.normal(size=(2, 50, 3))
+    np.testing.assert_array_equal(measurement._cross(u, v).view(np.uint64), np.cross(u, v).view(np.uint64))

@@ -211,8 +211,8 @@ def test_oracle_reaches_the_optimizers_on_seeded_hard_inputs(grid_size):
     """The polish reaches the in-plane optimum and the geometric closed form, and never beats them."""
     rows = _EnsembleArrays.of(_seeded_hard_inputs(np.random.default_rng(15), 100))
     acc, geo = accessible_information(rows).value, geometric_discord(rows).value
-    oracle_acc = oracle._brute_force_batch(rows, False, grid_size).value
-    oracle_geo = oracle._brute_force_batch(rows, True, grid_size).value
+    oracle_acc = oracle.brute_force_batch(rows, False, grid_size).value
+    oracle_geo = oracle.brute_force_batch(rows, True, grid_size).value
     assert np.abs(oracle_acc - acc).max() <= 1e-9
     assert np.abs(oracle_geo - geo).max() <= 1e-9
     assert (oracle_acc - acc).max() <= 1e-12
@@ -346,7 +346,7 @@ def test_mixed_oracle_batch_matches_one_row_calls_and_the_scalar_polish(seed, ex
     geo_rows = [ensembles[i] for i in rng.permutation(len(ensembles))[:-1]]
     rows = acc_rows + geo_rows
     purity = np.arange(len(rows)) >= len(acc_rows)
-    block = oracle._brute_force_batch(_EnsembleArrays.of(rows), purity, grid_size)
+    block = oracle.brute_force_batch(_EnsembleArrays.of(rows), purity, grid_size)
     lone = [
         brute_force_geo(ens, grid_size) if geo else brute_force_accessible(ens, grid_size)
         for ens, geo in zip(rows, purity)
