@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -563,15 +565,32 @@ def test_verify_block_goes_through_the_public_layer_functions(monkeypatch, tmp_p
                      "classical_mutual_information": 1, "brute_force_batch": 1}
 
 
+def _recorder(results, name, fn):
+    """fn, keeping its last result in results[name]."""
+
+    def wrapper(*args, **kwargs):
+        results[name] = fn(*args, **kwargs)
+        return results[name]
+
+    return wrapper
+
+
 @pytest.mark.host_bits
 @pytest.mark.parametrize("trials", range(1, 10))
-def test_verify_block_checks_match_the_one_ensemble_calls(trials):
-    """Each trial's fixed-axis information, Koashi-Winter discord and geometric
-    value and residual from the block have the bits of the public one-ensemble calls.
+def test_verify_block_checks_match_the_one_ensemble_calls(monkeypatch, tmp_path, trials):
+    """The columns verify checks a block with have the bits of the public one-ensemble calls.
 
-    The golden verify output cannot show these bits: the holevo_bound margin
-    is never above 0, so that suite always prints a worst residual of 0.
+    Each trial's fixed-axis information, Koashi-Winter discord and geometric
+    value and residual.  The golden verify output cannot show these bits:
+    the holevo_bound margin is never above 0, so that suite always prints a
+    worst residual of 0.
     """
+    seen = {}
+    for name in ("classical_mutual_information", "discord_pure_koashi_winter", "geometric_discord"):
+        monkeypatch.setattr(qdiscord.cli, name, _recorder(seen, name, getattr(qdiscord.cli, name)))
+    argv = ["verify", "--seed", str(100 + trials), "--trials", str(trials), "--grid", "400"]
+    assert main(argv + ["--output", str(tmp_path / "verify.txt")]) == EXIT_OK
+    # verify's rng order: ensemble, axis, pure pair, trial by trial.
     rng = np.random.default_rng(100 + trials)
     draws = [(random_ensemble(rng), _sphere_point(rng), random_pure_pair(rng)) for _ in range(trials)]
     lone = []
@@ -579,7 +598,9 @@ def test_verify_block_checks_match_the_one_ensemble_calls(trials):
         geo = geometric_discord(ens)
         kw = discord_pure_koashi_winter(pure.lambda0, pure_overlap(pure.a, pure.b))
         lone.append((classical_mutual_information(ens, axis), kw.discord, geo.value, geo.stationarity_residual))
-    block = qdiscord.cli._verify_block_checks(draws)
+    geo = seen["geometric_discord"]
+    block = zip(seen["classical_mutual_information"], seen["discord_pure_koashi_winter"].discord,
+                geo.value, geo.stationarity_residual)
     assert [[float(x).hex() for x in row] for row in block] == [[float(x).hex() for x in row] for row in lone]
 
 
@@ -590,6 +611,70 @@ def test_verify_usage_errors(capsys):
     code, _, err = run_cli(capsys, "verify", "--seed", "-1", "--trials", "2")
     assert code == EXIT_USAGE
     assert "--seed" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "-1e-300"])
+def test_verify_tolerance_must_be_nonnegative(capsys, monkeypatch, tol):
+    # Refused before the first trial: a draw would raise here, an internal error.
+    monkeypatch.setattr(qdiscord.cli, "random_ensemble", None)
+    code, out, err = run_cli(capsys, "verify", "--trials", "2", "--tol", tol)
+    assert code == EXIT_USAGE
+    assert "--tol" in err
+    assert out == ""
+
+
+def _nan_column(fn, field, purity_rows):
+    """fn, with NaN in its result's field: in the purity rows of an oracle batch, or in every row."""
+
+    def wrapper(*args):
+        result = fn(*args)
+        column = getattr(result, field).copy()
+        column[len(column) // 2 if purity_rows else 0 :] = np.nan
+        return dataclasses.replace(result, **{field: column})
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "name, field, purity_rows, suites",
+    [
+        ("geometric_discord", "value", False, {"oracle_agreement", "oracle_bound"}),
+        ("brute_force_batch", "value", True, {"oracle_agreement", "oracle_bound"}),
+        ("geometric_discord", "stationarity_residual", False, {"geometric"}),
+        ("quantum_mutual_information", None, False, {"entropy_identities"}),
+    ],
+    ids=["geometric_value", "oracle_geometric_value", "geometric_residual", "quantum_mutual_information"],
+)
+def test_verify_fails_a_nan_residual(capsys, monkeypatch, name, field, purity_rows, suites):
+    fn = getattr(qdiscord.cli, name)
+    nan = (lambda ens: math.nan) if field is None else _nan_column(fn, field, purity_rows)
+    monkeypatch.setattr(qdiscord.cli, name, nan)
+    code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--trials", "5", "--grid", "400")
+    assert code == EXIT_INVARIANT
+    fails = [line.split() for line in out.splitlines() if line.startswith("FAIL ")]
+    assert {words[1] for words in fails} == suites
+    assert len(fails) == 5 * len(suites)
+    assert all(words[3] == "residual=nan" for words in fails)
+    for suite in suites:
+        assert f"suite {suite}: 0/5 pass" in out
+
+
+@pytest.mark.host_bits
+@pytest.mark.parametrize("trials, grid, fails", [(7, 400, 42), (25, 50, 120)])
+def test_verify_across_blocks_matches_one_block(capsys, monkeypatch, trials, grid, fails):
+    """Trials split into blocks of 3 give the bytes of one block, FAIL lines and all.
+
+    At 25 trials each failing suite reaches its cap of 20 FAIL lines.
+    """
+    argv = ("verify", "--seed", "1", "--trials", str(trials), "--grid", str(grid), "--tol", "0")
+    one_block = run_cli(capsys, *argv)
+    monkeypatch.setattr(qdiscord.cli, "_BLOCK", 3)
+    assert run_cli(capsys, *argv) == one_block
+    code, out, _ = one_block
+    assert code == EXIT_INVARIANT
+    failed = [int(line.split()[2].removeprefix("trial=")) for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == fails
+    assert {trial // 3 for trial in failed} >= {0, 1, 2}
 
 
 def test_verify_corrupted_tolerance_reports_failures(capsys):
