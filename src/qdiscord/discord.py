@@ -30,10 +30,12 @@ only where the objective is flat to round-off, so the scan point is as
 good as any.  Every bracket's axis then gets one evaluation of the row
 kernel for its value.
 
-Every array form gives each row the bits of its scalar form, which stays
-for the rows that take a rare branch (a plane basis of a nearly collinear
-or vanishing pair) and as the reference of the tests; so a row's result
-does not depend on the block it was computed in.
+Each stage is written once, for a block: a rare branch (the plane basis of
+a nearly collinear, collinear or vanishing pair) is a masked step on the
+rows that take it, and the one-ensemble calls, stationarity_residual and
+check_analytic_conditions among them, are the block of one row.  Every
+operation is row by row, so a row's result does not depend on the block it
+was computed in.
 
 For ensembles of two pure states the optimization can be skipped entirely:
 purifying with an ancilla qubit turns the discord into an entanglement of
@@ -49,7 +51,7 @@ import numpy as np
 
 from .ensemble import QubitEnsemble, _EnsembleArrays, average_state, holevo_chi
 from .measurement import _perp_parts, _row_constants, _row_objective, _unit_axes, canonical_axis
-from .qstate import NORM_SLACK, _half_angle, _row_dot, binary_entropy
+from .qstate import NORM_SLACK, _half_angle, _row_dot, as_bloch, binary_entropy
 
 IN_PLANE_METHOD = "in-plane root search"
 # A sufficient optimality condition holds when its residual is at most this.
@@ -141,8 +143,12 @@ def _unit_interval(x, name: str):
         raise ValueError(f"{name} must lie in [0, 1], got {x[bad].flat[0]:.17g}")
     # min(max(x, 0.0), 1.0), which keeps a -0.0 as np.clip does not.
     x = np.where(0.0 > x, 0.0, x)
-    x = np.where(1.0 < x, 1.0, x)
-    return float(x) if x.ndim == 0 else x
+    return _float_or_array(np.where(1.0 < x, 1.0, x))
+
+
+def _float_or_array(x):
+    """x as a Python float when it is a scalar, else the array itself."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _at_least_zero(x):
@@ -154,7 +160,7 @@ def concurrence_pure_ensemble(lambda0: float, overlap: float) -> float:
     """Concurrence 2 sqrt(lambda0 lambda1) |<phi0|phi1>| of the purifying pair."""
     l0 = _unit_interval(lambda0, "lambda0")
     ov = _unit_interval(overlap, "overlap")
-    return 2.0 * np.sqrt(l0 * (1.0 - l0)) * ov
+    return _float_or_array(2.0 * np.sqrt(l0 * (1.0 - l0)) * ov)
 
 
 def eof_from_concurrence(concurrence: float) -> float:
@@ -167,7 +173,7 @@ def average_state_eigen_split(lambda0: float, overlap: float) -> tuple[float, fl
     """Eigenvalues (1 +/- |c|)/2 of the average state of a pure pair."""
     l0 = _unit_interval(lambda0, "lambda0")
     ov = _unit_interval(overlap, "overlap")
-    s = np.sqrt(_at_least_zero(1.0 - 4.0 * l0 * (1.0 - l0) * (1.0 - ov * ov)))
+    s = _float_or_array(np.sqrt(_at_least_zero(1.0 - 4.0 * l0 * (1.0 - l0) * (1.0 - ov * ov))))
     return (1.0 + s) / 2.0, (1.0 - s) / 2.0
 
 
@@ -213,16 +219,18 @@ def _log_odds(x):
     return _LOG2_ODDS * (r[0] - r[2]), _LOG2_ODDS * (r[1] - r[2])
 
 
-def _stationarity_terms(ens: QubitEnsemble, n, an, bn, a_perp, b_perp):
-    """Defect vector l0 log2(t0) a_perp + l1 log2(t1) b_perp, the log-odds and the clamp flag.
+def _stationarity_rows(rows: _EnsembleArrays, n) -> np.ndarray:
+    """stationarity_residual of every row at its unit axis n[k], without the checks.
 
-    Takes the unit axis and the parts that _perp_parts returns for it.
-    singular tells whether _log_odds clamped a projection.
+    The norm of the defect l0 log2(t0) a_perp + l1 log2(t1) b_perp, with
+    v_perp = v - (v.n) n.
     """
-    x = np.array([an, bn, float(average_state(ens) @ n)])
-    log_t0, log_t1 = _log_odds(x)
-    vec = ens.lambda0 * log_t0 * a_perp + ens.lambda1 * log_t1 * b_perp
-    return vec, log_t0, log_t1, bool((np.abs(x) > 1.0 - _LOG_CLAMP).any())
+    an, bn, cn = (_row_dot(v, n) for v in (rows.a, rows.b, rows.average()))
+    log_t0, log_t1 = _log_odds(np.array([an, bn, cn]))
+    vec = (rows.lambda0 * log_t0)[:, None] * (rows.a - an[:, None] * n) + (
+        rows.lambda1 * log_t1
+    )[:, None] * (rows.b - bn[:, None] * n)
+    return np.sqrt(_row_dot(vec, vec))
 
 
 def stationarity_residual(ens: QubitEnsemble, n) -> float:
@@ -232,24 +240,27 @@ def stationarity_residual(ens: QubitEnsemble, n) -> float:
     (minima, maxima and saddles alike).  Boundary axes where a log factor is
     clamped yield a finite, flagged value; see check_analytic_conditions.
     """
-    vec, *_ = _stationarity_terms(ens, *_perp_parts(ens, n))
-    return float(np.linalg.norm(vec))
+    n = _unit_axes(as_bloch(n))
+    return float(_stationarity_rows(_EnsembleArrays.of([ens]), n[None])[0])
 
 
 def check_analytic_conditions(ens: QubitEnsemble, n) -> AnalyticConditionsReport:
-    """Evaluate the two sufficient optimality conditions at the axis n."""
-    parts = _perp_parts(ens, n)
-    vec, log_t0, log_t1, singular = _stationarity_terms(ens, *parts)
-    a_perp, b_perp = parts[3:]
-    odds_res = abs(log_t0 + log_t1)
+    """Evaluate the two sufficient optimality conditions at the axis n.
+
+    singular tells whether _log_odds clamped a projection.
+    """
+    n, an, bn, a_perp, b_perp = _perp_parts(ens, n)
+    x = np.array([an, bn, float(average_state(ens) @ n)])
+    log_t0, log_t1 = _log_odds(x)
+    odds_res = float(abs(log_t0 + log_t1))
     perp_res = float(np.linalg.norm(ens.lambda0 * a_perp + ens.lambda1 * b_perp))
     return AnalyticConditionsReport(
-        residual=float(np.linalg.norm(vec)),
+        residual=float(_stationarity_rows(_EnsembleArrays.of([ens]), n[None])[0]),
         odds_inverse_residual=odds_res,
         odds_inverse_holds=odds_res <= _CONDITION_TOL,
         perp_balance_residual=perp_res,
         perp_balance_holds=perp_res <= _CONDITION_TOL,
-        singular=singular,
+        singular=bool((np.abs(x) > 1.0 - _LOG_CLAMP).any()),
         tolerance=_CONDITION_TOL,
     )
 
@@ -258,53 +269,41 @@ def check_analytic_conditions(ens: QubitEnsemble, n) -> AnalyticConditionsReport
 # In-plane optimizer
 # ---------------------------------------------------------------------------
 
-def _any_perpendicular(u: np.ndarray) -> np.ndarray:
-    k = int(np.argmin(np.abs(u)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    w = e - (e @ u) * u
-    return w / np.linalg.norm(w)
-
-
-def _plane_basis(ens: QubitEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of span{a, b}, with fallbacks for collinear pairs."""
-    a, b = ens.a, ens.b
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if max(na, nb) <= 1e-12:
-        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    u1, other = (a / na, b) if na >= nb else (b / nb, a)
-    w = other - (other @ u1) * u1
-    # Nearly collinear pairs need a second pass; it runs only then, because
-    # on flat peaks even a round-off move of the basis moves the optimal axis.
-    if abs(float(w @ u1)) > 1e-12 * float(np.linalg.norm(w)):
-        w = w - (w @ u1) * u1
-    nw = float(np.linalg.norm(w))
-    if nw > 1e-13:
-        return u1, w / nw
-    return u1, _any_perpendicular(u1)
-
-
 def _plane_basis_rows(rows: _EnsembleArrays) -> tuple[np.ndarray, np.ndarray]:
-    """_plane_basis of every row of a block, two arrays of shape (N, 3), to the bit.
+    """Orthonormal basis (u1, u2) of span{a, b} for every row, two arrays of shape (N, 3).
 
-    Every row takes the first pass; a row that needs a branch of the scalar
-    form (both vectors vanish, a second pass, a collinear pair) gets the
-    scalar form itself.
+    u1 is the longer vector made unit, u2 the other made normal to it.  Each
+    rare branch runs only on its rows: a nearly collinear pair takes a
+    second Gram-Schmidt pass, a collinear pair the coordinate axis of u1's
+    smallest component (the first of equals) made normal to u1, and a pair
+    of vanishing vectors (x, y).
     """
     a, b = rows.a, rows.b
     na, nb = np.sqrt(_row_dot(a, a)), np.sqrt(_row_dot(b, b))
     first = na >= nb
     longer = np.where(first, na, nb)
-    # Rows whose norms vanish divide by 0 here and are redone below.
+    vanishing = longer <= 1e-12
+    # Rows whose norms vanish divide by 0 here and are set last.
     with np.errstate(divide="ignore", invalid="ignore"):
         u1 = np.where(first[:, None], a, b) / longer[:, None]
         other = np.where(first[:, None], b, a)
         w = other - _row_dot(other, u1)[:, None] * u1
+        # The second pass runs only where it is needed, because on flat
+        # peaks even a round-off move of the basis moves the optimal axis.
         nw = np.sqrt(_row_dot(w, w))
+        again = np.abs(_row_dot(w, u1)) > 1e-12 * nw
+        if again.any():
+            w[again] -= _row_dot(w[again], u1[again])[:, None] * u1[again]
+            nw = np.sqrt(_row_dot(w, w))
         u2 = w / nw[:, None]
-    scalar = (longer <= 1e-12) | (np.abs(_row_dot(w, u1)) > 1e-12 * nw) | ~(nw > 1e-13)
-    for k in np.flatnonzero(scalar):
-        u1[k], u2[k] = _plane_basis(rows.ensemble(k))
+    collinear = ~(nw > 1e-13) & ~vanishing
+    if collinear.any():
+        u = u1[collinear]
+        k = np.argmin(np.abs(u), axis=1)
+        w = np.eye(3)[k] - u[np.arange(len(u)), k][:, None] * u
+        u2[collinear] = w / np.sqrt(_row_dot(w, w))[:, None]
+    if vanishing.any():
+        u1[vanishing], u2[vanishing] = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
     return u1, u2
 
 
@@ -475,6 +474,8 @@ def accessible_information(ens) -> OptimizationResult:
     evals = np.full(len(rows), _SCAN_POINTS)
     degenerate = np.zeros(len(rows), dtype=bool)
     owner, k = np.nonzero(brackets)
+    # Not needed for the result, but a polish of no brackets costs about a
+    # third of a flat row's call.
     if owner.size:
         axes, vals, used = _polish(_PHIS[k], u1[owner], u2[owner], tuple(c[owner] for c in consts))
         i, axis, best, apart, starts = _pick_rows(owner, vals, axes)
@@ -499,19 +500,6 @@ def _first_row(result: OptimizationResult) -> OptimizationResult:
     """Row 0 of a block's result, with the Python scalars of a one-ensemble call."""
     columns = ("value", "stationarity_residual", "evaluations", "degenerate")
     return replace(result, n_opt=result.n_opt[0], **{c: getattr(result, c)[0].item() for c in columns})
-
-
-def _stationarity_rows(rows: _EnsembleArrays, n) -> np.ndarray:
-    """stationarity_residual of every row at its unit axis n[k], without the checks.
-
-    The defect of _stationarity_terms, in the same order of operations.
-    """
-    an, bn, cn = (_row_dot(v, n) for v in (rows.a, rows.b, rows.average()))
-    log_t0, log_t1 = _log_odds(np.array([an, bn, cn]))
-    vec = (rows.lambda0 * log_t0)[:, None] * (rows.a - an[:, None] * n) + (
-        rows.lambda1 * log_t1
-    )[:, None] * (rows.b - bn[:, None] * n)
-    return np.sqrt(_row_dot(vec, vec))
 
 
 def _holevo_gap(chi, i_acc):

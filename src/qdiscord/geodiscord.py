@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import _CONDITION_TOL, OptimizationResult, _plane_basis
+from .discord import _CONDITION_TOL, OptimizationResult, _plane_basis_rows
 from .ensemble import QubitEnsemble, _EnsembleArrays
 from .measurement import _SIGN_TOL, _cross, _normalized, _perp_parts, _unit_perp_parts, canonical_axis
 from .qstate import _half_angle, _row_dot
@@ -165,7 +165,7 @@ def _geo_defect_rows(rows: _EnsembleArrays, n) -> np.ndarray:
 def example_geo_closed_form(theta: float) -> float:
     """Geometric discord of the equal-weight mirror pair: (1 - |cos 2t|)/8."""
     theta = _half_angle(theta)
-    return (1.0 - abs(np.cos(2.0 * theta))) / 8.0
+    return float((1.0 - abs(np.cos(2.0 * theta))) / 8.0)
 
 
 def geo_stationarity_residual(ens: QubitEnsemble, n) -> float:
@@ -254,7 +254,8 @@ def _top_eigenpair(ens: QubitEnsemble) -> tuple[float, float, np.ndarray]:
         # M vanishes: every axis ties and x wins the tie-break.
         return top, second, np.array([1.0, 0.0, 0.0])
     if gap <= _EIGEN_GAP_TOL:
-        return top, second, _lex_max_rep_2d(*_plane_basis(ens))
+        u1, u2 = _plane_basis_rows(_EnsembleArrays.of([ens]))
+        return top, second, _lex_max_rep_2d(u1[0], u2[0])
     # (p - q + gap)/2 equals top - q, but rounding top first leaks ~1e-17
     # into components that are exactly zero (the mirror pair's x, say).
     if p >= q:

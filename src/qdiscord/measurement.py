@@ -181,8 +181,8 @@ def _row_objective(consts):
     def objective(n):
         # A dot per row for one axis, a matrix-vector product for a batch:
         # the public objectives' bits, which einsum or a sum of products
-        # would move in the last place.
-        m = n.reshape(len(a), -1, 3)
+        # would move in the last place.  An empty block has no batch to infer.
+        m = n.reshape(len(a), -1 if len(a) else 0, 3)
         ta, tb = (m @ a)[..., 0], (m @ b)[..., 0]
         if not purity:
             out = np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)

@@ -35,6 +35,7 @@ brute_force_accessible and brute_force_geo are its one-row case.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -67,8 +68,12 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     Including the poles makes count=2 the antipodal pair; spacing between
     neighbors shrinks as 1/sqrt(count).
     """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise TypeError(f"a sphere grid needs an integer count of points, got {count!r}") from None
     if count < 2:
-        raise ValueError("a sphere grid needs at least 2 points")
+        raise ValueError(f"a sphere grid needs at least 2 points, got {count}")
     i = np.arange(count, dtype=float)
     z = 1.0 - 2.0 * i / (count - 1.0)
     r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))

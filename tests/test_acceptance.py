@@ -32,7 +32,6 @@ from qdiscord import (
     von_neumann_entropy,
 )
 from qdiscord.cli import main as cli_main
-from qdiscord.discord import _any_perpendicular
 from qdiscord.ensemble import _sphere_point
 from conftest import nondegenerate, rotate_about
 
@@ -133,6 +132,13 @@ def test_criterion_4_geometric_closed_form():
     )
 
 
+def _perpendicular(u):
+    """The unit vector along the coordinate axis of u's smallest component, made normal to u."""
+    e = np.eye(3)[np.argmin(np.abs(u))]
+    w = e - (e @ u) * u
+    return w / np.linalg.norm(w)
+
+
 def test_criterion_5_stationarity_and_sensitivity():
     rng = np.random.default_rng(5)
     two_degrees = np.deg2rad(2.0)
@@ -147,8 +153,8 @@ def test_criterion_5_stationarity_and_sensitivity():
         acc = accessible_information(ens)
         geo = geometric_discord(ens)
         worst_opt = max(worst_opt, acc.stationarity_residual, geo.stationarity_residual)
-        rot_a = rotate_about(_any_perpendicular(acc.n_opt), two_degrees)
-        rot_g = rotate_about(_any_perpendicular(geo.n_opt), two_degrees)
+        rot_a = rotate_about(_perpendicular(acc.n_opt), two_degrees)
+        rot_g = rotate_about(_perpendicular(geo.n_opt), two_degrees)
         if (
             stationarity_residual(ens, rot_a @ acc.n_opt) > 1e-4
             and geo_stationarity_residual(ens, rot_g @ geo.n_opt) > 1e-4

@@ -5,7 +5,9 @@ Koashi-Winter discord, the plane basis, the 720-point scan, the pick, the
 stationarity residual and the geometric discord.  Each row
 must get the bits of the scalar form, which the tests here write out (or
 call) one ensemble at a time, so that no result depends on the block it was
-computed in.  The measures (holevo_chi, accessible_information,
+computed in.  The plane basis and the stationarity defect have no scalar
+form in the library; _scalar_plane_basis and _scalar_defect write them
+out.  The measures (holevo_chi, accessible_information,
 quantum_discord, geometric_discord and ensemble_purity) take the block
 through their public names, and every field of a block's result is a column
 whose row k is the one-ensemble call on ensemble k.
@@ -26,17 +28,21 @@ from qdiscord import (
     QubitEnsemble,
     accessible_information,
     canonical_axis,
+    check_analytic_conditions,
     classical_mutual_information,
     discord_pure_koashi_winter,
     ensemble_purity,
     geometric_discord,
     holevo_chi,
+    post_measurement_purity,
     quantum_discord,
     random_ensemble,
     random_pure_pair,
+    stationarity_residual,
 )
 from qdiscord.ensemble import _EnsembleArrays, average_state
-from qdiscord.measurement import _SIGN_TOL, _row_constants, _unit_axes, _unit_perp_parts
+from qdiscord.measurement import _SIGN_TOL, _row_constants, _unit_axes
+from qdiscord.oracle import brute_force_batch
 from qdiscord.qstate import pure_overlap, von_neumann_entropy
 
 from conftest import hard_region_ensembles, near_degenerate_ensembles
@@ -67,6 +73,37 @@ GEO_EDGES = EDGES + [
     QubitEnsemble(0.7, 0.3, [-0.0, -0.0, -0.6], [0.2, -0.0, -0.0]),
     QubitEnsemble(0.5, 0.5, [-0.0, 0.6, 0.0], [0.6, -0.0, -0.0]),
 ]
+
+def _near_collinear(eps):
+    """0.8 u and 0.4 u moved off it by eps along a fixed normal direction."""
+    u = np.array([0.3, -0.5, 0.7]) / np.linalg.norm([0.3, -0.5, 0.7])
+    d = np.array([0.5, 0.3, 0.0]) / np.linalg.norm([0.5, 0.3, 0.0])
+    return QubitEnsemble(0.4, 0.6, 0.8 * u, 0.4 * u + eps * d)
+
+
+# Rows that take each branch of the plane basis: vanishing pairs; a zero
+# vector beside a non-zero one, identical, parallel and antiparallel pairs
+# (collinear); u1 whose two smallest |components| tie, so that the first of
+# them must win; near-collinear pairs (the second pass); and signed zeros.
+PLANE_EDGES = [
+    QubitEnsemble(0.5, 0.5, [0, 0, 0], [0, 0, 0]),
+    QubitEnsemble(0.5, 0.5, [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]),
+    QubitEnsemble(0.3, 0.7, [1e-13, 0, 0], [0, -1e-13, 0]),
+    QubitEnsemble(0.5, 0.5, [0, 0, 0], [0, 0.5, 0]),
+    QubitEnsemble(0.2, 0.8, [0.3, -0.4, 0.1], [0, 0, 0]),
+    QubitEnsemble(0.4, 0.6, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]),
+    QubitEnsemble(0.4, 0.6, [0.2, 0.4, 0.6], [0.1, 0.2, 0.3]),
+    QubitEnsemble(0.6, 0.4, [0.3, -0.6, 0.2], [-0.15, 0.3, -0.1]),
+    QubitEnsemble(0.5, 0.5, [0, 0, 0.5], [0, 0, -0.5]),
+    QubitEnsemble(0.3, 0.7, [0.2, -0.2, 0.6], [0.1, -0.1, 0.3]),
+    QubitEnsemble(0.3, 0.7, [-0.4, 0.4, 0.4], [0.2, -0.2, -0.2]),
+    QubitEnsemble(0.5, 0.5, [0.6, 0.0, -0.0], [-0.3, -0.0, 0.0]),
+    QubitEnsemble(0.5, 0.5, [-0.0, 0.5, 0.0], [0.0, 0.5, -0.0]),
+    QubitEnsemble(0.5, 0.5, [-0.0, 0.3, -0.0], [0.0, -0.0, 0.4]),
+    QubitEnsemble(0.7, 0.3, [0.0, -0.0, -0.6], [-0.0, 0.2, 0.0]),
+] + [_near_collinear(10.0**-k) for k in range(10, 17)]
+
+PLANE_BRANCHES = {"plain", "second pass", "collinear", "vanishing"}
 
 HARD = st.lists(st.one_of(near_degenerate_ensembles(), hard_region_ensembles()), max_size=6)
 
@@ -102,15 +139,50 @@ def _scalar_purity(ens):
     return 0.5 * (ens.lambda0**2 * (1.0 + na2) + ens.lambda1**2 * (1.0 + nb2))
 
 
+def _scalar_plane_basis(ens):
+    """The orthonormal basis (u1, u2) of span{a, b} of one ensemble, and the branch it takes.
+
+    u1 is the longer vector made unit and u2 the other made normal to it,
+    with a second pass where the first leaves it visibly off normal.  A
+    collinear pair takes the coordinate axis of u1's smallest component
+    made normal to u1, and a vanishing pair (x, y).
+    """
+    a, b = ens.a, ens.b
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if max(na, nb) <= 1e-12:
+        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), "vanishing"
+    u1, other = (a / na, b) if na >= nb else (b / nb, a)
+    w = other - (other @ u1) * u1
+    branch = "plain"
+    if abs(float(w @ u1)) > 1e-12 * float(np.linalg.norm(w)):
+        w = w - (w @ u1) * u1
+        branch = "second pass"
+    nw = float(np.linalg.norm(w))
+    if nw > 1e-13:
+        return u1, w / nw, branch
+    e = np.zeros(3)
+    e[int(np.argmin(np.abs(u1)))] = 1.0
+    w = e - (e @ u1) * u1
+    return u1, w / np.linalg.norm(w), "collinear"
+
+
+def _scalar_defect(ens, n):
+    """stationarity_residual at the unit axis n: the norm of l0 log2(t0) a_perp + l1 log2(t1) b_perp."""
+    an, bn = float(ens.a @ n), float(ens.b @ n)
+    log_t0, log_t1 = discord._log_odds(np.array([an, bn, float(average_state(ens) @ n)]))
+    vec = ens.lambda0 * log_t0 * (ens.a - an * n) + ens.lambda1 * log_t1 * (ens.b - bn * n)
+    return float(np.linalg.norm(vec))
+
+
 def _scalar_search(ens):
     """accessible_information of one ensemble, stage by scalar stage.
 
     The public objective on the scan, the peaks of that one scan, the polish
     of its own brackets, max over the candidates for the pick and the
-    residual of _stationarity_terms.  Returns (axis, value, residual,
+    residual of _scalar_defect.  Returns (axis, value, residual,
     evaluations, degenerate).
     """
-    u1, u2 = discord._plane_basis(ens)
+    u1, u2, _ = _scalar_plane_basis(ens)
     raw = discord._SCAN_COS * u1 + discord._SCAN_SIN * u2
     vals = classical_mutual_information(ens, raw)
     if float(vals.max() - vals.min()) < discord._FLAT_TOL:
@@ -132,9 +204,7 @@ def _scalar_search(ens):
     tied = [canonical_axis(ax) for v, ax in candidates if v >= best - discord._TIE_TOL]
     n_opt = max(tied, key=lambda ax: (ax[0], ax[1], ax[2]))
     degenerate = hint or any(abs(float(ax @ n_opt)) < 1.0 - 1e-8 for ax in tied)
-    parts = _unit_perp_parts(ens, n_opt)
-    residual = float(np.linalg.norm(discord._stationarity_terms(ens, *parts)[0]))
-    return n_opt, max(best, 0.0), residual, evals, degenerate
+    return n_opt, max(best, 0.0), _scalar_defect(ens, n_opt), evals, degenerate
 
 
 def _fields(result, k=None):
@@ -238,10 +308,17 @@ def test_koashi_winter_on_arrays_matches_its_scalar_calls(seed, extra):
 @given(seed=st.integers(0, 2**32 - 1), extra=HARD)
 @settings(max_examples=10, deadline=None)
 def test_plane_basis_and_canonical_rows_match_the_scalar_forms(seed, extra):
-    ensembles = _block(seed, extra)
+    ensembles = _block(seed, extra) + PLANE_EDGES
     u1, u2 = discord._plane_basis_rows(_EnsembleArrays.of(ensembles))
+    branches = []
     for k, ens in enumerate(ensembles):
-        assert (_bits(u1[k]), _bits(u2[k])) == tuple(map(_bits, discord._plane_basis(ens)))
+        *want, branch = _scalar_plane_basis(ens)
+        assert (_bits(u1[k]), _bits(u2[k])) == tuple(map(_bits, want)), k
+        branches.append(branch)
+    # The edge rows take every branch, whatever the draws.
+    assert set(branches[-len(PLANE_EDGES) :]) == PLANE_BRANCHES
+    ties = [np.sort(np.abs(u))[:2] for u, b in zip(u1, branches) if b == "collinear"]
+    assert any(x == y for x, y in ties)
     rng = np.random.default_rng(seed)
     axes = rng.normal(size=(64, 3))
     # Components at, inside and beyond the sign tolerance, and signed zeros.
@@ -251,6 +328,34 @@ def test_plane_basis_and_canonical_rows_match_the_scalar_forms(seed, extra):
     axes = np.where(rng.random((64, 3)) < 0.3, small, axes)
     got = canonical_axis(axes)
     assert [row.tobytes() for row in got] == [canonical_axis(ax).tobytes() for ax in axes]
+
+
+@given(seed=st.integers(0, 2**32 - 1), extra=HARD)
+@settings(max_examples=10, deadline=None)
+def test_stationarity_residual_matches_the_scalar_defect(seed, extra):
+    """The one-row residual and the report's, at random axes and at each row's optimum.
+
+    Both squash the axis they are given once, as _unit_axes does.
+    """
+    ensembles = _block(seed, extra) + PLANE_EDGES
+    axes = np.random.default_rng(seed).normal(size=(len(ensembles), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    optima = accessible_information(_EnsembleArrays.of(ensembles)).n_opt
+    for ens, n, n_opt in zip(ensembles, axes, optima):
+        for axis in (n, n_opt):
+            want = float(_scalar_defect(ens, _unit_axes(axis))).hex()
+            assert float(stationarity_residual(ens, axis)).hex() == want
+            assert float(check_analytic_conditions(ens, axis).residual).hex() == want
+
+
+def test_an_empty_block_gives_empty_columns():
+    rows = _EnsembleArrays.of([])
+    results = [measure(rows) for measure in MEASURES] + [brute_force_batch(rows, False, 100)]
+    for result in results:
+        columns = [result] if isinstance(result, np.ndarray) else astuple(result)
+        assert all(len(c) == 0 for c in columns if not isinstance(c, str))
+    assert classical_mutual_information(rows, np.zeros((0, 3))).shape == (0,)
+    assert post_measurement_purity(rows, np.zeros((0, 4, 3))).shape == (0, 4)
 
 
 def _geo_bits(result, k=None):

@@ -1,6 +1,8 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from qdiscord import (
     discord_pure_koashi_winter,
     eof_from_concurrence,
     example_discord_closed_form,
+    geo_choice_classifier,
+    geometric_discord,
     holevo_chi,
     pure_overlap,
     quantum_discord,
@@ -174,7 +178,7 @@ def test_round_off_can_put_accessible_information_above_chi():
 def test_two_maximally_mixed_states_take_the_x_tie_break():
     """a = b = 0: the plane basis falls back to (x, y), and the flat scan picks x."""
     ens = QubitEnsemble(0.5, 0.5, [0, 0, 0], [0, 0, 0])
-    u1, u2 = discord._plane_basis(ens)
+    u1, u2 = (u[0] for u in discord._plane_basis_rows(_EnsembleArrays.of([ens])))
     np.testing.assert_array_equal(u1, X)
     np.testing.assert_array_equal(u2, [0.0, 1.0, 0.0])
     res = accessible_information(ens)
@@ -339,6 +343,26 @@ def test_stationarity_flags_boundary_axes():
     report = check_analytic_conditions(ens, Z)
     assert report.singular
     assert np.isfinite(report.residual)
+
+
+def test_one_ensemble_reports_hold_python_scalars():
+    """Every field of a one-ensemble report is a Python float, bool or str, so JSON takes it."""
+    ens = QubitEnsemble.pure_pair(0.4)
+    reports = [
+        check_analytic_conditions(ens, X),
+        check_analytic_conditions(QubitEnsemble(0.5, 0.5, [0, 0, 1.0], [0.6, 0, 0]), Z),
+        geo_choice_classifier(ens, geometric_discord(ens).n_opt),
+        discord_pure_koashi_winter(0.3, 0.5),
+        discord_pure_koashi_winter(1.0, 0.0),
+    ]
+    for report in reports:
+        fields = vars(report)
+        assert all(type(v) in (float, bool, str) for v in fields.values()), fields
+        assert json.loads(json.dumps(fields)) == fields
+    assert all(type(x) is float for x in average_state_eigen_split(0.3, 0.5))
+    # Array calls keep their arrays.
+    kw = discord_pure_koashi_winter(np.array([0.3, 0.5]), np.array([0.5, 1.0]))
+    assert all(isinstance(v, np.ndarray) and v.shape == (2,) for v in vars(kw).values())
 
 
 def test_optimization_result_metadata(rng):
@@ -512,7 +536,7 @@ def test_flat_objectives_reach_the_dense_in_plane_maximum(kind):
     with _record("_slope_root_lockstep", roots):
         for _ in range(40):
             ens = _flat_draw(rng, kind)
-            u1, u2 = discord._plane_basis(ens)
+            u1, u2 = (u[0] for u in discord._plane_basis_rows(_EnsembleArrays.of([ens])))
             dense = classical_mutual_information(ens, np.cos(phis) * u1 + np.sin(phis) * u2)
             assert accessible_information(ens).value >= dense.max() - 1e-13, ens
     assert sum(np.isnan(phi).sum() for _, (phi, _) in roots) >= 5

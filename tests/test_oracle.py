@@ -59,6 +59,21 @@ def test_fibonacci_rejects_tiny_grids():
         fibonacci_sphere(1)
 
 
+@pytest.mark.parametrize("count", [2.5, 100.0, np.float64(10.0), "10"])
+def test_fibonacci_takes_an_integer_count_only(count):
+    """A float count fails with its value in the message, here and through the oracle."""
+    with pytest.raises(TypeError, match="integer count of points, got"):
+        fibonacci_sphere(count)
+    with pytest.raises(TypeError, match="integer count of points, got"):
+        brute_force_accessible(QubitEnsemble.pure_pair(0.7), count)
+
+
+def test_fibonacci_takes_numpy_integers():
+    np.testing.assert_array_equal(fibonacci_sphere(np.int64(101)), fibonacci_sphere(101))
+    result = brute_force_accessible(QubitEnsemble.pure_pair(0.7), np.int32(100))
+    assert type(result.evaluations) is int
+
+
 def test_fibonacci_deterministic():
     np.testing.assert_array_equal(fibonacci_sphere(500), fibonacci_sphere(500))
 
