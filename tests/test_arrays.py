@@ -74,6 +74,7 @@ GEO_EDGES = EDGES + [
     QubitEnsemble(0.5, 0.5, [-0.0, 0.6, 0.0], [0.6, -0.0, -0.0]),
 ]
 
+
 def _near_collinear(eps):
     """0.8 u and 0.4 u moved off it by eps along a fixed normal direction."""
     u = np.array([0.3, -0.5, 0.7]) / np.linalg.norm([0.3, -0.5, 0.7])
