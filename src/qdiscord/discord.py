@@ -321,9 +321,8 @@ def _pick_rows(owner, vals, axes):
     new = np.concatenate(([True], owner[1:] != owner[:-1]))
     canon = canonical_axis(axes)
     if new.all():
-        # One candidate per row, the usual case: it is the row's pick.
-        apart = np.abs(_row_dot(canon, canon)) < 1.0 - 1e-8
-        return owner, canon, vals, apart, np.arange(len(owner))
+        # One candidate per row, the usual case: it is the row's pick, and no axis ties with it.
+        return owner, canon, vals, np.zeros(len(owner), dtype=bool), np.arange(len(owner))
     starts = np.flatnonzero(new)
     run = np.cumsum(new) - 1
     best = np.maximum.reduceat(vals, starts)

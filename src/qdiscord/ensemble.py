@@ -111,10 +111,6 @@ class _EnsembleArrays:
         """
         return tuple(np.array([x**2 for x in w.tolist()]) for w in (self.lambda0, self.lambda1))
 
-    def ensemble(self, k: int) -> QubitEnsemble:
-        """Row k as an ensemble, for the scalar forms."""
-        return QubitEnsemble(self.lambda0[k], self.lambda1[k], self.a[k], self.b[k])
-
 
 def average_state(ens: QubitEnsemble) -> np.ndarray:
     """Bloch vector c = lambda0 a + lambda1 b of the ensemble average state."""
@@ -146,16 +142,9 @@ def cq_state_spectrum(ens: QubitEnsemble) -> np.ndarray:
 
     Nonnegative and summing to 1; ordering is (a+, a-, b+, b-).
     """
-    na = min(float(np.linalg.norm(ens.a)), 1.0)
-    nb = min(float(np.linalg.norm(ens.b)), 1.0)
-    return np.array(
-        [
-            ens.lambda0 * (1.0 + na) / 2.0,
-            ens.lambda0 * (1.0 - na) / 2.0,
-            ens.lambda1 * (1.0 + nb) / 2.0,
-            ens.lambda1 * (1.0 - nb) / 2.0,
-        ]
-    )
+    na, nb = (min(float(np.linalg.norm(v)), 1.0) for v in (ens.a, ens.b))
+    l0, l1 = ens.lambda0, ens.lambda1
+    return np.array([l0 * (1.0 + na), l0 * (1.0 - na), l1 * (1.0 + nb), l1 * (1.0 - nb)]) / 2.0
 
 
 def cq_state_entropy(ens: QubitEnsemble) -> float:

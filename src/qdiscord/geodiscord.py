@@ -15,14 +15,15 @@ geometric_discord takes one ensemble, or a block of them as a struct of
 arrays (_EnsembleArrays), which it computes in one array pass; every field
 of a block's result is a column with one entry per row, the bits of the
 one-ensemble call.  sweep and verify pass their blocks; compute and the
-one-ensemble callers keep the scalar body, the faster form at one row.
+one-ensemble callers keep the scalar body, the faster form at one row, but
+both give a tie of the top eigenvalue to one array step, _tie_axes.
 ensemble_purity takes a block too, and the oracle shares _geo_defect_rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,8 +33,8 @@ from .measurement import _SIGN_TOL, _cross, _normalized, _perp_parts, _unit_perp
 from .qstate import _half_angle, _row_dot
 
 EIGENPAIR_METHOD = "closed-form eigenpair"
-# Eigenvalues within this of the top one are treated as a degenerate
-# eigenspace and resolved by the lexicographic tie-break.
+# A gap of at most this times the top eigenvalue (M = 0 included) is a tie,
+# resolved by the lexicographic tie-break: like the axis, it is scale-free.
 _EIGEN_GAP_TOL = 1e-12
 
 
@@ -89,7 +90,7 @@ def ensemble_purity(ens) -> float | np.ndarray:
 def quadratic_form(ens: QubitEnsemble) -> GeoQuadraticForm:
     """Build M from its outer products; the top eigenpair comes from the rank-2 form."""
     m = ens.lambda0**2 * np.outer(ens.a, ens.a) + ens.lambda1**2 * np.outer(ens.b, ens.b)
-    w, _, v = _top_eigenpair(ens)
+    w, _, v, _ = _top_eigenpair(ens)
     return GeoQuadraticForm(m=m, top_eigenvalue=w, top_eigenvector=v)
 
 
@@ -107,7 +108,7 @@ def geometric_discord(ens) -> OptimizationResult:
     """
     if isinstance(ens, _EnsembleArrays):
         return _geometric_discord_rows(ens)
-    _, second, n_opt = _top_eigenpair(ens)
+    _, second, n_opt, tie = _top_eigenpair(ens)
     # The axis was built here, so it skips the checks of _perp_parts; the
     # squash stays, as the residual's last bit follows it.
     parts = _unit_perp_parts(ens, _normalized(n_opt))
@@ -117,6 +118,7 @@ def geometric_discord(ens) -> OptimizationResult:
         stationarity_residual=_geo_defect_norm(ens, *parts[1:]),
         evaluations=1,
         method=EIGENPAIR_METHOD,
+        degenerate=tie,
     )
 
 
@@ -124,7 +126,7 @@ def _geometric_discord_rows(rows: _EnsembleArrays) -> OptimizationResult:
     """geometric_discord of a block: _top_eigenpair and the residual on arrays.
 
     Each step is the scalar one row by row, in its order of operations; rows
-    with a degenerate top eigenspace take the scalar _top_eigenpair.
+    with a degenerate top eigenspace take _tie_axes, as a lone call does.
     """
     ga = rows.lambda0[:, None] * rows.a
     gb = rows.lambda1[:, None] * rows.b
@@ -139,17 +141,20 @@ def _geometric_discord_rows(rows: _EnsembleArrays) -> OptimizationResult:
         larger = p >= q
         c0 = np.where(larger, 0.5 * (p - q + gap), r)
         c1 = np.where(larger, r, 0.5 * (q - p + gap))
-        v = c0[:, None] * ga + c1[:, None] * gb
+        s = -(3 * np.frexp(top)[1]) // 2
+        v = np.ldexp(c0, s)[:, None] * ga + np.ldexp(c1, s)[:, None] * gb
         n_opt = canonical_axis(v / np.sqrt(_row_dot(v, v))[:, None])
-    for k in np.flatnonzero((top <= _EIGEN_GAP_TOL) | (gap <= _EIGEN_GAP_TOL)):
-        n_opt[k] = _top_eigenpair(rows.ensemble(k))[2]
+    tie = gap <= _EIGEN_GAP_TOL * top
+    if tie.any():
+        rare = _EnsembleArrays(rows.lambda0[tie], rows.lambda1[tie], rows.a[tie], rows.b[tie])
+        n_opt[tie] = _tie_axes(rare, top[tie])
     return OptimizationResult(
         n_opt=n_opt,
         value=0.5 * second,
         stationarity_residual=_geo_defect_rows(rows, _normalized(n_opt)),
         evaluations=np.ones(len(rows), dtype=int),
         method=EIGENPAIR_METHOD,
-        degenerate=np.zeros(len(rows), dtype=bool),
+        degenerate=tie,
     )
 
 
@@ -218,25 +223,30 @@ def geo_choice_classifier(ens: QubitEnsemble, n) -> GeoBranchReport:
 # Rank-2 eigenpair: the 2x2 Gram matrix of G = [l0 a, l1 b]
 # ---------------------------------------------------------------------------
 
-def _lex_max_rep_2d(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Lexicographically largest antipode-normalized unit vector in span{p, q}."""
-    for axis in (0, 1, 2):
-        g0, g1 = float(p[axis]), float(q[axis])
-        glen = np.hypot(g0, g1)
-        if glen <= _SIGN_TOL:
-            continue
-        vstar = (g0 * p + g1 * q) / glen
-        if vstar[2] >= -_SIGN_TOL:
-            return canonical_axis(vstar)
-        # The coordinate maximizer points below the z = 0 plane, so the best
-        # normalized representative lies on the span's z = 0 line.
-        u0 = q * p[2] - p * q[2]
-        return canonical_axis(u0 / np.linalg.norm(u0))
-    raise ValueError("degenerate basis for tie-break")
+def _tie_axes(rows: _EnsembleArrays, top: np.ndarray) -> np.ndarray:
+    """The top axis of rows whose top eigenvalue ties, shape (N, 3): x where M = 0 (top 0).
+
+    Else every axis of span{a, b} ties, and it is the lexicographically
+    largest canonical one, from the plane basis of a and b scaled by a power
+    of two: that moves no bit but keeps a tiny pair off its vanishing branch.
+    """
+    shift = -np.frexp(np.abs(np.hstack((rows.a, rows.b))).max(axis=1))[1][:, None]
+    u1, u2 = _plane_basis_rows(replace(rows, a=np.ldexp(rows.a, shift), b=np.ldexp(rows.b, shift)))
+    glen = np.hypot(u1, u2)
+    # The first coordinate that varies over the span, and the unit vector maximizing it.
+    k = np.argmax(glen > _SIGN_TOL, axis=1)
+    g0, g1, glen = (x[np.arange(len(k)), k][:, None] for x in (u1, u2, glen))
+    vstar = (g0 * u1 + g1 * u2) / glen
+    # Where vstar points below z = 0, the best representative lies on the
+    # span's z = 0 line.
+    down = vstar[:, 2] < -_SIGN_TOL
+    line = u2[down] * u1[down, 2:] - u1[down] * u2[down, 2:]
+    vstar[down] = line / np.sqrt(_row_dot(line, line))[:, None]
+    return np.where((top > 0.0)[:, None], canonical_axis(vstar), (1.0, 0.0, 0.0))
 
 
-def _top_eigenpair(ens: QubitEnsemble) -> tuple[float, float, np.ndarray]:
-    """Top and second eigenvalue of M = G G^T and its top axis, G = [l0 a, l1 b].
+def _top_eigenpair(ens: QubitEnsemble) -> tuple[float, float, np.ndarray, bool]:
+    """Top and second eigenvalue of M = G G^T, its top axis and whether it ties, G = [l0 a, l1 b].
 
     M shares its nonzero spectrum with the Gram matrix [[p, r], [r, q]] of G.
     The second eigenvalue comes from det = |l0 a x l1 b|^2 over the top one,
@@ -250,17 +260,16 @@ def _top_eigenpair(ens: QubitEnsemble) -> tuple[float, float, np.ndarray]:
     top = 0.5 * (p + q + gap)
     cross = np.cross(ga, gb)
     second = float(cross @ cross) / top if top > 0.0 else 0.0
-    if top <= _EIGEN_GAP_TOL:
-        # M vanishes: every axis ties and x wins the tie-break.
-        return top, second, np.array([1.0, 0.0, 0.0])
-    if gap <= _EIGEN_GAP_TOL:
-        u1, u2 = _plane_basis_rows(_EnsembleArrays.of([ens]))
-        return top, second, _lex_max_rep_2d(u1[0], u2[0])
+    if gap <= _EIGEN_GAP_TOL * top:
+        return top, second, _tie_axes(_EnsembleArrays.of([ens]), np.array([top]))[0], True
     # (p - q + gap)/2 equals top - q, but rounding top first leaks ~1e-17
     # into components that are exactly zero (the mirror pair's x, say).
     if p >= q:
         c0, c1 = 0.5 * (p - q + gap), r
     else:
         c0, c1 = r, 0.5 * (q - p + gap)
-    v = c0 * ga + c1 * gb
-    return top, second, canonical_axis(v / np.linalg.norm(v))
+    # v has the scale of top^1.5, which underflows where |G| is tiny; a power
+    # of two takes it to the scale of 1 and moves no bit of the axis.
+    s = -(3 * math.frexp(top)[1]) // 2
+    v = math.ldexp(c0, s) * ga + math.ldexp(c1, s) * gb
+    return top, second, canonical_axis(v / np.linalg.norm(v)), False

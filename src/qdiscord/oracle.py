@@ -191,12 +191,15 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
 def brute_force_batch(rows: _EnsembleArrays, purity, grid_size: int = 10_000) -> OptimizationResult:
     """brute_force_geo of every purity row of a block, brute_force_accessible of every other.
 
-    purity is one flag or one per row, so one call can check both measures
-    of a set of ensembles, as verify does.  The rows share the cached grid of
-    _grid, and each takes its argmax there with its row of the row kernel;
-    their polishes then run in lockstep.  Row k of the result has the bits
-    of the one-row call.
+    purity is one flag or one per row, each read as a bool, so one call can
+    check both measures of a set of ensembles, as verify does.  The rows
+    share the cached grid of _grid, and each takes its argmax there with its
+    row of the row kernel; their polishes then run in lockstep.  Row k of
+    the result has the bits of the one-row call.
     """
+    purity = np.asarray(purity, dtype=bool)
+    if purity.shape not in ((), (len(rows),)):
+        raise ValueError(f"purity must be one flag or one per row ({len(rows)}), got shape {purity.shape}")
     grid, unit = _grid(grid_size)
     consts = _row_constants(rows, purity)
     start, floor = np.empty((len(rows), 3)), np.empty(len(rows))

@@ -25,6 +25,33 @@ def rotate_about(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
+def random_planes(rng, count):
+    """Orthonormal bases of random planes; every fourth plane is normal to x."""
+    for k in range(count):
+        rot = random_rotation(rng)
+        u, w = rot[:, 0], rot[:, 1]
+        if k % 4 == 0:
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            u = np.array([0.0, np.cos(phi), np.sin(phi)])
+            w = np.array([0.0, -np.sin(phi), np.cos(phi)])
+        yield u, w
+
+
+def planes_tilted_about_y(rng, count):
+    """Steep planes whose z = 0 line lies within 1e-12 of the y axis, on the -x side.
+
+    The axis that maximizes x points below z = 0 in each, so the tie-break
+    axis is the z = 0 line, whose x is -1e-16 to -3e-13: inside the sign
+    tolerance, so its sign is decided by y.
+    """
+    for _ in range(count):
+        u = np.array([-(10.0 ** rng.uniform(-16.0, -12.5)), 1.0, 0.0])
+        u /= np.linalg.norm(u)
+        w = np.array([10.0 ** rng.uniform(-6.0, np.log10(0.2)), 0.0, -1.0])
+        w -= (w @ u) * u
+        yield u, w / np.linalg.norm(w)
+
+
 def nondegenerate(ens: QubitEnsemble) -> bool:
     """Ensembles with a well-defined, non-flat optimum.
 

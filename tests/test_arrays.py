@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdiscord.discord as discord
+import qdiscord.geodiscord as geodiscord
 from qdiscord import (
     OptimizationResult,
     QubitEnsemble,
@@ -35,6 +36,7 @@ from qdiscord import (
     geometric_discord,
     holevo_chi,
     post_measurement_purity,
+    quadratic_form,
     quantum_discord,
     random_ensemble,
     random_pure_pair,
@@ -45,7 +47,7 @@ from qdiscord.measurement import _SIGN_TOL, _row_constants, _unit_axes
 from qdiscord.oracle import brute_force_batch
 from qdiscord.qstate import pure_overlap, von_neumann_entropy
 
-from conftest import hard_region_ensembles, near_degenerate_ensembles
+from conftest import hard_region_ensembles, near_degenerate_ensembles, planes_tilted_about_y, random_planes
 
 pytestmark = pytest.mark.host_bits
 
@@ -63,9 +65,9 @@ EDGES = [
     QubitEnsemble.pure_pair(1e-9, 0.3),
 ]
 
-# Rows that take the geometric form's branches: M vanishes (top <= tol), a
-# tie (gap <= tol, the mirror pair at pi/4 among them), a zero weight and
-# signed zeros in the vectors.
+# Rows that take the geometric form's branches: ties (gap <= tol * top: the
+# mirror pair at pi/4, a pair of Bloch norm 1e-7 and M = 0 among them), a
+# zero weight and signed zeros in the vectors.
 GEO_EDGES = EDGES + [
     QubitEnsemble(0.5, 0.5, [0.5, 0, 0], [0, 0.5, 0]),
     QubitEnsemble(0.5, 0.5, [0, 0, 1e-7], [1e-7, 0, 0]),
@@ -167,6 +169,38 @@ def _scalar_plane_basis(ens):
     return u1, w / np.linalg.norm(w), "collinear"
 
 
+def _scalar_lex_max_rep(p, q):
+    """Lexicographically largest canonical unit vector in span{p, q}, for an orthonormal pair."""
+    for axis in (0, 1, 2):
+        g0, g1 = float(p[axis]), float(q[axis])
+        glen = np.hypot(g0, g1)
+        if glen <= _SIGN_TOL:
+            continue
+        vstar = (g0 * p + g1 * q) / glen
+        if vstar[2] >= -_SIGN_TOL:
+            return canonical_axis(vstar)
+        # The coordinate maximizer points below the z = 0 plane, so the best
+        # normalized representative lies on the span's z = 0 line.
+        u0 = q * p[2] - p * q[2]
+        return canonical_axis(u0 / np.linalg.norm(u0))
+    raise ValueError("degenerate basis for tie-break")
+
+
+def _scalar_tie_axis(ens):
+    """The top axis of a row whose top eigenvalue of M ties, one ensemble at a time.
+
+    x where M vanishes (top <= 1e-12, an absolute bound, which holds the
+    same rows as top = 0 at normal scale), else _scalar_lex_max_rep of the
+    plane basis.
+    """
+    ga, gb = ens.lambda0 * ens.a, ens.lambda1 * ens.b
+    p, q, r = float(ga @ ga), float(gb @ gb), float(ga @ gb)
+    if 0.5 * (p + q + math.hypot(p - q, 2.0 * r)) <= 1e-12:
+        return np.array([1.0, 0.0, 0.0])
+    u1, u2, _ = _scalar_plane_basis(ens)
+    return _scalar_lex_max_rep(u1, u2)
+
+
 def _scalar_defect(ens, n):
     """stationarity_residual at the unit axis n: the norm of l0 log2(t0) a_perp + l1 log2(t1) b_perp."""
     an, bn = float(ens.a @ n), float(ens.b @ n)
@@ -244,7 +278,7 @@ def test_rows_of_ensembles_and_of_the_sweep_grid_hold_their_fields():
     rows = _EnsembleArrays.of(ensembles)
     assert len(rows) == len(ensembles)
     for k, ens in enumerate(ensembles):
-        got = rows.ensemble(k)
+        got = QubitEnsemble(rows.lambda0[k], rows.lambda1[k], rows.a[k], rows.b[k])
         assert (got.lambda0, got.lambda1) == (ens.lambda0, ens.lambda1)
         assert (_bits(got.a), _bits(got.b)) == (_bits(ens.a), _bits(ens.b))
     thetas = np.concatenate([np.linspace(0.0, np.pi, 97), [1e-300, np.nextafter(np.pi, 0.0)]])
@@ -385,6 +419,38 @@ def test_geometric_discord_of_a_block_matches_its_one_ensemble_calls(seed, extra
         assert _geo_bits(got, k) == _geo_bits(geometric_discord(QubitEnsemble.pure_pair(theta, lambda0)))
 
 
+def test_tie_rows_take_the_scalar_tie_break():
+    """The array tie-break against _scalar_tie_axis, bit for bit, in every form that reports the axis.
+
+    The rows: tie pairs (l0 |a| = l1 |b|, a normal to b) on random planes, a
+    quarter of them normal to x, and on planes tilted about y, whose
+    tie-break is decided inside the sign tolerance; and the tie rows of
+    GEO_EDGES, which must hold at least one tie at M = 0 and one beside it.
+    """
+    rng = np.random.default_rng(2010)
+    planes = [*random_planes(rng, 300), *planes_tilted_about_y(rng, 300)]
+    scales = rng.uniform(0.05, 1.0, len(planes))
+    ensembles = [QubitEnsemble(0.5, 0.5, s * u, s * w) for s, (u, w) in zip(scales, planes)]
+    edges = [ens for ens in GEO_EDGES if geometric_discord(ens).degenerate]
+    assert {quadratic_form(ens).top_eigenvalue > 0.0 for ens in edges} == {False, True}
+    ensembles += edges
+    rows = _EnsembleArrays.of(ensembles)
+    block = geometric_discord(rows)
+    assert block.degenerate.all()
+    top = np.array([quadratic_form(ens).top_eigenvalue for ens in ensembles])
+    step = geodiscord._tie_axes(rows, top)
+    for k, ens in enumerate(ensembles):
+        want = _scalar_tie_axis(ens).tobytes()
+        assert step[k].tobytes() == block.n_opt[k].tobytes() == want, k
+        assert geometric_discord(ens).n_opt.tobytes() == want, k
+        assert quadratic_form(ens).top_eigenvector.tobytes() == want, k
+    # The step on the planes' bases themselves.
+    bases = [QubitEnsemble(0.5, 0.5, u, w) for u, w in planes]
+    step = geodiscord._tie_axes(_EnsembleArrays.of(bases), np.ones(len(bases)))
+    for k, ens in enumerate(bases):
+        assert step[k].tobytes() == _scalar_tie_axis(ens).tobytes(), k
+
+
 def test_geometric_discord_of_a_row_does_not_depend_on_the_block():
     """Rows of a 512-row block match those of blocks of 1, 7 and 20 rows, to the bit."""
     rng = np.random.default_rng(4048)
@@ -441,6 +507,10 @@ def test_pick_rows_matches_max_over_candidates():
             want.tobytes(), float(top).hex(), apart
         )
         assert starts[j] == np.flatnonzero(mine)[0]
+    # One candidate per row: it is the row's pick, and no axis ties with it.
+    rows, n_opt, best, degenerate, starts = discord._pick_rows(np.arange(len(pool)), vals[: len(pool)], pool)
+    assert n_opt.tobytes() == canonical_axis(pool).tobytes()
+    assert degenerate.dtype == bool and not degenerate.any()
 
 
 @given(seed=st.integers(0, 2**32 - 1), extra=HARD)

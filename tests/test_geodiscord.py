@@ -18,14 +18,18 @@ from qdiscord import (
     random_pure_pair,
 )
 import qdiscord.geodiscord as geodiscord
+from qdiscord.ensemble import _EnsembleArrays
 from conftest import (
     hard_region_ensembles,
     near_degenerate_ensembles,
+    planes_tilted_about_y,
+    random_planes,
     random_rotation,
     rotate_ensemble,
 )
 
 X = np.array([1.0, 0.0, 0.0])
+Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 
@@ -101,33 +105,6 @@ def test_equal_norm_perpendicular_pair_takes_the_lexicographic_tie_break(rng):
         assert res.value == pytest.approx(0.225**2 / 2.0, abs=1e-15)
 
 
-def _random_planes(rng, count):
-    """Orthonormal bases of random planes; every fourth plane is normal to x."""
-    for k in range(count):
-        rot = random_rotation(rng)
-        u, w = rot[:, 0], rot[:, 1]
-        if k % 4 == 0:
-            phi = rng.uniform(0.0, 2.0 * np.pi)
-            u = np.array([0.0, np.cos(phi), np.sin(phi)])
-            w = np.array([0.0, -np.sin(phi), np.cos(phi)])
-        yield u, w
-
-
-def _planes_tilted_about_y(rng, count):
-    """Steep planes whose z = 0 line lies within 1e-12 of the y axis, on the -x side.
-
-    The axis that maximizes x points below z = 0 in each, so the tie-break
-    axis is the z = 0 line, whose x is -1e-16 to -3e-13: inside the sign
-    tolerance, so its sign is decided by y.
-    """
-    for _ in range(count):
-        u = np.array([-(10.0 ** rng.uniform(-16.0, -12.5)), 1.0, 0.0])
-        u /= np.linalg.norm(u)
-        w = np.array([10.0 ** rng.uniform(-6.0, np.log10(0.2)), 0.0, -1.0])
-        w -= (w @ u) * u
-        yield u, w / np.linalg.norm(w)
-
-
 def test_lex_max_rep_matches_a_dense_sample_of_the_plane(rng):
     """The tie-break axis of a plane, against a dense sample, to the sample spacing.
 
@@ -137,9 +114,9 @@ def test_lex_max_rep_matches_a_dense_sample_of_the_plane(rng):
     """
     samples = 4001
     spacing = 2.0 * np.pi / (samples - 1)
-    planes = [*_random_planes(rng, 400), *_planes_tilted_about_y(rng, 1500)]
-    for u, w in planes:
-        got = geodiscord._lex_max_rep_2d(u, w)
+    planes = [*random_planes(rng, 400), *planes_tilted_about_y(rng, 1500)]
+    rows = _EnsembleArrays.of([QubitEnsemble(0.5, 0.5, u, w) for u, w in planes])
+    for (u, w), got in zip(planes, geodiscord._tie_axes(rows, np.ones(len(planes)))):
         assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(got, _lex_max_axis_in_span(u, w, samples), rtol=0, atol=spacing)
 
@@ -153,6 +130,42 @@ def test_vanishing_form_gives_x():
         np.testing.assert_array_equal(res.n_opt, X)
         assert res.value == 0.0
         assert quadratic_form(ens).top_eigenvalue == 0.0
+
+
+@pytest.mark.parametrize(
+    "bloch, axis, tie",
+    [
+        # Top eigenvalue 2.5e-13 with a gap of 1.9e-13: z, not a tie.
+        ([[0, 0, 1e-6], [5e-7, 0, 0]], Z, False),
+        ([[0, 0, 1e-7], [5e-8, 0, 0]], Z, False),
+        # A genuine tie in the yz-plane, whose largest canonical axis is y.
+        ([[0, 1e-13, 0], [0, 0, 1e-13]], Y, True),
+        # Where top^1.5, the scale of the unnormalized axis, would underflow.
+        ([[0, 0, 2e-150], [1e-150, 0, 0]], Z, False),
+        ([[0, 1e-150, 0], [0, 0, 1e-150]], Y, True),
+    ],
+)
+def test_small_bloch_norms_keep_the_axis_of_their_form(bloch, axis, tie):
+    """The tie test is relative to the top eigenvalue, so the axis does not depend on the scale of M."""
+    ens = QubitEnsemble(0.5, 0.5, *bloch)
+    block = geometric_discord(_EnsembleArrays.of([ens]))
+    for res in (geometric_discord(ens), block):
+        np.testing.assert_array_equal(np.reshape(res.n_opt, 3), axis)
+        assert np.reshape(res.degenerate, ()) == tie
+    np.testing.assert_array_equal(quadratic_form(ens).top_eigenvector, axis)
+
+
+def test_tied_optima_are_flagged_degenerate(rng):
+    """The mirror pair at pi/4 ties over its plane, M = 0 over the sphere; a random draw does not tie."""
+    for ens in (
+        QubitEnsemble.pure_pair(np.pi / 4),
+        QubitEnsemble(0.5, 0.5, [0, 0, 0], [0, 0, 0]),
+        QubitEnsemble(1.0, 0.0, [0, 0, 0], [0.3, 0.4, 0.5]),
+    ):
+        assert geometric_discord(ens).degenerate is True
+    ensembles = [random_ensemble(rng) for _ in range(50)]
+    assert geometric_discord(ensembles[0]).degenerate is False
+    assert not geometric_discord(_EnsembleArrays.of(ensembles)).degenerate.any()
 
 
 def test_collinear_pair_gives_the_common_axis(rng):

@@ -376,3 +376,24 @@ def test_mixed_oracle_batch_matches_one_row_calls_and_the_scalar_polish(seed, ex
     assert [_bits(r) for r in lone] == [
         _reference_bits(ens, grid_size, geo) for ens, geo in zip(rows, purity)
     ]
+
+
+def test_mixed_oracle_batch_reads_a_purity_flag_as_a_bool():
+    """An integer flag picks the same objective per row as a bool one, in the constants and in the finish."""
+    rng = np.random.default_rng(3)
+    ensembles = [random_ensemble(rng) for _ in range(2)]
+    rows = _EnsembleArrays.of(ensembles)
+    want = oracle.brute_force_batch(rows, [False, True], 2000)
+    got = oracle.brute_force_batch(rows, [0, 1], 2000)
+    assert _column_bits(getattr(got, f) for f, _ in COLUMNS) == _column_bits(getattr(want, f) for f, _ in COLUMNS)
+    assert got.value[1] == pytest.approx(geometric_discord(ensembles[1]).value, abs=1e-9)
+    assert got.value[0] == pytest.approx(accessible_information(ensembles[0]).value, abs=1e-9)
+    one = oracle.brute_force_batch(rows, 1, 2000)
+    assert _column_bits([one.value]) == _column_bits([oracle.brute_force_batch(rows, True, 2000).value])
+
+
+@pytest.mark.parametrize("purity", [[True, False, True], [True], [[True, False]]])
+def test_mixed_oracle_batch_needs_one_purity_flag_or_one_per_row(purity):
+    rows = _EnsembleArrays.of([random_ensemble(np.random.default_rng(3)) for _ in range(2)])
+    with pytest.raises(ValueError, match="purity"):
+        oracle.brute_force_batch(rows, purity, 100)
