@@ -16,7 +16,10 @@ block's size, as one array pass over it: the plane bases, the 720-point
 angular scan on the rows of the row kernel of the measurement module
 (_row_constants, _row_objective), which the oracle shares, its peaks, and at
 the end each row's pick and stationarity residual.  The scan runs
-_SCAN_ROWS rows at a time, which bounds its working set.  Every scan peak
+_SCAN_ROWS rows at a time, derived from the row kernel's budget
+(measurement._PASS_AXES): a slice is as many 720-point rows as one pass of
+the kernel takes, which bounds the working set and keeps the allocator from
+handing pages back between slices.  Every scan peak
 becomes a bracket one scan step wide on either side.  The brackets of all
 ensembles are then polished in lockstep by one root search on the slope
 dI/dphi, which is the paper's stationarity condition
@@ -50,7 +53,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensemble import QubitEnsemble, _EnsembleArrays, average_state, holevo_chi
-from .measurement import _perp_parts, _row_constants, _row_objective, _unit_axes, canonical_axis
+from .measurement import (
+    _PASS_AXES,
+    _checked_norms,
+    _perp_parts,
+    _row_constants,
+    _row_objective,
+    _unit_axes,
+    canonical_axis,
+)
 from .qstate import NORM_SLACK, _half_angle, _row_dot, as_bloch, binary_entropy
 
 IN_PLANE_METHOD = "in-plane root search"
@@ -58,10 +69,8 @@ IN_PLANE_METHOD = "in-plane root search"
 _CONDITION_TOL = 1e-8
 
 _SCAN_POINTS = 720
-# Rows per slice of the scan.  A slice's axes and entropy terms take about
-# 0.1 MB a row; a whole 512-row block would add some 50 MB to the peak, and
-# slices of 8 rows ran faster here than slices of 4, 16 or 32.
-_SCAN_ROWS = 8
+# Rows per slice of the scan: as many as one pass of the row kernel takes.
+_SCAN_ROWS = _PASS_AXES // _SCAN_POINTS
 _TIE_TOL = 1e-10
 # The root search stops once a bracket is this narrow: a few ulps of an angle.
 _ROOT_TOL = 1e-14
@@ -346,6 +355,23 @@ def _scan_peaks(vals):
     return (vals >= wrapped[..., :-2]) & (vals >= wrapped[..., 2:])
 
 
+def _scan_axes(u1, u2):
+    """The scan's unit axes cos(phi) u1 + sin(phi) u2 of every row, shape (N, _SCAN_POINTS, 3).
+
+    The bits of _unit_axes(_SCAN_COS * u1[:, None] + _SCAN_SIN * u2[:, None]),
+    with its check, built with the scan points along the last axis so that
+    every step is one long loop over contiguous memory rather than
+    _SCAN_POINTS short loops over 3 components.  The kernel's matrix-vector
+    products want the components last, so one transposing copy ends it.
+    """
+    n = u1[:, :, None] * _SCAN_COS.T + u2[:, :, None] * _SCAN_SIN.T
+    sq = n * n
+    # The order of _unit_axes' sum over the components.
+    norms = _checked_norms(np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2]))
+    n /= norms[:, None]
+    return n.transpose(0, 2, 1).copy()
+
+
 def _plane_axes(phi, u1, u2):
     """Unit axes cos(phi) u1 + sin(phi) u2, one row per bracket."""
     return _unit_axes(np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2)
@@ -456,7 +482,7 @@ def accessible_information(ens) -> OptimizationResult:
     capped = []  # (rows, values, axes) of the scan points of capped rows
     for first in range(0, len(rows), _SCAN_ROWS):
         part = slice(first, first + _SCAN_ROWS)
-        n = _unit_axes(_SCAN_COS * u1[part, None] + _SCAN_SIN * u2[part, None])
+        n = _scan_axes(u1[part], u2[part])
         vals = _row_objective(tuple(c[part] for c in consts))(n)
         peaks = _scan_peaks(vals)
         # A flat scan keeps all its points, so the peak cap sends it to the

@@ -16,7 +16,10 @@ arrays (_EnsembleArrays), which it computes in one array pass; every field
 of a block's result is a column with one entry per row, the bits of the
 one-ensemble call.  sweep and verify pass their blocks; compute and the
 one-ensemble callers keep the scalar body, the faster form at one row, but
-both give a tie of the top eigenvalue to one array step, _tie_axes.
+both give a tie of the top eigenvalue to one array step, _tie_axes.  A top
+eigenvalue below _GRAM_FLOOR, where the Gram entries of G would underflow,
+is computed from G taken to the scale of 1 by a power of two, in the block
+form for a lone call too.
 ensemble_purity takes a block too, and the oracle shares _geo_defect_rows.
 """
 
@@ -36,6 +39,8 @@ EIGENPAIR_METHOD = "closed-form eigenpair"
 # A gap of at most this times the top eigenvalue (M = 0 included) is a tie,
 # resolved by the lexicographic tie-break: like the axis, it is scale-free.
 _EIGEN_GAP_TOL = 1e-12
+# Below this top eigenvalue the Gram matrix of G is formed from G scaled to 1.
+_GRAM_FLOOR = 2.0**-900
 
 
 class NonStationaryAxisError(ValueError):
@@ -123,31 +128,8 @@ def geometric_discord(ens) -> OptimizationResult:
 
 
 def _geometric_discord_rows(rows: _EnsembleArrays) -> OptimizationResult:
-    """geometric_discord of a block: _top_eigenpair and the residual on arrays.
-
-    Each step is the scalar one row by row, in its order of operations; rows
-    with a degenerate top eigenspace take _tie_axes, as a lone call does.
-    """
-    ga = rows.lambda0[:, None] * rows.a
-    gb = rows.lambda1[:, None] * rows.b
-    p, q, r = _row_dot(ga, ga), _row_dot(gb, gb), _row_dot(ga, gb)
-    # math.hypot per row: np.hypot differs from it in the last bit on some pairs.
-    gap = np.array([math.hypot(x, y) for x, y in zip((p - q).tolist(), (2.0 * r).tolist())])
-    top = 0.5 * (p + q + gap)
-    cross = _cross(ga, gb)
-    # Rows that vanish or tie divide by 0 here and are redone below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        second = np.where(top > 0.0, _row_dot(cross, cross) / top, 0.0)
-        larger = p >= q
-        c0 = np.where(larger, 0.5 * (p - q + gap), r)
-        c1 = np.where(larger, r, 0.5 * (q - p + gap))
-        s = -(3 * np.frexp(top)[1]) // 2
-        v = np.ldexp(c0, s)[:, None] * ga + np.ldexp(c1, s)[:, None] * gb
-        n_opt = canonical_axis(v / np.sqrt(_row_dot(v, v))[:, None])
-    tie = gap <= _EIGEN_GAP_TOL * top
-    if tie.any():
-        rare = _EnsembleArrays(rows.lambda0[tie], rows.lambda1[tie], rows.a[tie], rows.b[tie])
-        n_opt[tie] = _tie_axes(rare, top[tie])
+    """geometric_discord of a block: _top_eigenpair_rows and the residual on arrays."""
+    _, second, n_opt, tie = _top_eigenpair_rows(rows)
     return OptimizationResult(
         n_opt=n_opt,
         value=0.5 * second,
@@ -245,21 +227,72 @@ def _tie_axes(rows: _EnsembleArrays, top: np.ndarray) -> np.ndarray:
     return np.where((top > 0.0)[:, None], canonical_axis(vstar), (1.0, 0.0, 0.0))
 
 
+def _gram(ga, gb):
+    """p, q, r of the Gram matrix [[p, r], [r, q]] of G = [ga, gb], its eigenvalue gap and top one, per row."""
+    p, q, r = _row_dot(ga, ga), _row_dot(gb, gb), _row_dot(ga, gb)
+    # math.hypot per row: np.hypot differs from it in the last bit on some pairs.
+    gap = np.array([math.hypot(x, y) for x, y in zip((p - q).tolist(), (2.0 * r).tolist())])
+    return p, q, r, gap, 0.5 * (p + q + gap)
+
+
+def _top_eigenpair_rows(rows: _EnsembleArrays):
+    """_top_eigenpair of every row of a block, as arrays: each step the scalar one row by row.
+
+    A row whose top eigenvalue falls below _GRAM_FLOOR, where the entries
+    of the Gram matrix lose bits to underflow (and vanish below about
+    2^-1075), has G taken to the scale of 1 by a power of two; its
+    eigenvalues are scaled back at the end, and its axis does not depend on
+    the scale.
+    """
+    ga = rows.lambda0[:, None] * rows.a
+    gb = rows.lambda1[:, None] * rows.b
+    p, q, r, gap, top = _gram(ga, gb)
+    small = top < _GRAM_FLOOR
+    rescaled = small.any()
+    if rescaled:
+        # frexp(0) is (0, 0): a vanishing G keeps its scale, and its top of 0.
+        shift = -np.frexp(np.abs(np.hstack((ga[small], gb[small]))).max(axis=1))[1]
+        ga[small], gb[small] = np.ldexp(ga[small], shift[:, None]), np.ldexp(gb[small], shift[:, None])
+        p[small], q[small], r[small], gap[small], top[small] = _gram(ga[small], gb[small])
+    cross = _cross(ga, gb)
+    # Rows that vanish or tie divide by 0 here and are redone below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        second = np.where(top > 0.0, _row_dot(cross, cross) / top, 0.0)
+        larger = p >= q
+        c0 = np.where(larger, 0.5 * (p - q + gap), r)
+        c1 = np.where(larger, r, 0.5 * (q - p + gap))
+        s = -(3 * np.frexp(top)[1]) // 2
+        v = np.ldexp(c0, s)[:, None] * ga + np.ldexp(c1, s)[:, None] * gb
+        n_opt = canonical_axis(v / np.sqrt(_row_dot(v, v))[:, None])
+    tie = gap <= _EIGEN_GAP_TOL * top
+    if tie.any():
+        rare = _EnsembleArrays(rows.lambda0[tie], rows.lambda1[tie], rows.a[tie], rows.b[tie])
+        n_opt[tie] = _tie_axes(rare, top[tie])
+    if rescaled:
+        top[small], second[small] = np.ldexp(top[small], -2 * shift), np.ldexp(second[small], -2 * shift)
+    return top, second, n_opt, tie
+
+
 def _top_eigenpair(ens: QubitEnsemble) -> tuple[float, float, np.ndarray, bool]:
     """Top and second eigenvalue of M = G G^T, its top axis and whether it ties, G = [l0 a, l1 b].
 
     M shares its nonzero spectrum with the Gram matrix [[p, r], [r, q]] of G.
     The second eigenvalue comes from det = |l0 a x l1 b|^2 over the top one,
     and the axis from the Gram eigenvector mapped through G, so neither
-    subtracts nearly equal numbers when a and b are nearly collinear.
+    subtracts nearly equal numbers when a and b are nearly collinear.  A top
+    eigenvalue below _GRAM_FLOOR (M = 0 among them) is left to the block
+    form, which rescales G.
     """
     ga = ens.lambda0 * ens.a
     gb = ens.lambda1 * ens.b
     p, q, r = float(ga @ ga), float(gb @ gb), float(ga @ gb)
     gap = math.hypot(p - q, 2.0 * r)
     top = 0.5 * (p + q + gap)
+    if top < _GRAM_FLOOR:
+        top, second, n_opt, tie = _top_eigenpair_rows(_EnsembleArrays.of([ens]))
+        return float(top[0]), float(second[0]), n_opt[0], bool(tie[0])
     cross = np.cross(ga, gb)
-    second = float(cross @ cross) / top if top > 0.0 else 0.0
+    second = float(cross @ cross) / top
     if gap <= _EIGEN_GAP_TOL * top:
         return top, second, _tie_axes(_EnsembleArrays.of([ens]), np.array([top]))[0], True
     # (p - q + gap)/2 equals top - q, but rounding top first leaks ~1e-17

@@ -18,6 +18,20 @@ a block's rows at a batch of axes each, the discord module's 720-point
 scan evaluates a slice of rows, 720 axes each, its in-plane polish one axis
 per row, and the oracle each row's grid and the stencils and steps of its
 polish.
+
+One pass of the kernel evaluates at most _PASS_AXES axes, four scan rows'
+worth; a larger batch is evaluated in pieces written into one output.  The
+temporaries of a pass (the axes' projections, the six joint terms and their
+logs) peak at about 130 bytes an axis, some 370 KB at the budget.  Twice
+that outgrows what the C allocator keeps between calls: it hands the pages
+back to the system after each pass, and the next pass faults every one of
+them in again.  With 8-row scan slices a 20-row sweep took about 200 minor
+page faults a call and a two-trial verify about 400; in pieces, under one.
+A 10^6-point oracle grid taken in one pass also held some 170 MB of
+temporaries.  The pieces are whole rows where a row's batch fits the
+budget, else pieces of one row's axes, so each piece does the arithmetic
+of the whole pass on its part, and no piece holds a single axis: BLAS
+would take it through dot instead of gemv, which moves last bits.
 """
 
 from __future__ import annotations
@@ -31,6 +45,8 @@ from .qstate import _neg_xlog2x, as_bloch, binary_entropy
 UNIT_TOL = 1e-9
 # Components within this of zero do not decide the sign of a representative.
 _SIGN_TOL = 1e-12
+# The most axes one pass of the row kernel evaluates: four 720-point scan rows.
+_PASS_AXES = 2880
 
 
 def canonical_axis(n) -> np.ndarray:
@@ -64,11 +80,15 @@ def _unit_axes(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (3,):
         raise ValueError("measurement axes must have trailing dimension 3")
-    norms = _norms(n)
+    return n / _checked_norms(_norms(n))
+
+
+def _checked_norms(norms):
+    """norms, after a check that each is within UNIT_TOL of 1."""
     # Written so that NaN and inf norms fail the test too.
     if not (np.abs(norms - 1.0) <= UNIT_TOL).all():
         raise ValueError("measurement axes must be unit vectors")
-    return n / norms
+    return norms
 
 
 def _norms(n):
@@ -170,29 +190,53 @@ def _row_objective(consts):
     single row takes axes of any shape (..., 3).  A term whose constants are
     0 on every row is skipped, decided once here rather than at every call:
     the purity term when there is no purity row, else the information term
-    when no row has h(lambda0) > 0.
+    when no row has h(lambda0) > 0.  A batch of more than _PASS_AXES axes
+    is evaluated in the pieces of _pieces, each with those same terms.
     """
     a, b, half0, half1, h0, sq0, sq1 = consts
     # count_nonzero costs a fraction of .any(), which the one-row scans feel.
     purity, info = np.count_nonzero(sq1) or np.count_nonzero(sq0), np.count_nonzero(h0)
-    a, b = a[:, :, None], b[:, :, None]
-    half0, half1, h0, sq0, sq1 = [c[:, None] for c in consts[2:]]
+    columns = (a[:, :, None], b[:, :, None]) + tuple(c[:, None] for c in consts[2:])
 
-    def objective(n):
+    def evaluate(m, a, b, half0, half1, h0, sq0, sq1):
         # A dot per row for one axis, a matrix-vector product for a batch:
         # the public objectives' bits, which einsum or a sum of products
-        # would move in the last place.  An empty block has no batch to infer.
-        m = n.reshape(len(a), -1 if len(a) else 0, 3)
+        # would move in the last place.
         ta, tb = (m @ a)[..., 0], (m @ b)[..., 0]
         if not purity:
-            out = np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
-        else:
-            out = sq0 * (1.0 + ta * ta) + sq1 * (1.0 + tb * tb)
-            if info:
-                out += np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
+            return np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
+        out = sq0 * (1.0 + ta * ta) + sq1 * (1.0 + tb * tb)
+        if info:
+            out += np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
+        return out
+
+    def objective(n):
+        # An empty block has no batch to infer.
+        m = n.reshape(len(a), -1 if len(a) else 0, 3)
+        if m.shape[0] * m.shape[1] <= _PASS_AXES:
+            return evaluate(m, *columns).reshape(n.shape[:-1])
+        out = np.empty(m.shape[:2])
+        for rows, axes in _pieces(*m.shape[:2]):
+            out[rows, axes] = evaluate(m[rows, axes], *(c[rows] for c in columns))
         return out.reshape(n.shape[:-1])
 
     return objective
+
+
+def _pieces(rows: int, count: int):
+    """The (row slice, axis slice) of each pass over rows rows of count axes each.
+
+    Whole rows, as many as _PASS_AXES holds, where one row's batch fits;
+    else each row in pieces of at most _PASS_AXES axes, a remainder of one
+    axis taking one from the piece before it.
+    """
+    if count <= _PASS_AXES:
+        step = _PASS_AXES // count
+        return [(slice(i, i + step), slice(None)) for i in range(0, rows, step)]
+    bounds = list(range(0, count, _PASS_AXES)) + [count]
+    if bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return [(slice(i, i + 1), slice(lo, hi)) for i in range(rows) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def post_measurement_purity(ens, n):

@@ -23,7 +23,11 @@ post-measurement purity), shares one grid.  The grid is built and checked
 once per grid size in a process, one size at a time (_grid), so up to 48 MB
 stays alive after a batch at 10^6 points.  Each row reads its grid values
 from its row of measurement._row_objective, bit for bit as its public
-objective.  The rows are then polished in lockstep: a
+objective.  The kernel takes a grid in pieces of at most _PASS_AXES points,
+so a row's grid pass holds its values (8 MB at 10^6 points) and one
+piece's temporaries (under 0.4 MB) beside the grid; one pass over the whole
+grid held some 170 MB more.  A verify at the 10^6 grid peaks about 70 MB
+above one at the default grid.  The rows are then polished in lockstep: a
 round evaluates every live row's stencil in one call of the same row kernel
 and every row's step in one more, and a row that stops is frozen.  Every
 operation is row by row, so each row gets the bits of a polish on its own.
@@ -152,14 +156,14 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
     and at least h after a move to a stencil point.  A row stops once its
     step is below _MIN_STEP and no stencil point moved it, or after
     _MAX_ROUNDS rounds; stopped rows are frozen, so no row depends on the
-    others.
+    others.  The live rows' row kernel is built again only when a row stops.
     """
     p, best = np.array(start, dtype=float), np.array(floor, dtype=float)
     radii = np.full(len(p), radius)
     evals = np.zeros(len(p), dtype=int)
     live = np.arange(len(p))
+    objective = _row_objective(consts)
     for _ in range(_MAX_ROUNDS):
-        objective = _row_objective(tuple(c[live] for c in consts))
         q, f0, r = p[live], best[live], radii[live]
         t1, t2 = _tangent_frames(q)
         h = np.clip(r, _MIN_SPACING, _MAX_SPACING)
@@ -182,9 +186,12 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
         step = np.sqrt(s1 * s1 + s2 * s2)
         r = np.where(f_end > f0, 2.0 * step, 0.25 * step)
         radii[live] = np.where(by_stencil, np.maximum(r, h), r)
-        live = live[(step >= _MIN_STEP) | by_stencil]
-        if not live.size:
-            break
+        kept = (step >= _MIN_STEP) | by_stencil
+        if not kept.all():
+            live = live[kept]
+            if not live.size:
+                break
+            objective = _row_objective(tuple(c[live] for c in consts))
     return p, best, evals
 
 

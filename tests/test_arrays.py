@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import qdiscord.discord as discord
 import qdiscord.geodiscord as geodiscord
+import qdiscord.measurement as measurement
 from qdiscord import (
     OptimizationResult,
     QubitEnsemble,
@@ -44,7 +45,7 @@ from qdiscord import (
 )
 from qdiscord.ensemble import _EnsembleArrays, average_state
 from qdiscord.measurement import _SIGN_TOL, _row_constants, _unit_axes
-from qdiscord.oracle import brute_force_batch
+from qdiscord.oracle import brute_force_batch, fibonacci_sphere
 from qdiscord.qstate import pure_overlap, von_neumann_entropy
 
 from conftest import hard_region_ensembles, near_degenerate_ensembles, planes_tilted_about_y, random_planes
@@ -565,3 +566,90 @@ def test_a_row_does_not_depend_on_the_block_or_the_scan_slices():
     blocks += [(0, size - 1), (0, size), (0, size + 1), (size // 2, size + 1)]
     for start, count in blocks:
         assert run(ensembles[start : start + count]) == whole[start : start + count]
+
+
+def _whole_pass(consts, n):
+    """The row kernel's values at n in one pass, with no budget to split it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measurement, "_PASS_AXES", 10**12)
+        return measurement._row_objective(consts)(n)
+
+
+def test_pieces_cover_the_batch_within_the_budget_and_never_hold_one_axis():
+    budget = measurement._PASS_AXES
+    for rows, count in [(1, budget + 1), (3, 2 * budget + 1), (2, 10_000), (1, 1_000_000), (9, 720), (401, 8)]:
+        pieces = measurement._pieces(rows, count)
+        covered = np.zeros((rows, count), dtype=int)
+        for part, axes in pieces:
+            covered[part, axes] += 1
+            size = covered[part, axes].size
+            assert 2 <= size <= budget
+        assert (covered == 1).all(), (rows, count)
+        assert len(pieces) > 1
+    assert measurement._pieces(budget, 1) == [(slice(0, budget), slice(None))]
+
+
+@pytest.mark.parametrize("count", [10_000, 2881, 5761])
+def test_the_kernel_in_pieces_matches_one_whole_pass_on_a_grid(count):
+    """Information and purity rows on count axes, one row or several to a call.
+
+    2 881 and 5 761 axes leave one axis over the budget's pieces, which the
+    piece before it must take.  The Fibonacci grid ends on a pole, where a
+    lone axis would give the same bits anyway, so random axes run too.
+    """
+    rng = np.random.default_rng(count)
+    ensembles = [random_ensemble(rng) for _ in range(4)] + [random_pure_pair(rng)] + EDGES[:3]
+    raw = rng.normal(size=(count, 3))
+    for grid in (_unit_axes(fibonacci_sphere(count)), _unit_axes(raw / np.linalg.norm(raw, axis=1, keepdims=True))):
+        for purity in (False, True, np.arange(len(ensembles)) % 2 == 0):
+            consts = _row_constants(_EnsembleArrays.of(ensembles), purity)
+            for k in range(len(ensembles)):
+                row = tuple(c[k : k + 1] for c in consts)
+                assert _bits(measurement._row_objective(row)(grid)) == _bits(_whole_pass(row, grid))
+            axes = np.repeat(grid[None], len(ensembles), axis=0)
+            assert _bits(measurement._row_objective(consts)(axes)) == _bits(_whole_pass(consts, axes))
+
+
+def test_the_kernel_in_pieces_matches_one_whole_pass_over_many_rows():
+    """Calls of many rows over the budget: 1, 8 or 720 axes a row, split by whole rows."""
+    rng = np.random.default_rng(33)
+    ensembles = [random_ensemble(rng) for _ in range(500)] + [random_pure_pair(rng) for _ in range(100)]
+    ensembles += EDGES * 4
+    for purity in (False, True, rng.uniform(size=len(ensembles)) < 0.5):
+        consts = _row_constants(_EnsembleArrays.of(ensembles), purity)
+        for shape in ((1,), (8,), (2, 4)):
+            raw = rng.normal(size=(len(ensembles), *shape, 3))
+            n = _unit_axes(raw / np.linalg.norm(raw, axis=-1, keepdims=True))
+            assert _bits(measurement._row_objective(consts)(n)) == _bits(_whole_pass(consts, n))
+        part = tuple(c[:9] for c in consts)
+        u1, u2 = discord._plane_basis_rows(_EnsembleArrays.of(ensembles[:9]))
+        n = discord._scan_axes(u1, u2)
+        assert _bits(measurement._row_objective(part)(n)) == _bits(_whole_pass(part, n))
+
+
+def test_scan_axes_match_the_unit_axes_of_the_plane():
+    """_scan_axes against _unit_axes of cos u1 + sin u2, on 1- and 4-row slices, to the bit.
+
+    The bases of EDGES include its collinear and vanishing pairs, and those
+    of PLANE_EDGES every branch of the plane basis.
+    """
+    rng = np.random.default_rng(720)
+    ensembles = EDGES + PLANE_EDGES + [random_ensemble(rng) for _ in range(40)]
+    u1, u2 = discord._plane_basis_rows(_EnsembleArrays.of(ensembles))
+    for size in (1, discord._SCAN_ROWS):
+        for first in range(0, len(ensembles), size):
+            part = slice(first, first + size)
+            want = _unit_axes(discord._SCAN_COS * u1[part, None] + discord._SCAN_SIN * u2[part, None])
+            got = discord._scan_axes(u1[part], u2[part])
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert _bits(got) == _bits(want), first
+    assert discord._SCAN_ROWS * discord._SCAN_POINTS == measurement._PASS_AXES
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.0 + 1e-8, np.nan])
+def test_scan_axes_reject_an_axis_that_is_not_unit(bad):
+    u1 = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+    u2 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    u1[1] *= bad
+    with pytest.raises(ValueError, match="unit vectors"):
+        discord._scan_axes(u1, u2)

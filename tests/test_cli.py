@@ -710,19 +710,18 @@ def test_module_entry_point():
     assert proc.returncode == 1
 
 
-# A fresh interpreter runs the sweep, so that the peak resident set of its
-# children is the sweep's own and not that of an earlier test's child.
-_SWEEP_PEAK_RSS = """
+# A fresh interpreter runs the command, so that the peak resident set of its
+# children is the command's own and not that of an earlier test's child.
+_PEAK_RSS = """
 import resource, subprocess, sys
-subprocess.run([sys.executable, "-m", "qdiscord", "sweep", "--steps", sys.argv[1],
-                "--output", sys.argv[2]], check=True)
+subprocess.run([sys.executable, "-m", "qdiscord", *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def _sweep_peak_mb(steps, output):
+def _peak_mb(*argv):
     proc = subprocess.run(
-        [sys.executable, "-c", _SWEEP_PEAK_RSS, str(steps), str(output)],
+        [sys.executable, "-c", _PEAK_RSS, *map(str, argv)],
         capture_output=True,
         text=True,
         check=True,
@@ -736,7 +735,70 @@ def test_sweep_peak_memory_is_bounded(tmp_path):
     The difference leaves out the interpreter's, numpy's and BLAS's start-up,
     which varies with the host; a block scanned whole would add some 40 MB.
     """
-    small = _sweep_peak_mb(2, tmp_path / "small.csv")
-    large = _sweep_peak_mb(2048, tmp_path / "sweep.csv")
+    small = _peak_mb("sweep", "--steps", 2, "--output", tmp_path / "small.csv")
+    large = _peak_mb("sweep", "--steps", 2048, "--output", tmp_path / "sweep.csv")
     assert large - small <= 8.0
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2049
+
+
+def test_verify_peak_memory_at_the_largest_grid_is_bounded():
+    """A trial at the 10^6 grid adds at most 80 MB to one at the 10^4 grid.
+
+    The cached grid and its checked form take 48 MB of that and the rest
+    about 20 MB, of which a row's grid values are 8 MB; one kernel pass over
+    the whole grid added some 100 MB more in temporaries.
+    """
+    small = _peak_mb("verify", "--seed", 1, "--trials", 1, "--grid", 10_000)
+    large = _peak_mb("verify", "--seed", 1, "--trials", 1, "--grid", 1_000_000)
+    assert large - small <= 80.0
+
+
+# Warmed in-process calls of a command, in a fresh interpreter: the minor page
+# faults per call, and those of touching fresh pages, which read 0 where the
+# platform does not count them.
+_FAULTS_PER_CALL = """
+import mmap, resource, sys
+from qdiscord import cli
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+argv, calls = sys.argv[1:], 20
+for _ in range(3):
+    cli.main(argv)
+start = faults()
+for _ in range(calls):
+    cli.main(argv)
+per_call = (faults() - start) / calls
+# Last, and past the C allocator, whose thresholds a large block would move.
+start = faults()
+pages = mmap.mmap(-1, 256 * mmap.PAGESIZE)
+for k in range(0, len(pages), mmap.PAGESIZE):
+    pages[k] = 1
+print(faults() - start, per_call)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--steps", "20"], ["verify", "--seed", "1", "--trials", "2"]],
+    ids=["sweep", "verify"],
+)
+def test_bulk_calls_take_no_fresh_pages(tmp_path, argv):
+    """A warmed sweep or verify call averages at most 20 minor page faults.
+
+    A pass whose temporaries outgrow what the C allocator keeps would hand
+    its pages back to the system and fault them in again on the next pass:
+    some 200 faults a sweep call and 400 a verify call.
+    """
+    pytest.importorskip("resource")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_CALL, *argv, "--output", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    counted, per_call = map(float, proc.stdout.split())
+    if counted < 100:
+        pytest.skip("minor page faults are not counted here")
+    assert per_call <= 20.0

@@ -155,6 +155,35 @@ def test_small_bloch_norms_keep_the_axis_of_their_form(bloch, axis, tie):
     np.testing.assert_array_equal(quadratic_form(ens).top_eigenvector, axis)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-200, 1e-300])
+def test_a_tiny_pair_keeps_the_axis_it_has_at_normal_scale(scale):
+    """Where the Gram entries of G would underflow, G is taken to the scale of 1 first.
+
+    Without that, the pair reads the vanishing form's x from 1e-170 on.
+    """
+    a, b = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.2])
+    want = geometric_discord(QubitEnsemble(0.3, 0.7, 1e-6 * a, 1e-6 * b)).n_opt
+    ens = QubitEnsemble(0.3, 0.7, scale * a, scale * b)
+    block = geometric_discord(_EnsembleArrays.of([ens, ens]))
+    lone = geometric_discord(ens)
+    for axis in (lone.n_opt, block.n_opt[0], block.n_opt[1], quadratic_form(ens).top_eigenvector):
+        np.testing.assert_allclose(axis, want, rtol=0, atol=1e-15)
+    assert lone.n_opt.tobytes() == block.n_opt[0].tobytes()
+    assert not lone.degenerate and not block.degenerate.any()
+
+
+def test_a_tiny_pair_keeps_its_eigenvalues_where_they_are_normal():
+    """The eigenvalues of a rescaled G are scaled back: s^2 times those at s = 1."""
+    a, b = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.2])
+    unit = QubitEnsemble(0.3, 0.7, a, b)
+    ens = QubitEnsemble(0.3, 0.7, 1e-150 * a, 1e-150 * b)
+    top = quadratic_form(ens).top_eigenvalue
+    assert top < 2.0**-900
+    assert top == pytest.approx(1e-300 * quadratic_form(unit).top_eigenvalue, rel=1e-12, abs=0)
+    value = geometric_discord(ens).value
+    assert value == pytest.approx(1e-300 * geometric_discord(unit).value, rel=1e-12, abs=0)
+
+
 def test_tied_optima_are_flagged_degenerate(rng):
     """The mirror pair at pi/4 ties over its plane, M = 0 over the sphere; a random draw does not tie."""
     for ens in (
