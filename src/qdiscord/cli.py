@@ -168,7 +168,11 @@ def ensemble_from_document(doc) -> QubitEnsemble:
 def _number(x, field: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise EnsembleSpecError(f"field '{field}' must be a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        # An integer beyond float range reads as json reads 1e400: an infinity.
+        return math.inf if x > 0 else -math.inf
 
 
 def _unique_fields(pairs) -> dict:

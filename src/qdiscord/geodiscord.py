@@ -16,10 +16,11 @@ arrays (_EnsembleArrays), which it computes in one array pass; every field
 of a block's result is a column with one entry per row, the bits of the
 one-ensemble call.  sweep and verify pass their blocks; compute and the
 one-ensemble callers keep the scalar body, the faster form at one row, but
-both give a tie of the top eigenvalue to one array step, _tie_axes.  A top
-eigenvalue below _GRAM_FLOOR, where the Gram entries of G would underflow,
-is computed from G taken to the scale of 1 by a power of two, in the block
-form for a lone call too.
+both give a tie of the top eigenvalue to one array step, _tie_axes.  Both
+compute from G taken to unit scale by one rule, _unit_scale: a power of two
+on the weights, which moves no bit where G is normal and keeps every Gram
+entry, cross product and axis clear of underflow where G is tiny; the
+eigenvalues are scaled back at the end.
 ensemble_purity takes a block too, and the oracle shares _geo_defect_rows.
 """
 
@@ -39,8 +40,6 @@ EIGENPAIR_METHOD = "closed-form eigenpair"
 # A gap of at most this times the top eigenvalue (M = 0 included) is a tie,
 # resolved by the lexicographic tie-break: like the axis, it is scale-free.
 _EIGEN_GAP_TOL = 1e-12
-# Below this top eigenvalue the Gram matrix of G is formed from G scaled to 1.
-_GRAM_FLOOR = 2.0**-900
 
 
 class NonStationaryAxisError(ValueError):
@@ -235,25 +234,28 @@ def _gram(ga, gb):
     return p, q, r, gap, 0.5 * (p + q + gap)
 
 
+def _unit_scale(l0, l1, a, b):
+    """The weights 2^shift l0, 2^shift l1 that take G = [l0 a, l1 b] to unit scale, and shift.
+
+    One rule for one ensemble and, row by row, for a block.  shift is minus
+    the binary exponent of G's largest |entry|, max(l0 max|a_i|, l1 max|b_i|)
+    to the bit, as a rounded product is monotone in its factor.  It is at
+    most 1023, so the weights stay finite where G is subnormal, and a power
+    of two moves no bit of G where G is normal.
+    """
+    big = np.maximum(l0 * abs(a).max(-1), l1 * abs(b).max(-1))
+    shift = np.minimum(-np.frexp(big)[1], 1023)
+    return np.ldexp(l0, shift), np.ldexp(l1, shift), shift
+
+
 def _top_eigenpair_rows(rows: _EnsembleArrays):
     """_top_eigenpair of every row of a block, as arrays: each step the scalar one row by row.
 
-    A row whose top eigenvalue falls below _GRAM_FLOOR, where the entries
-    of the Gram matrix lose bits to underflow (and vanish below about
-    2^-1075), has G taken to the scale of 1 by a power of two; its
-    eigenvalues are scaled back at the end, and its axis does not depend on
-    the scale.
+    Each row's G is taken to unit scale by the same rule, _unit_scale.
     """
-    ga = rows.lambda0[:, None] * rows.a
-    gb = rows.lambda1[:, None] * rows.b
+    w0, w1, shift = _unit_scale(rows.lambda0, rows.lambda1, rows.a, rows.b)
+    ga, gb = w0[:, None] * rows.a, w1[:, None] * rows.b
     p, q, r, gap, top = _gram(ga, gb)
-    small = top < _GRAM_FLOOR
-    rescaled = small.any()
-    if rescaled:
-        # frexp(0) is (0, 0): a vanishing G keeps its scale, and its top of 0.
-        shift = -np.frexp(np.abs(np.hstack((ga[small], gb[small]))).max(axis=1))[1]
-        ga[small], gb[small] = np.ldexp(ga[small], shift[:, None]), np.ldexp(gb[small], shift[:, None])
-        p[small], q[small], r[small], gap[small], top[small] = _gram(ga[small], gb[small])
     cross = _cross(ga, gb)
     # Rows that vanish or tie divide by 0 here and are redone below.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -261,16 +263,13 @@ def _top_eigenpair_rows(rows: _EnsembleArrays):
         larger = p >= q
         c0 = np.where(larger, 0.5 * (p - q + gap), r)
         c1 = np.where(larger, r, 0.5 * (q - p + gap))
-        s = -(3 * np.frexp(top)[1]) // 2
-        v = np.ldexp(c0, s)[:, None] * ga + np.ldexp(c1, s)[:, None] * gb
+        v = c0[:, None] * ga + c1[:, None] * gb
         n_opt = canonical_axis(v / np.sqrt(_row_dot(v, v))[:, None])
     tie = gap <= _EIGEN_GAP_TOL * top
     if tie.any():
         rare = _EnsembleArrays(rows.lambda0[tie], rows.lambda1[tie], rows.a[tie], rows.b[tie])
         n_opt[tie] = _tie_axes(rare, top[tie])
-    if rescaled:
-        top[small], second[small] = np.ldexp(top[small], -2 * shift), np.ldexp(second[small], -2 * shift)
-    return top, second, n_opt, tie
+    return np.ldexp(top, -2 * shift), np.ldexp(second, -2 * shift), n_opt, tie
 
 
 def _top_eigenpair(ens: QubitEnsemble) -> tuple[float, float, np.ndarray, bool]:
@@ -279,30 +278,26 @@ def _top_eigenpair(ens: QubitEnsemble) -> tuple[float, float, np.ndarray, bool]:
     M shares its nonzero spectrum with the Gram matrix [[p, r], [r, q]] of G.
     The second eigenvalue comes from det = |l0 a x l1 b|^2 over the top one,
     and the axis from the Gram eigenvector mapped through G, so neither
-    subtracts nearly equal numbers when a and b are nearly collinear.  A top
-    eigenvalue below _GRAM_FLOOR (M = 0 among them) is left to the block
-    form, which rescales G.
+    subtracts nearly equal numbers when a and b are nearly collinear.  All
+    of it comes from G taken to unit scale by _unit_scale, where no Gram
+    entry, cross product or axis underflows; the eigenvalues are scaled
+    back at the end.
     """
-    ga = ens.lambda0 * ens.a
-    gb = ens.lambda1 * ens.b
+    w0, w1, shift = _unit_scale(ens.lambda0, ens.lambda1, ens.a, ens.b)
+    ga, gb = w0 * ens.a, w1 * ens.b
     p, q, r = float(ga @ ga), float(gb @ gb), float(ga @ gb)
     gap = math.hypot(p - q, 2.0 * r)
     top = 0.5 * (p + q + gap)
-    if top < _GRAM_FLOOR:
-        top, second, n_opt, tie = _top_eigenpair_rows(_EnsembleArrays.of([ens]))
-        return float(top[0]), float(second[0]), n_opt[0], bool(tie[0])
-    cross = np.cross(ga, gb)
-    second = float(cross @ cross) / top
+    cross = _cross(ga, gb)
+    second = float(cross @ cross) / top if top > 0.0 else 0.0
+    eigenvalues = math.ldexp(top, -2 * int(shift)), math.ldexp(second, -2 * int(shift))
     if gap <= _EIGEN_GAP_TOL * top:
-        return top, second, _tie_axes(_EnsembleArrays.of([ens]), np.array([top]))[0], True
+        return *eigenvalues, _tie_axes(_EnsembleArrays.of([ens]), np.array([top]))[0], True
     # (p - q + gap)/2 equals top - q, but rounding top first leaks ~1e-17
     # into components that are exactly zero (the mirror pair's x, say).
     if p >= q:
         c0, c1 = 0.5 * (p - q + gap), r
     else:
         c0, c1 = r, 0.5 * (q - p + gap)
-    # v has the scale of top^1.5, which underflows where |G| is tiny; a power
-    # of two takes it to the scale of 1 and moves no bit of the axis.
-    s = -(3 * math.frexp(top)[1]) // 2
-    v = math.ldexp(c0, s) * ga + math.ldexp(c1, s) * gb
-    return top, second, canonical_axis(v / np.linalg.norm(v)), False
+    v = c0 * ga + c1 * gb
+    return *eigenvalues, canonical_axis(v / np.linalg.norm(v)), False

@@ -29,9 +29,10 @@ them in again.  With 8-row scan slices a 20-row sweep took about 200 minor
 page faults a call and a two-trial verify about 400; in pieces, under one.
 A 10^6-point oracle grid taken in one pass also held some 170 MB of
 temporaries.  The pieces are whole rows where a row's batch fits the
-budget, else pieces of one row's axes, so each piece does the arithmetic
-of the whole pass on its part, and no piece holds a single axis: BLAS
-would take it through dot instead of gemv, which moves last bits.
+budget, else equal pieces of one row's axes, so each piece does the
+arithmetic of the whole pass on its part, and no piece holds a single
+axis: BLAS would take it through dot instead of gemv, which moves last
+bits.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def _normalized(n):
 
 
 def _cross(u, v):
-    """np.cross of two (N, 3) arrays row by row, product by product, without its per-call overhead."""
+    """Cross product of two 3-vectors or (N, 3) arrays: numpy's cross to the bit, without its per-call overhead."""
     (u0, u1, u2), (v0, v1, v2) = u.T, v.T
-    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=1)
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
 
 
 def _perp_parts(ens: QubitEnsemble, n):
@@ -227,15 +228,14 @@ def _pieces(rows: int, count: int):
     """The (row slice, axis slice) of each pass over rows rows of count axes each.
 
     Whole rows, as many as _PASS_AXES holds, where one row's batch fits;
-    else each row in pieces of at most _PASS_AXES axes, a remainder of one
-    axis taking one from the piece before it.
+    else each row in ceil(count / _PASS_AXES) equal pieces, which differ by
+    at most one axis and so hold at least _PASS_AXES / 2 each.
     """
     if count <= _PASS_AXES:
         step = _PASS_AXES // count
         return [(slice(i, i + step), slice(None)) for i in range(0, rows, step)]
-    bounds = list(range(0, count, _PASS_AXES)) + [count]
-    if bounds[-1] - bounds[-2] == 1:
-        bounds[-2] -= 1
+    pieces = -(-count // _PASS_AXES)
+    bounds = [count * i // pieces for i in range(pieces + 1)]
     return [(slice(i, i + 1), slice(lo, hi)) for i in range(rows) for lo, hi in zip(bounds, bounds[1:])]
 
 

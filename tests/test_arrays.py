@@ -593,8 +593,8 @@ def test_pieces_cover_the_batch_within_the_budget_and_never_hold_one_axis():
 def test_the_kernel_in_pieces_matches_one_whole_pass_on_a_grid(count):
     """Information and purity rows on count axes, one row or several to a call.
 
-    2 881 and 5 761 axes leave one axis over the budget's pieces, which the
-    piece before it must take.  The Fibonacci grid ends on a pole, where a
+    2 881 and 5 761 axes are one over a multiple of the budget, split into
+    two and three equal pieces.  The Fibonacci grid ends on a pole, where a
     lone axis would give the same bits anyway, so random axes run too.
     """
     rng = np.random.default_rng(count)

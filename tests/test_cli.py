@@ -243,6 +243,25 @@ def test_compute_non_finite_weight_is_rejected_at_the_ensemble(capsys):
     assert "weights must be finite" in err
 
 
+@pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"weights": [%s, 0.5], "bloch": [[0,0,0],[0,0,0]]}',
+        '{"weights": [0.5, 0.5], "bloch": [[0,0,0],[0,%s,0]]}',
+        '{"pure_pair": {"theta": %s}}',
+        '{"pure_pair": {"theta": 0.3, "lambda0": %s}}',
+    ],
+    ids=["weights0", "bloch1", "theta", "lambda0"],
+)
+def test_compute_integer_beyond_float_range_reads_as_its_float_literal(capsys, spec, sign):
+    """A 401-digit integer is an infinity, as json reads 1e400: rejected at the ensemble, not an internal error."""
+    got = run_cli(capsys, "compute", "--spec", spec % (sign + "1" + "0" * 400))
+    want = run_cli(capsys, "compute", "--spec", spec % (sign + "1e400"))
+    assert want[0] == EXIT_INVARIANT
+    assert got == want
+
+
 def test_compute_near_collinear_pair(capsys):
     code, out, err = run_cli(
         capsys, "compute", "--spec", '{"weights":[0.5,0.5],"bloch":[[1e-8,0,0.5],[0,0,-0.5]]}'

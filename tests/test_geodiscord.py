@@ -172,16 +172,63 @@ def test_a_tiny_pair_keeps_the_axis_it_has_at_normal_scale(scale):
     assert not lone.degenerate and not block.degenerate.any()
 
 
-def test_a_tiny_pair_keeps_its_eigenvalues_where_they_are_normal():
-    """The eigenvalues of a rescaled G are scaled back: s^2 times those at s = 1."""
-    a, b = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.2])
-    unit = QubitEnsemble(0.3, 0.7, a, b)
-    ens = QubitEnsemble(0.3, 0.7, 1e-150 * a, 1e-150 * b)
-    top = quadratic_form(ens).top_eigenvalue
-    assert top < 2.0**-900
-    assert top == pytest.approx(1e-300 * quadratic_form(unit).top_eigenvalue, rel=1e-12, abs=0)
-    value = geometric_discord(ens).value
-    assert value == pytest.approx(1e-300 * geometric_discord(unit).value, rel=1e-12, abs=0)
+TINY_A, TINY_B = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.2])
+
+
+def _lone_and_block(ens):
+    """(value, top eigenvalue, axis) of ens, from the lone form and from a two-row block."""
+    rows = _EnsembleArrays.of([ens, ens])
+    block, top = geometric_discord(rows), geodiscord._top_eigenpair_rows(rows)[0]
+    lone = geometric_discord(ens)
+    return [
+        (lone.value, quadratic_form(ens).top_eigenvalue, lone.n_opt),
+        (block.value[0], top[0], block.n_opt[0]),
+        (block.value[1], top[1], block.n_opt[1]),
+    ]
+
+
+@pytest.mark.parametrize("scale", [1e-80, 1e-100, 1e-130, 1e-150])
+def test_a_tiny_pair_keeps_its_eigenvalues_where_they_are_normal(scale):
+    """The eigenvalues come from G at unit scale, scaled back: s^2 times those at s = 1.
+
+    The squared cross product of G underflows from about s = 1e-80 on,
+    while the top eigenvalue is far from underflow.
+    """
+    unit = QubitEnsemble(0.3, 0.7, TINY_A, TINY_B)
+    want_value, want_top = geometric_discord(unit).value, quadratic_form(unit).top_eigenvalue
+    for value, top, _ in _lone_and_block(QubitEnsemble(0.3, 0.7, scale * TINY_A, scale * TINY_B)):
+        assert top == pytest.approx(scale**2 * want_top, rel=1e-12, abs=0)
+        assert value == pytest.approx(scale**2 * want_value, rel=1e-12, abs=0)
+
+
+@pytest.mark.host_bits
+@pytest.mark.parametrize("k", [100, 300, 400, 450])
+def test_a_pair_scaled_by_a_power_of_two_scales_its_eigenvalues_to_the_bit(k):
+    """At 2^-k times the Bloch vectors, value and top are 2^-2k times theirs, the axis the same.
+
+    A power of two moves no bit of G, whose unit scale is then the same.
+    """
+    rng = np.random.default_rng(k)
+    pairs = [(0.3, TINY_A, TINY_B)] + [(e.lambda0, e.a, e.b) for e in (random_ensemble(rng) for _ in range(4))]
+    for l0, a, b in pairs:
+        want = _lone_and_block(QubitEnsemble(l0, 1.0 - l0, a, b))
+        got = _lone_and_block(QubitEnsemble(l0, 1.0 - l0, np.ldexp(a, -k), np.ldexp(b, -k)))
+        for (value, top, axis), (value0, top0, axis0) in zip(got, want):
+            assert float(value).hex() == np.ldexp(value0, -2 * k).hex()
+            assert float(top).hex() == np.ldexp(top0, -2 * k).hex()
+            assert axis.tobytes() == axis0.tobytes()
+
+
+@pytest.mark.host_bits
+@pytest.mark.parametrize("scale", [1e-310, 1e-318])
+def test_subnormal_bloch_components_give_the_lone_and_block_forms_one_result(scale):
+    """Both forms take G to unit scale by the one rule: 2^shift times each weight, then a and b."""
+    (lone_value, lone_top, lone_axis), *rows = _lone_and_block(QubitEnsemble(0.3, 0.7, scale * TINY_A, scale * TINY_B))
+    for value, top, axis in rows:
+        assert (float(value).hex(), float(top).hex()) == (lone_value.hex(), lone_top.hex())
+        assert axis.tobytes() == lone_axis.tobytes()
+    assert np.isfinite(lone_value)
+    assert np.linalg.norm(lone_axis) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_tied_optima_are_flagged_degenerate(rng):

@@ -329,5 +329,8 @@ def test_public_objectives_of_a_block_need_one_batch_of_axes_per_row(rng):
 
 @pytest.mark.host_bits
 def test_cross_matches_np_cross_bit_for_bit(rng):
+    """Of two (N, 3) blocks and of two 3-vectors."""
     u, v = rng.normal(size=(2, 50, 3))
     np.testing.assert_array_equal(measurement._cross(u, v).view(np.uint64), np.cross(u, v).view(np.uint64))
+    for x, y in zip(u, v):
+        assert measurement._cross(x, y).tobytes() == np.cross(x, y).tobytes()
