@@ -17,9 +17,11 @@ angular scan on the rows of the row kernel of the measurement module
 (_row_constants, _row_objective), which the oracle shares, its peaks, and at
 the end each row's pick and stationarity residual.  The scan runs
 _SCAN_ROWS rows at a time, derived from the row kernel's budget
-(measurement._PASS_AXES): a slice is as many 720-point rows as one pass of
-the kernel takes, which bounds the working set and keeps the allocator from
-handing pages back between slices.  Every scan peak
+(measurement._PASS_AXES): a slice is as many 720-point rows as two passes
+of the kernel take.  That bounds the working set, which keeps the allocator
+from handing pages back between calls, while the steps taken once a slice
+(its axes, peaks and cap) stay few; a slice's arrays are freed before the
+next slice's are built (_scan_slice).  Every scan peak
 becomes a bracket one scan step wide on either side.  The brackets of all
 ensembles are then polished in lockstep by one root search on the slope
 dI/dphi, which is the paper's stationarity condition
@@ -69,8 +71,8 @@ IN_PLANE_METHOD = "in-plane root search"
 _CONDITION_TOL = 1e-8
 
 _SCAN_POINTS = 720
-# Rows per slice of the scan: as many as one pass of the row kernel takes.
-_SCAN_ROWS = _PASS_AXES // _SCAN_POINTS
+# Rows per slice of the scan: as many as two passes of the row kernel take.
+_SCAN_ROWS = 2 * _PASS_AXES // _SCAN_POINTS
 _TIE_TOL = 1e-10
 # The root search stops once a bracket is this narrow: a few ulps of an angle.
 _ROOT_TOL = 1e-14
@@ -372,6 +374,27 @@ def _scan_axes(u1, u2):
     return n.transpose(0, 2, 1).copy()
 
 
+def _scan_slice(u1, u2, consts):
+    """The scan of a slice of rows: its brackets, and the scan points of its capped rows.
+
+    Returns the mask of the scan points that start a bracket and, if a row
+    is capped, (row, value, axis) of every peak of the capped rows, else
+    None.  The slice's axes and values are freed on return, before the
+    next slice's are built.
+    """
+    n = _scan_axes(u1, u2)
+    vals = _row_objective(consts)(n)
+    peaks = _scan_peaks(vals)
+    # A flat scan keeps all its points, so the peak cap sends it to the
+    # tie-break too.
+    peaks[vals.max(axis=1) - vals.min(axis=1) < _FLAT_TOL] = True
+    cap = (peaks.sum(axis=1) > 64)[:, None]
+    if not cap.any():
+        return peaks, None
+    i, k = np.nonzero(peaks & cap)
+    return peaks & ~cap, (i, vals[i, k], n[i, k])
+
+
 def _plane_axes(phi, u1, u2):
     """Unit axes cos(phi) u1 + sin(phi) u2, one row per bracket."""
     return _unit_axes(np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2)
@@ -482,17 +505,10 @@ def accessible_information(ens) -> OptimizationResult:
     capped = []  # (rows, values, axes) of the scan points of capped rows
     for first in range(0, len(rows), _SCAN_ROWS):
         part = slice(first, first + _SCAN_ROWS)
-        n = _scan_axes(u1[part], u2[part])
-        vals = _row_objective(tuple(c[part] for c in consts))(n)
-        peaks = _scan_peaks(vals)
-        # A flat scan keeps all its points, so the peak cap sends it to the
-        # tie-break too.
-        peaks[vals.max(axis=1) - vals.min(axis=1) < _FLAT_TOL] = True
-        cap = (peaks.sum(axis=1) > 64)[:, None]
-        brackets[part] = peaks & ~cap
-        if cap.any():
-            i, k = np.nonzero(peaks & cap)
-            capped.append((first + i, vals[i, k], n[i, k]))
+        brackets[part], points = _scan_slice(u1[part], u2[part], tuple(c[part] for c in consts))
+        if points is not None:
+            i, vals, axes = points
+            capped.append((first + i, vals, axes))
 
     n_opt = np.empty((len(rows), 3))
     value = np.empty(len(rows))

@@ -19,17 +19,21 @@ scan evaluates a slice of rows, 720 axes each, its in-plane polish one axis
 per row, and the oracle each row's grid and the stencils and steps of its
 polish.
 
-One pass of the kernel evaluates at most _PASS_AXES axes, four scan rows'
+One pass of the kernel evaluates at most _PASS_AXES axes, two scan rows'
 worth; a larger batch is evaluated in pieces written into one output.  The
 temporaries of a pass (the axes' projections, the six joint terms and their
-logs) peak at about 130 bytes an axis, some 370 KB at the budget.  Twice
-that outgrows what the C allocator keeps between calls: it hands the pages
-back to the system after each pass, and the next pass faults every one of
-them in again.  With 8-row scan slices a 20-row sweep took about 200 minor
-page faults a call and a two-trial verify about 400; in pieces, under one.
-A 10^6-point oracle grid taken in one pass also held some 170 MB of
-temporaries.  The pieces are whole rows where a row's batch fits the
-budget, else equal pieces of one row's axes, so each piece does the
+logs, numpy's buffers for the per-row constants) peak at about 140 KB at
+the budget, and 360 KB at twice it.  The C allocator hands the free top of
+its heap back to the system once it passes a threshold, which glibc starts
+at 128 KB and raises to twice the largest mapped block it has freed, so
+whether a call's pages survive depends on what the process did before.  A
+call whose temporaries pass it faults every page of them in again on the
+next call.  With 2 880-axis passes a warmed 20-row sweep took about 120
+minor page faults a call where the package was loaded from bytecode, and
+none where it was compiled from source on import; with 1 440, under one
+either way.  A 10^6-point oracle grid taken in one pass also held some
+170 MB of temporaries.  The pieces are whole rows where a row's batch fits
+the budget, else equal pieces of one row's axes, so each piece does the
 arithmetic of the whole pass on its part, and no piece holds a single
 axis: BLAS would take it through dot instead of gemv, which moves last
 bits.
@@ -46,8 +50,8 @@ from .qstate import _neg_xlog2x, as_bloch, binary_entropy
 UNIT_TOL = 1e-9
 # Components within this of zero do not decide the sign of a representative.
 _SIGN_TOL = 1e-12
-# The most axes one pass of the row kernel evaluates: four 720-point scan rows.
-_PASS_AXES = 2880
+# The most axes one pass of the row kernel evaluates: two 720-point scan rows.
+_PASS_AXES = 1440
 
 
 def canonical_axis(n) -> np.ndarray:

@@ -25,7 +25,7 @@ stays alive after a batch at 10^6 points.  Each row reads its grid values
 from its row of measurement._row_objective, bit for bit as its public
 objective.  The kernel takes a grid in pieces of at most _PASS_AXES points,
 so a row's grid pass holds its values (8 MB at 10^6 points) and one
-piece's temporaries (under 0.4 MB) beside the grid; one pass over the whole
+piece's temporaries (under 0.2 MB) beside the grid; one pass over the whole
 grid held some 170 MB more.  A verify at the 10^6 grid peaks about 70 MB
 above one at the default grid.  The rows are then polished in lockstep: a
 round evaluates every live row's stencil in one call of the same row kernel

@@ -589,12 +589,12 @@ def test_pieces_cover_the_batch_within_the_budget_and_never_hold_one_axis():
     assert measurement._pieces(budget, 1) == [(slice(0, budget), slice(None))]
 
 
-@pytest.mark.parametrize("count", [10_000, 2881, 5761])
+@pytest.mark.parametrize("count", [10_000, 2881, 5761, 1441])
 def test_the_kernel_in_pieces_matches_one_whole_pass_on_a_grid(count):
     """Information and purity rows on count axes, one row or several to a call.
 
-    2 881 and 5 761 axes are one over a multiple of the budget, split into
-    two and three equal pieces.  The Fibonacci grid ends on a pole, where a
+    1 441, 2 881 and 5 761 axes are one over a multiple of the budget, split
+    into two, three and five equal pieces.  The Fibonacci grid ends on a pole, where a
     lone axis would give the same bits anyway, so random axes run too.
     """
     rng = np.random.default_rng(count)
@@ -643,7 +643,7 @@ def test_scan_axes_match_the_unit_axes_of_the_plane():
             got = discord._scan_axes(u1[part], u2[part])
             assert got.shape == want.shape and got.flags.c_contiguous
             assert _bits(got) == _bits(want), first
-    assert discord._SCAN_ROWS * discord._SCAN_POINTS == measurement._PASS_AXES
+    assert discord._SCAN_ROWS * discord._SCAN_POINTS == 2 * measurement._PASS_AXES
 
 
 @pytest.mark.parametrize("bad", [2.0, 1.0 + 1e-8, np.nan])
