@@ -15,14 +15,18 @@ ensemble is the block of one row.  The search runs each stage, whatever the
 block's size, as one array pass over it: the plane bases, the 720-point
 angular scan on the rows of the row kernel of the measurement module
 (_row_constants, _row_objective), which the oracle shares, its peaks, and at
-the end each row's pick and stationarity residual.  The scan runs
-_SCAN_ROWS rows at a time, derived from the row kernel's budget
-(measurement._PASS_AXES): a slice is as many 720-point rows as two passes
-of the kernel take.  That bounds the working set, which keeps the allocator
-from handing pages back between calls, while the steps taken once a slice
-(its axes, peaks and cap) stay few; a slice's arrays are freed before the
-next slice's are built (_scan_slice).  Every scan peak
-becomes a bracket one scan step wide on either side.  The brackets of all
+the end each row's pick and stationarity residual.  The scan builds no
+axes: a scan point phi of a row's plane (u1, u2) has the projections
+cos(phi) (v.u1) + sin(phi) (v.u2) for v = a, b, so each row's four
+in-plane dots, taken once, give the projections of all 720 points, and the
+kernel's projection form evaluates them.  The scan runs _SCAN_ROWS rows at
+a time, derived from the row kernel's budget (measurement._PASS_AXES): a
+slice is as many 720-point rows as two passes of the kernel take.  That
+bounds the working set, which keeps the allocator from handing pages back
+between calls, while the steps taken once a slice (its projections, peaks
+and cap) stay few; a slice's arrays are freed before the next slice's are
+built (_scan_slice).  Every scan peak becomes a bracket one scan step wide
+on either side.  The brackets of all
 ensembles are then polished in lockstep by one root search on the slope
 dI/dphi, which is the paper's stationarity condition
 sum_i lambda_i log2(t_i) v_i_perp = 0 (Fuchs and Caves' condition for two
@@ -57,7 +61,6 @@ import numpy as np
 from .ensemble import QubitEnsemble, _EnsembleArrays, average_state, holevo_chi
 from .measurement import (
     _PASS_AXES,
-    _checked_norms,
     _perp_parts,
     _row_constants,
     _row_objective,
@@ -357,33 +360,22 @@ def _scan_peaks(vals):
     return (vals >= wrapped[..., :-2]) & (vals >= wrapped[..., 2:])
 
 
-def _scan_axes(u1, u2):
-    """The scan's unit axes cos(phi) u1 + sin(phi) u2 of every row, shape (N, _SCAN_POINTS, 3).
-
-    The bits of _unit_axes(_SCAN_COS * u1[:, None] + _SCAN_SIN * u2[:, None]),
-    with its check, built with the scan points along the last axis so that
-    every step is one long loop over contiguous memory rather than
-    _SCAN_POINTS short loops over 3 components.  The kernel's matrix-vector
-    products want the components last, so one transposing copy ends it.
-    """
-    n = u1[:, :, None] * _SCAN_COS.T + u2[:, :, None] * _SCAN_SIN.T
-    sq = n * n
-    # The order of _unit_axes' sum over the components.
-    norms = _checked_norms(np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2]))
-    n /= norms[:, None]
-    return n.transpose(0, 2, 1).copy()
-
-
 def _scan_slice(u1, u2, consts):
     """The scan of a slice of rows: its brackets, and the scan points of its capped rows.
 
-    Returns the mask of the scan points that start a bracket and, if a row
-    is capped, (row, value, axis) of every peak of the capped rows, else
-    None.  The slice's axes and values are freed on return, before the
-    next slice's are built.
+    The scan point phi of a row has the projections
+    t_v = cos(phi) (v.u1) + sin(phi) (v.u2) for v = a, b, which the row
+    kernel takes in place of an axis.  They are elementwise products of
+    each row's four in-plane dots with the angles: a (rows, 2) @ (2, 720)
+    product would let BLAS pick its path by the row count, and a row's bits
+    would depend on its block.  Returns the mask of the scan points that
+    start a bracket and, if a row is capped, (row, value, axis) of every
+    peak of the capped rows, else None.  The slice's projections and values
+    are freed on return, before the next slice's are built.
     """
-    n = _scan_axes(u1, u2)
-    vals = _row_objective(consts)(n)
+    cos, sin = _SCAN_COS.T, _SCAN_SIN.T
+    ta, tb = (_row_dot(v, u1)[:, None] * cos + _row_dot(v, u2)[:, None] * sin for v in consts[:2])
+    vals = _row_objective(consts, projections=True)(ta, tb)
     peaks = _scan_peaks(vals)
     # A flat scan keeps all its points, so the peak cap sends it to the
     # tie-break too.
@@ -392,12 +384,12 @@ def _scan_slice(u1, u2, consts):
     if not cap.any():
         return peaks, None
     i, k = np.nonzero(peaks & cap)
-    return peaks & ~cap, (i, vals[i, k], n[i, k])
+    return peaks & ~cap, (i, vals[i, k], _plane_axes(_SCAN_COS[k], _SCAN_SIN[k], u1[i], u2[i]))
 
 
-def _plane_axes(phi, u1, u2):
-    """Unit axes cos(phi) u1 + sin(phi) u2, one row per bracket."""
-    return _unit_axes(np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2)
+def _plane_axes(cos, sin, u1, u2):
+    """Unit axes cos u1 + sin u2, one row per bracket, from columns of cos(phi) and sin(phi)."""
+    return _unit_axes(cos * u1 + sin * u2)
 
 
 def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
@@ -471,7 +463,8 @@ def _polish(phi0, u1, u2, consts):
     phi0.  Either way the axis gets one last evaluation of the row objective.
     """
     phi, evals = _slope_root_lockstep(phi0, u1, u2, *consts[:4])
-    n = _plane_axes(np.where(np.isnan(phi), phi0, phi), u1, u2)
+    phi = np.where(np.isnan(phi), phi0, phi)
+    n = _plane_axes(np.cos(phi)[:, None], np.sin(phi)[:, None], u1, u2)
     return n, _row_objective(consts)(n), evals + 1
 
 
@@ -489,12 +482,14 @@ def accessible_information(ens) -> OptimizationResult:
     result has a column per field (see OptimizationResult).  Every row gets
     its plane basis and a 720-point angular scan, which brackets every local
     maximum at least one scan step wide (the objective can have several; a
-    narrower one can fall between two scan points).  The scan runs
-    _SCAN_ROWS rows at a time, so its working set does not grow with the
-    block.  Flat objectives and scans with more than 64 peaks short-circuit
-    to the tie-break among their scan points.  The brackets of all other
-    rows are polished together by _polish, then each row picks its
-    candidate.
+    narrower one can fall between two scan points).  The scan evaluates the
+    row kernel at each point's projections cos(phi) (v.u1) + sin(phi) (v.u2)
+    on a and b, not at a 3-D axis; it runs _SCAN_ROWS rows at a time, so its
+    working set does not grow with the block.  Flat objectives and scans
+    with more than 64 peaks short-circuit to the tie-break among their scan
+    points, whose unit axes are built only then; such a row's value is its
+    best scan value.  The brackets of all other rows are polished together
+    by _polish, then each row picks its candidate.
     """
     if not isinstance(ens, _EnsembleArrays):
         return _first_row(accessible_information(_EnsembleArrays.of([ens])))

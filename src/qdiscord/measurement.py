@@ -11,32 +11,38 @@ what keeps the dense sphere-grid oracle cheap.
 Both objectives, mutual information and post-measurement purity, are
 written once, in one row kernel: _row_constants builds the per-row
 constants of a block of ensembles (the struct of arrays of the ensemble
-module) with a purity flag per row, and _row_objective turns them into the
-map from a batch of axes per row to each row's objective there.  Every
-evaluation goes through it: the public objectives are its one-row case, or
-a block's rows at a batch of axes each, the discord module's 720-point
-scan evaluates a slice of rows, 720 axes each, its in-plane polish one axis
-per row, and the oracle each row's grid and the stencils and steps of its
-polish.
+module) with a purity flag per row, and _row_objective turns them into a
+map to each row's objective.  The objective depends on an axis n only
+through the projections (a.n, b.n), so the kernel's core maps projections
+(t_a, t_b) per row to the objective, and it has two entries.  The axis
+form takes a batch of unit axes per row and projects them (m @ a, m @ b)
+before the core: the public objectives are its one-row case, or a block's
+rows at a batch of axes each, the discord module's in-plane polish
+evaluates one axis per row, and the oracle each row's grid and the
+stencils and steps of its polish.  The projection form takes the
+projections themselves: the discord module's 720-point scan forms them
+from each row's plane, cos(phi) (v.u1) + sin(phi) (v.u2), and builds no
+axes.
 
-One pass of the kernel evaluates at most _PASS_AXES axes, two scan rows'
-worth; a larger batch is evaluated in pieces written into one output.  The
-temporaries of a pass (the axes' projections, the six joint terms and their
-logs, numpy's buffers for the per-row constants) peak at about 140 KB at
-the budget, and 360 KB at twice it.  The C allocator hands the free top of
-its heap back to the system once it passes a threshold, which glibc starts
-at 128 KB and raises to twice the largest mapped block it has freed, so
-whether a call's pages survive depends on what the process did before.  A
-call whose temporaries pass it faults every page of them in again on the
-next call.  With 2 880-axis passes a warmed 20-row sweep took about 120
-minor page faults a call where the package was loaded from bytecode, and
-none where it was compiled from source on import; with 1 440, under one
-either way.  A 10^6-point oracle grid taken in one pass also held some
-170 MB of temporaries.  The pieces are whole rows where a row's batch fits
-the budget, else equal pieces of one row's axes, so each piece does the
-arithmetic of the whole pass on its part, and no piece holds a single
-axis: BLAS would take it through dot instead of gemv, which moves last
-bits.
+One pass of the kernel evaluates at most _PASS_AXES projection pairs, two
+scan rows' worth; a larger batch is evaluated in pieces written into one
+output.  The temporaries of a pass are the six joint terms and their logs,
+numpy's buffers for the per-row constants and, in the axis form, the
+projections; with the output they peak (tracemalloc) at about 160 KB at
+the budget in the projection form and 180 KB in the axis form.  The C
+allocator hands the free top of its heap back to the system once it
+passes a threshold, which glibc starts at 128 KB and raises to twice the
+largest mapped block it has freed, so whether a call's pages survive
+depends on what the process did before.  A call whose temporaries pass it
+faults every page of them in again on the next call.  With 2 880-axis
+passes a warmed 20-row sweep took about 120 minor page faults a call where
+the package was loaded from bytecode, and none where it was compiled from
+source on import; with 1 440, under one either way.  A 10^6-point oracle
+grid taken in one pass also held some 170 MB of temporaries.  The pieces
+are whole rows where a row's batch fits the budget, else equal pieces of
+one row's batch, so each piece does the arithmetic of the whole pass on
+its part, and no piece holds a single axis: BLAS would take the axis
+form's projections through dot instead of gemv, which moves last bits.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .qstate import _neg_xlog2x, as_bloch, binary_entropy
 UNIT_TOL = 1e-9
 # Components within this of zero do not decide the sign of a representative.
 _SIGN_TOL = 1e-12
-# The most axes one pass of the row kernel evaluates: two 720-point scan rows.
+# The most axes (or projection pairs) one pass of the row kernel evaluates: two 720-point scan rows.
 _PASS_AXES = 1440
 
 
@@ -85,15 +91,11 @@ def _unit_axes(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (3,):
         raise ValueError("measurement axes must have trailing dimension 3")
-    return n / _checked_norms(_norms(n))
-
-
-def _checked_norms(norms):
-    """norms, after a check that each is within UNIT_TOL of 1."""
+    norms = _norms(n)
     # Written so that NaN and inf norms fail the test too.
     if not (np.abs(norms - 1.0) <= UNIT_TOL).all():
         raise ValueError("measurement axes must be unit vectors")
-    return norms
+    return n / norms
 
 
 def _norms(n):
@@ -183,31 +185,30 @@ def _row_constants(rows: _EnsembleArrays, purity):
     return rows.a, rows.b, half0, half1, h0, sq0, sq1
 
 
-def _row_objective(consts):
-    """The objective of the rows of consts, as a map from a batch of unit axes per row.
+def _row_objective(consts, projections=False):
+    """The objective of the rows of consts, as a map from a batch of unit axes per row, or from their projections.
 
     The one row kernel of the package, and the only place either objective
-    is written: the public objectives, the in-plane scan and polish and the
-    oracle's grid and polish all evaluate it.  The returned function maps
-    axes n of shape (rows, ..., 3) to an array of shape (rows, ...) holding
-    row k's objective at each of the axes n[k], bit for bit as its public
-    objective: the sum of both terms, one of which is +0 on every row.  A
-    single row takes axes of any shape (..., 3).  A term whose constants are
-    0 on every row is skipped, decided once here rather than at every call:
-    the purity term when there is no purity row, else the information term
-    when no row has h(lambda0) > 0.  A batch of more than _PASS_AXES axes
-    is evaluated in the pieces of _pieces, each with those same terms.
+    is written: in its core, which maps each row's projections
+    (t_a, t_b) = (a.n, b.n) to the sum of both terms, one of which is +0 on
+    every row.  It has two entries.  The axis form, returned by default,
+    maps axes n of shape (rows, ..., 3) to an array of shape (rows, ...)
+    holding row k's objective at each of the axes n[k], bit for bit as its
+    public objective; a single row takes axes of any shape (..., 3).  It
+    takes m @ a and m @ b, then the core.  With projections, the map takes
+    (t_a, t_b) of shape (rows, count) and is the core alone, as the
+    in-plane scan calls it.  A term whose constants are 0 on every row is
+    skipped, decided once here rather than at every call: the purity term
+    when there is no purity row, else the information term when no row has
+    h(lambda0) > 0.  A batch of more than _PASS_AXES axes or projection
+    pairs is evaluated in the pieces of _pieces, each with those same terms.
     """
     a, b, half0, half1, h0, sq0, sq1 = consts
     # count_nonzero costs a fraction of .any(), which the one-row scans feel.
     purity, info = np.count_nonzero(sq1) or np.count_nonzero(sq0), np.count_nonzero(h0)
-    columns = (a[:, :, None], b[:, :, None]) + tuple(c[:, None] for c in consts[2:])
+    columns = tuple(c[:, None] for c in consts[2:])
 
-    def evaluate(m, a, b, half0, half1, h0, sq0, sq1):
-        # A dot per row for one axis, a matrix-vector product for a batch:
-        # the public objectives' bits, which einsum or a sum of products
-        # would move in the last place.
-        ta, tb = (m @ a)[..., 0], (m @ b)[..., 0]
+    def core(ta, tb, half0, half1, h0, sq0, sq1):
         if not purity:
             return np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
         out = sq0 * (1.0 + ta * ta) + sq1 * (1.0 + tb * tb)
@@ -215,17 +216,39 @@ def _row_objective(consts):
             out += np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
         return out
 
+    if projections:
+        return lambda ta, tb: _in_pieces(core, (ta, tb), columns)
+
+    def evaluate(m, a, b, *rest):
+        # A dot per row for one axis, a matrix-vector product for a batch:
+        # the public objectives' bits, which einsum or a sum of products
+        # would move in the last place.
+        return core((m @ a)[..., 0], (m @ b)[..., 0], *rest)
+
+    vectors_and_columns = (a[:, :, None], b[:, :, None]) + columns
+
     def objective(n):
         # An empty block has no batch to infer.
         m = n.reshape(len(a), -1 if len(a) else 0, 3)
-        if m.shape[0] * m.shape[1] <= _PASS_AXES:
-            return evaluate(m, *columns).reshape(n.shape[:-1])
-        out = np.empty(m.shape[:2])
-        for rows, axes in _pieces(*m.shape[:2]):
-            out[rows, axes] = evaluate(m[rows, axes], *(c[rows] for c in columns))
-        return out.reshape(n.shape[:-1])
+        return _in_pieces(evaluate, (m,), vectors_and_columns).reshape(n.shape[:-1])
 
     return objective
+
+
+def _in_pieces(evaluate, batch, columns):
+    """evaluate(*batch, *columns) over a batch of shape (rows, count, ...), in the pieces of _pieces.
+
+    Each array of batch holds the rows' batches, each of columns one entry
+    per row; a batch within _PASS_AXES is one call, a larger one is written
+    into one output piece by piece.
+    """
+    rows, count = batch[0].shape[:2]
+    if rows * count <= _PASS_AXES:
+        return evaluate(*batch, *columns)
+    out = np.empty((rows, count))
+    for part, axes in _pieces(rows, count):
+        out[part, axes] = evaluate(*(x[part, axes] for x in batch), *(c[part] for c in columns))
+    return out
 
 
 def _pieces(rows: int, count: int):

@@ -775,6 +775,37 @@ def test_verify_peak_memory_at_the_largest_grid_is_bounded():
     assert large - small <= 80.0
 
 
+# The largest transient heap (tracemalloc) of warmed in-process calls of a
+# command, in a fresh interpreter, in KB.
+_TRANSIENT_HEAP = """
+import sys, tracemalloc
+from qdiscord import cli
+
+argv, peaks = sys.argv[1:], []
+tracemalloc.start()
+for _ in range(3):
+    cli.main(argv)
+for _ in range(5):
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    cli.main(argv)
+    peaks.append(tracemalloc.get_traced_memory()[1] - held)
+print(max(peaks) / 1024)
+"""
+
+
+def test_a_warmed_sweep_call_holds_under_320_kb_of_transient_heap(tmp_path):
+    """A warmed sweep --steps 20 call peaks under 320 KB above what it held before.
+
+    The scan takes two projections per point: with 3-D scan axes, whose
+    construction took 260 KB of it, a call peaked at 342 KB; with the
+    projections, at about 296 KB.
+    """
+    argv = ["sweep", "--steps", "20", "--output", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", _TRANSIENT_HEAP, *argv], capture_output=True, text=True, check=True)
+    assert float(proc.stdout) < 320.0
+
+
 # Warmed in-process calls of a command, in a fresh interpreter: the minor page
 # faults per call, and those of touching fresh pages, which read 0 where the
 # platform does not count them.

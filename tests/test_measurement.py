@@ -303,6 +303,34 @@ def test_row_objective_on_a_batch_of_axes_per_row_matches_the_public_objectives(
 
 
 @pytest.mark.host_bits
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(hard_region_ensembles(), min_size=1, max_size=4),
+)
+@settings(max_examples=8, deadline=None)
+def test_row_objective_at_axes_is_its_projection_form_at_their_projections(seed, extra):
+    """The axis form at n equals the projection form at (n @ a, n @ b), row by row, to the bit.
+
+    Each row takes 1, 720 or 2 881 random axes; 2 881 go in pieces.
+    """
+    rng = np.random.default_rng(seed)
+    ensembles = [random_ensemble(rng) for _ in range(3)]
+    ensembles += [random_pure_pair(rng) for _ in range(2)] + EDGE_WEIGHTS + extra
+    info = [(ens, False) for ens in ensembles]
+    purity = [(ens, True) for ens in ensembles]
+    mixed = [(info + purity)[i] for i in rng.permutation(2 * len(ensembles))]
+    for rows in (mixed, info, purity):
+        consts = _constants(rows)
+        for count in (1, 720, 2881):
+            raw = rng.normal(size=(len(rows), count, 3))
+            n = _unit_axes(raw / np.linalg.norm(raw, axis=-1, keepdims=True))
+            ta, tb = ((n @ v[:, :, None])[..., 0] for v in consts[:2])
+            got = _row_objective(consts)(n)
+            want = _row_objective(consts, projections=True)(ta, tb)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.host_bits
 @pytest.mark.parametrize("rows", [1, 2, 9])
 @pytest.mark.parametrize("objective", [classical_mutual_information, post_measurement_purity])
 def test_public_objectives_of_a_block_match_their_one_ensemble_calls(objective, rows, rng):
