@@ -540,9 +540,10 @@ def test_scan_and_search_rows_match_one_ensemble_at_a_time(seed, extra):
     """Scan values and peaks, picked axes, values, evaluations, flags and residuals.
 
     A scan value has the bits of the row kernel at its projections, and
-    lies within SCAN_TOL of the public objective at its 3-D axis.
+    lies within SCAN_TOL of the public objective at its 3-D axis.  The rows
+    of PLANE_EDGES scan on every branch of the plane basis.
     """
-    ensembles = _block(seed, extra)
+    ensembles = _block(seed, extra) + PLANE_EDGES
     rows = _EnsembleArrays.of(ensembles)
     scans = []
 
