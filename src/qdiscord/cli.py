@@ -231,10 +231,14 @@ def ensemble_to_document(ens: QubitEnsemble) -> dict:
 # compute
 # ---------------------------------------------------------------------------
 
-def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
+def _measures(ens):
+    """chi, I_acc, their _holevo_gap and the geometric optimum of an ensemble or a block."""
     chi, acc = holevo_chi(ens), accessible_information(ens)
-    gap = _holevo_gap(chi, acc.value)
-    geo = geometric_discord(ens)
+    return chi, acc, _holevo_gap(chi, acc.value), geometric_discord(ens)
+
+
+def _compute_lines(ens: QubitEnsemble, verify_grid: int | None) -> list[str]:
+    chi, acc, gap, geo = _measures(ens)
     pairs = [
         ("lambda0", ens.lambda0),
         ("lambda1", ens.lambda1),
@@ -308,12 +312,9 @@ def _pure_pair_geo_closed_form(lambda0: float, theta: float) -> float:
 
 
 def _sweep_rows(thetas: list[float], lambda0: float) -> list[tuple]:
-    rows = _EnsembleArrays.pure_pairs(thetas, lambda0)
-    chi, acc = holevo_chi(rows), accessible_information(rows)
-    gap = _holevo_gap(chi, acc.value)
+    chi, acc, gap, geo = _measures(_EnsembleArrays.pure_pairs(thetas, lambda0))
     # math.cos per row: numpy's SIMD loop may move a last bit.
     kw = discord_pure_koashi_winter(lambda0, np.array([abs(math.cos(theta)) for theta in thetas]))
-    geo = geometric_discord(rows)
     geo_closed = [_pure_pair_geo_closed_form(lambda0, theta) for theta in thetas]
     columns = (gap, kw.discord, geo.value, geo_closed, chi, acc.value, *acc.n_opt.T, *geo.n_opt.T)
     return list(zip(thetas, *(np.asarray(c).tolist() for c in columns)))
@@ -393,8 +394,8 @@ class _Suite:
         self.failures: list[tuple[int, float, dict]] = []
 
     def check(self, trials, residuals: np.ndarray, ensembles) -> None:
-        """Book residuals[j] of trial trials[j], on ensembles[j]; a NaN residual fails."""
-        self.worst = max([self.worst, *residuals.tolist()])
+        """Book residuals[j] of trial trials[j], on ensembles[j]; a NaN residual fails and is the worst."""
+        self.worst = float(np.max(residuals, initial=self.worst))
         passed = residuals <= self.tol
         self.passed += int(passed.sum())
         failed = np.flatnonzero(~passed)
@@ -444,16 +445,13 @@ def _cmd_verify(args) -> int:
         # The rng order of one trial at a time: ens, axis, pure.
         draws = [(random_ensemble(rng), _sphere_point(rng), random_pure_pair(rng)) for _ in trials]
         ensembles, axes, pures = zip(*draws)
-        block = _EnsembleArrays.of(ensembles)
         # One block for the ensembles and the pure pairs, so one polish.
-        rows = _EnsembleArrays.of(ensembles + pures)
-        chi, acc = holevo_chi(rows), accessible_information(rows)
-        gap = _holevo_gap(chi, acc.value)
+        chi, acc, gap, geo = _measures(_EnsembleArrays.of(ensembles + pures))
         chi, i_acc, discord, d_pure = chi[:n], acc.value[:n], gap[:n], gap[n:]
+        geo_value, geo_residual = geo.value[:n], geo.stationarity_residual[:n]
         kw = discord_pure_koashi_winter(
             np.array([pure.lambda0 for pure in pures]), np.array([pure_overlap(pure.a, pure.b) for pure in pures])
         )
-        geo = geometric_discord(block)
         oracle = brute_force_batch(_EnsembleArrays.of(ensembles * 2), np.repeat([False, True], n), args.grid).value
         oracle_i_acc, oracle_geo = oracle[:n], oracle[n:]
         # The two routes that are independent by design go one ensemble at a time.
@@ -463,12 +461,12 @@ def _cmd_verify(args) -> int:
 
         checks = (
             ("entropy_identities", np.maximum(np.abs(entropy_gap), np.abs(chi - mutual))),
-            ("holevo_bound", classical_mutual_information(block, np.array(axes)) - chi),
+            ("holevo_bound", classical_mutual_information(_EnsembleArrays.of(ensembles), np.array(axes)) - chi),
             ("complementarity", np.maximum(np.abs(chi - i_acc - discord), i_acc - chi)),
-            ("oracle_agreement", np.maximum(np.abs(i_acc - oracle_i_acc), np.abs(geo.value - oracle_geo))),
+            ("oracle_agreement", np.maximum(np.abs(i_acc - oracle_i_acc), np.abs(geo_value - oracle_geo))),
             # the grid can lag a true optimum but must never beat it
-            ("oracle_bound", np.maximum(np.maximum(oracle_i_acc - i_acc, geo.value - oracle_geo), 0.0)),
-            ("geometric", np.maximum(eigen, geo.stationarity_residual)),
+            ("oracle_bound", np.maximum(np.maximum(oracle_i_acc - i_acc, geo_value - oracle_geo), 0.0)),
+            ("geometric", np.maximum(eigen, geo_residual)),
         )
         for name, residuals in checks:
             suites[name].check(trials, residuals, ensembles)

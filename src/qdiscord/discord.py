@@ -61,6 +61,7 @@ import numpy as np
 from .ensemble import QubitEnsemble, _EnsembleArrays, average_state, holevo_chi
 from .measurement import (
     _PASS_AXES,
+    _normalized,
     _perp_parts,
     _row_constants,
     _row_objective,
@@ -283,8 +284,8 @@ def check_analytic_conditions(ens: QubitEnsemble, n) -> AnalyticConditionsReport
 # In-plane optimizer
 # ---------------------------------------------------------------------------
 
-def _plane_basis_rows(rows: _EnsembleArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (u1, u2) of span{a, b} for every row, two arrays of shape (N, 3).
+def _plane_basis_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (u1, u2) of span{a[k], b[k]} for every row k, two arrays of shape (N, 3).
 
     u1 is the longer vector made unit, u2 the other made normal to it.  Each
     rare branch runs only on its rows: a nearly collinear pair takes a
@@ -292,7 +293,6 @@ def _plane_basis_rows(rows: _EnsembleArrays) -> tuple[np.ndarray, np.ndarray]:
     smallest component (the first of equals) made normal to u1, and a pair
     of vanishing vectors (x, y).
     """
-    a, b = rows.a, rows.b
     na, nb = np.sqrt(_row_dot(a, a)), np.sqrt(_row_dot(b, b))
     first = na >= nb
     longer = np.where(first, na, nb)
@@ -389,7 +389,7 @@ def _scan_slice(u1, u2, consts):
 
 def _plane_axes(cos, sin, u1, u2):
     """Unit axes cos u1 + sin u2, one row per bracket, from columns of cos(phi) and sin(phi)."""
-    return _unit_axes(cos * u1 + sin * u2)
+    return _normalized(cos * u1 + sin * u2)
 
 
 def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
@@ -495,7 +495,7 @@ def accessible_information(ens) -> OptimizationResult:
         return _first_row(accessible_information(_EnsembleArrays.of([ens])))
     rows = ens
     consts = _row_constants(rows, False)
-    u1, u2 = _plane_basis_rows(rows)
+    u1, u2 = _plane_basis_rows(rows.a, rows.b)
     brackets = np.empty((len(rows), _SCAN_POINTS), dtype=bool)
     capped = []  # (rows, values, axes) of the scan points of capped rows
     for first in range(0, len(rows), _SCAN_ROWS):

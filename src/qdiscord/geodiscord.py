@@ -16,18 +16,20 @@ arrays (_EnsembleArrays), which it computes in one array pass; every field
 of a block's result is a column with one entry per row, the bits of the
 one-ensemble call.  sweep and verify pass their blocks; compute and the
 one-ensemble callers keep the scalar body, the faster form at one row, but
-both give a tie of the top eigenvalue to one array step, _tie_axes.  Both
-compute from G taken to unit scale by one rule, _unit_scale: a power of two
-on the weights, which moves no bit where G is normal and keeps every Gram
-entry, cross product and axis clear of underflow where G is tiny; the
-eigenvalues are scaled back at the end.
+both give the a and b of a tie of the top eigenvalue to one array step,
+_tie_axes.  Both compute from G taken to unit scale by one rule,
+_unit_scale: a power of two on the weights, which moves no bit where G is
+normal and keeps every Gram entry, cross product and axis clear of
+underflow where G is tiny; the eigenvalues are scaled back at the end.
+_tie_axes keeps a scale of its own, as at _unit_scale's cap a deep
+subnormal tie would take the plane basis's vanishing branch.
 ensemble_purity takes a block too, and the oracle shares _geo_defect_rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,15 +206,17 @@ def geo_choice_classifier(ens: QubitEnsemble, n) -> GeoBranchReport:
 # Rank-2 eigenpair: the 2x2 Gram matrix of G = [l0 a, l1 b]
 # ---------------------------------------------------------------------------
 
-def _tie_axes(rows: _EnsembleArrays, top: np.ndarray) -> np.ndarray:
-    """The top axis of rows whose top eigenvalue ties, shape (N, 3): x where M = 0 (top 0).
+def _tie_axes(a, b, top: np.ndarray) -> np.ndarray:
+    """The top axis of tied rows from their a and b, shape (N, 3): x where M = 0 (top 0).
 
     Else every axis of span{a, b} ties, and it is the lexicographically
     largest canonical one, from the plane basis of a and b scaled by a power
     of two: that moves no bit but keeps a tiny pair off its vanishing branch.
+    The power is uncapped and takes no weight; G at _unit_scale's capped
+    scale would read x, not y, for a yz tie of 2^-1067 components.
     """
-    shift = -np.frexp(np.abs(np.hstack((rows.a, rows.b))).max(axis=1))[1][:, None]
-    u1, u2 = _plane_basis_rows(replace(rows, a=np.ldexp(rows.a, shift), b=np.ldexp(rows.b, shift)))
+    shift = -np.frexp(np.abs(np.hstack((a, b))).max(axis=1))[1][:, None]
+    u1, u2 = _plane_basis_rows(np.ldexp(a, shift), np.ldexp(b, shift))
     glen = np.hypot(u1, u2)
     # The first coordinate that varies over the span, and the unit vector maximizing it.
     k = np.argmax(glen > _SIGN_TOL, axis=1)
@@ -237,11 +241,11 @@ def _gram(ga, gb):
 def _unit_scale(l0, l1, a, b):
     """The weights 2^shift l0, 2^shift l1 that take G = [l0 a, l1 b] to unit scale, and shift.
 
-    One rule for one ensemble and, row by row, for a block.  shift is minus
-    the binary exponent of G's largest |entry|, max(l0 max|a_i|, l1 max|b_i|)
-    to the bit, as a rounded product is monotone in its factor.  It is at
-    most 1023, so the weights stay finite where G is subnormal, and a power
-    of two moves no bit of G where G is normal.
+    shift is minus the binary exponent of G's largest |entry|,
+    max(l0 max|a_i|, l1 max|b_i|) to the bit, as a rounded product is
+    monotone in its factor.  It is at most 1023, so the weights stay finite
+    where G is subnormal, and a power of two moves no bit of G where G is
+    normal.
     """
     big = np.maximum(l0 * abs(a).max(-1), l1 * abs(b).max(-1))
     shift = np.minimum(-np.frexp(big)[1], 1023)
@@ -267,8 +271,7 @@ def _top_eigenpair_rows(rows: _EnsembleArrays):
         n_opt = canonical_axis(v / np.sqrt(_row_dot(v, v))[:, None])
     tie = gap <= _EIGEN_GAP_TOL * top
     if tie.any():
-        rare = _EnsembleArrays(rows.lambda0[tie], rows.lambda1[tie], rows.a[tie], rows.b[tie])
-        n_opt[tie] = _tie_axes(rare, top[tie])
+        n_opt[tie] = _tie_axes(rows.a[tie], rows.b[tie], top[tie])
     return np.ldexp(top, -2 * shift), np.ldexp(second, -2 * shift), n_opt, tie
 
 
@@ -279,9 +282,7 @@ def _top_eigenpair(ens: QubitEnsemble) -> tuple[float, float, np.ndarray, bool]:
     The second eigenvalue comes from det = |l0 a x l1 b|^2 over the top one,
     and the axis from the Gram eigenvector mapped through G, so neither
     subtracts nearly equal numbers when a and b are nearly collinear.  All
-    of it comes from G taken to unit scale by _unit_scale, where no Gram
-    entry, cross product or axis underflows; the eigenvalues are scaled
-    back at the end.
+    of it comes from G at _unit_scale, the eigenvalues scaled back at the end.
     """
     w0, w1, shift = _unit_scale(ens.lambda0, ens.lambda1, ens.a, ens.b)
     ga, gb = w0 * ens.a, w1 * ens.b
@@ -292,7 +293,7 @@ def _top_eigenpair(ens: QubitEnsemble) -> tuple[float, float, np.ndarray, bool]:
     second = float(cross @ cross) / top if top > 0.0 else 0.0
     eigenvalues = math.ldexp(top, -2 * int(shift)), math.ldexp(second, -2 * int(shift))
     if gap <= _EIGEN_GAP_TOL * top:
-        return *eigenvalues, _tie_axes(_EnsembleArrays.of([ens]), np.array([top]))[0], True
+        return *eigenvalues, _tie_axes(ens.a[None], ens.b[None], np.array([top]))[0], True
     # (p - q + gap)/2 equals top - q, but rounding top first leaks ~1e-17
     # into components that are exactly zero (the mirror pair's x, say).
     if p >= q:

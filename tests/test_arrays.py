@@ -134,6 +134,12 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _bloch_columns(ensembles):
+    """The (N, 3) columns a and b of a block of ensembles, as the plane helpers take them."""
+    rows = _EnsembleArrays.of(ensembles)
+    return rows.a, rows.b
+
+
 def _scalar_chi(ens):
     """holevo_chi as its scalar formula, one von_neumann_entropy per state."""
     chi = (
@@ -365,7 +371,7 @@ def test_koashi_winter_on_arrays_matches_its_scalar_calls(seed, extra):
 @settings(max_examples=10, deadline=None)
 def test_plane_basis_and_canonical_rows_match_the_scalar_forms(seed, extra):
     ensembles = _block(seed, extra) + PLANE_EDGES
-    u1, u2 = discord._plane_basis_rows(_EnsembleArrays.of(ensembles))
+    u1, u2 = discord._plane_basis_rows(*_bloch_columns(ensembles))
     branches = []
     for k, ens in enumerate(ensembles):
         *want, branch = _scalar_plane_basis(ens)
@@ -459,7 +465,7 @@ def test_tie_rows_take_the_scalar_tie_break():
     block = geometric_discord(rows)
     assert block.degenerate.all()
     top = np.array([quadratic_form(ens).top_eigenvalue for ens in ensembles])
-    step = geodiscord._tie_axes(rows, top)
+    step = geodiscord._tie_axes(rows.a, rows.b, top)
     for k, ens in enumerate(ensembles):
         want = _scalar_tie_axis(ens).tobytes()
         assert step[k].tobytes() == block.n_opt[k].tobytes() == want, k
@@ -467,7 +473,7 @@ def test_tie_rows_take_the_scalar_tie_break():
         assert quadratic_form(ens).top_eigenvector.tobytes() == want, k
     # The step on the planes' bases themselves.
     bases = [QubitEnsemble(0.5, 0.5, u, w) for u, w in planes]
-    step = geodiscord._tie_axes(_EnsembleArrays.of(bases), np.ones(len(bases)))
+    step = geodiscord._tie_axes(*_bloch_columns(bases), np.ones(len(bases)))
     for k, ens in enumerate(bases):
         assert step[k].tobytes() == _scalar_tie_axis(ens).tobytes(), k
 
@@ -556,7 +562,7 @@ def test_scan_and_search_rows_match_one_ensemble_at_a_time(seed, extra):
         acc = accessible_information(rows)
     vals = np.concatenate(scans)  # the scan's slices, in order
     assert len(scans) == -(-len(ensembles) // discord._SCAN_ROWS)
-    u1, u2 = discord._plane_basis_rows(rows)
+    u1, u2 = discord._plane_basis_rows(rows.a, rows.b)
     for k, ens in enumerate(ensembles):
         want = _scalar_scan(ens, u1[k], u2[k])
         assert _bits(vals[k]) == _bits(want)
@@ -649,7 +655,7 @@ def test_the_kernel_in_pieces_matches_one_whole_pass_over_many_rows():
             n = _unit_axes(raw / np.linalg.norm(raw, axis=-1, keepdims=True))
             assert _bits(measurement._row_objective(consts)(n)) == _bits(_whole_pass(consts, n))
         part = tuple(c[:9] for c in consts)
-        u1, u2 = discord._plane_basis_rows(_EnsembleArrays.of(ensembles[:9]))
+        u1, u2 = discord._plane_basis_rows(*_bloch_columns(ensembles[:9]))
         n = _unit_axes(discord._SCAN_COS * u1[:, None] + discord._SCAN_SIN * u2[:, None])
         assert _bits(measurement._row_objective(part)(n)) == _bits(_whole_pass(part, n))
 
@@ -665,7 +671,7 @@ def test_the_kernel_on_projections_in_pieces_matches_one_whole_pass():
     ensembles = [random_ensemble(rng) for _ in range(500)] + [random_pure_pair(rng) for _ in range(100)]
     ensembles += EDGES * 4
     rows = _EnsembleArrays.of(ensembles)
-    u1, u2 = discord._plane_basis_rows(rows)
+    u1, u2 = discord._plane_basis_rows(rows.a, rows.b)
     scan = [
         _row_dot(v, u1)[:, None] * discord._SCAN_COS.T + _row_dot(v, u2)[:, None] * discord._SCAN_SIN.T
         for v in (rows.a, rows.b)

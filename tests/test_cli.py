@@ -569,10 +569,11 @@ def test_verify_matches_golden_output(tmp_path):
 
 
 def test_verify_block_goes_through_the_public_layer_functions(monkeypatch, tmp_path):
-    """A block of trials, with its pure pairs, makes one accessible_information and one holevo_chi call.
+    """A block of trials, with its pure pairs, makes one call each of the measures of cli._measures.
 
-    Its geometric discord is one geometric_discord call on the block of
-    trial ensembles too, its fixed-axis information one
+    These are accessible_information, holevo_chi and geometric_discord, the
+    last on the trials and pure pairs too, though verify reads it on the
+    trials only.  Its fixed-axis information is one
     classical_mutual_information call and its oracle one brute_force_batch
     call, so a tracer that wraps public functions books each to its layer.
     """
@@ -677,8 +678,9 @@ def test_verify_fails_a_nan_residual(capsys, monkeypatch, name, field, purity_ro
     assert {words[1] for words in fails} == suites
     assert len(fails) == 5 * len(suites)
     assert all(words[3] == "residual=nan" for words in fails)
+    # A NaN is the worst residual, whatever number a suite booked before it.
     for suite in suites:
-        assert f"suite {suite}: 0/5 pass" in out
+        assert f"suite {suite}: 0/5 pass, worst residual nan" in out
 
 
 @pytest.mark.host_bits

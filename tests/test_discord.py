@@ -178,7 +178,7 @@ def test_round_off_can_put_accessible_information_above_chi():
 def test_two_maximally_mixed_states_take_the_x_tie_break():
     """a = b = 0: the plane basis falls back to (x, y), and the flat scan picks x."""
     ens = QubitEnsemble(0.5, 0.5, [0, 0, 0], [0, 0, 0])
-    u1, u2 = (u[0] for u in discord._plane_basis_rows(_EnsembleArrays.of([ens])))
+    u1, u2 = (u[0] for u in discord._plane_basis_rows(ens.a[None], ens.b[None]))
     np.testing.assert_array_equal(u1, X)
     np.testing.assert_array_equal(u2, [0.0, 1.0, 0.0])
     res = accessible_information(ens)
@@ -322,6 +322,44 @@ def test_check_analytic_conditions_mixed_mirror_pair():
     report = check_analytic_conditions(QubitEnsemble(0.5, 0.5, a, b), X)
     assert report.odds_inverse_holds
     assert report.residual <= 1e-12
+
+
+def test_mixed_mirror_pair_against_mpmath():
+    """chi, I_acc and the discord of equal-weight mixed mirror pairs, to 1e-14 absolute.
+
+    The pair has norms r and half-angle theta: I_acc = 1 - h((1 + r sin t)/2)
+    and chi = h((1 + r cos t)/2) - h((1 + r)/2).  The I_acc form is the
+    information of the axis along a - b, optimal only numerically (no proof
+    is known for mixed states).  The 50-digit reference is taken from the
+    float inputs themselves: |a - b|/2, |a + b|/2, |a| and |b|.  No relative
+    bound is asserted: where the discord is far below 1e-16 the gap of two
+    rounded entropies cannot hold it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+
+    def h(p):
+        return -p * mpmath.log(p, 2) - (1 - p) * mpmath.log(1 - p, 2) if 0 < p < 1 else 0
+
+    def norm(v):
+        return mpmath.sqrt(sum(x * x for x in v))
+
+    rng = np.random.default_rng(2013)
+    with mpmath.workdps(50):
+        for r in np.geomspace(1e-3, 1.0, 7):
+            for theta in np.geomspace(1e-4, np.pi / 2, 9):
+                a = r * np.array([np.sin(theta), 0.0, np.cos(theta)])
+                b = r * np.array([-np.sin(theta), 0.0, np.cos(theta)])
+                for rot in (np.eye(3), random_rotation(rng)):
+                    ens = QubitEnsemble(0.5, 0.5, rot @ a, rot @ b)
+                    ma, mb = ([mpmath.mpf(float(x)) for x in v] for v in (ens.a, ens.b))
+                    s = norm([x - y for x, y in zip(ma, mb)]) / 2
+                    c = norm([x + y for x, y in zip(ma, mb)]) / 2
+                    na, nb = (min(norm(v), 1) for v in (ma, mb))
+                    chi = h((1 + c) / 2) - (h((1 + na) / 2) + h((1 + nb) / 2)) / 2
+                    i_acc = 1 - h((1 + s) / 2)
+                    got = (holevo_chi(ens), accessible_information(ens).value, quantum_discord(ens).value)
+                    for value, want in zip(got, (chi, i_acc, chi - i_acc)):
+                        assert abs(value - float(want)) <= 1e-14, (r, theta, value, want)
 
 
 def test_check_analytic_conditions_identical_states():
@@ -536,7 +574,7 @@ def test_flat_objectives_reach_the_dense_in_plane_maximum(kind):
     with _record("_slope_root_lockstep", roots):
         for _ in range(40):
             ens = _flat_draw(rng, kind)
-            u1, u2 = (u[0] for u in discord._plane_basis_rows(_EnsembleArrays.of([ens])))
+            u1, u2 = (u[0] for u in discord._plane_basis_rows(ens.a[None], ens.b[None]))
             dense = classical_mutual_information(ens, np.cos(phis) * u1 + np.sin(phis) * u2)
             assert accessible_information(ens).value >= dense.max() - 1e-13, ens
     assert sum(np.isnan(phi).sum() for _, (phi, _) in roots) >= 5

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,7 +118,7 @@ def test_lex_max_rep_matches_a_dense_sample_of_the_plane(rng):
     spacing = 2.0 * np.pi / (samples - 1)
     planes = [*random_planes(rng, 400), *planes_tilted_about_y(rng, 1500)]
     rows = _EnsembleArrays.of([QubitEnsemble(0.5, 0.5, u, w) for u, w in planes])
-    for (u, w), got in zip(planes, geodiscord._tie_axes(rows, np.ones(len(planes)))):
+    for (u, w), got in zip(planes, geodiscord._tie_axes(rows.a, rows.b, np.ones(len(planes)))):
         assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(got, _lex_max_axis_in_span(u, w, samples), rtol=0, atol=spacing)
 
@@ -229,6 +231,28 @@ def test_subnormal_bloch_components_give_the_lone_and_block_forms_one_result(sca
         assert axis.tobytes() == lone_axis.tobytes()
     assert np.isfinite(lone_value)
     assert np.linalg.norm(lone_axis) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.host_bits
+def test_a_tied_pair_keeps_its_axis_down_to_the_smallest_subnormals():
+    """Tied pairs scaled by 2^-k, k up to 1072, keep the tie axis of k = 0 in both forms, to the bit.
+
+    Equal weights, a normal to b and |a| = |b|, with components in {0, +-0.5}
+    (one sign of each vector).  The tie step scales a and b by its own power
+    of two, without the weights and without the cap of _unit_scale: at the
+    capped scale of G the plane basis of a pair from k = 1061 on takes its
+    vanishing branch, and a tie in the yz-plane gets x instead of y.
+    """
+    halves = [np.array(v) for v in itertools.product((0.0, 0.5, -0.5), repeat=3) if any(v)]
+    vectors = [v for v in halves if v[np.flatnonzero(v)[0]] > 0.0]
+    pairs = [(a, b) for a in vectors for b in vectors if a @ b == 0.0 and a @ a == b @ b]
+    ensembles = [QubitEnsemble(0.5, 0.5, np.ldexp(a, -k), np.ldexp(b, -k)) for k in range(1073) for a, b in pairs]
+    block = geometric_discord(_EnsembleArrays.of(ensembles)).n_opt.reshape(1073, len(pairs), 3)
+    lone = np.array([geometric_discord(ens).n_opt for ens in ensembles]).reshape(block.shape)
+    # Some of the ties take y, not only the x of a vanishing basis.
+    assert {int(np.argmax(axis)) for axis in lone[0]} == {0, 1}
+    for k in range(1073):
+        assert block[k].tobytes() == lone[k].tobytes() == lone[0].tobytes(), k
 
 
 def test_tied_optima_are_flagged_degenerate(rng):
