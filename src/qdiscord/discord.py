@@ -26,14 +26,19 @@ bounds the working set, which keeps the allocator from handing pages back
 between calls, while the steps taken once a slice (its projections, peaks
 and cap) stay few; a slice's arrays are freed before the next slice's are
 built (_scan_slice).  Every scan peak becomes a bracket one scan step wide
-on either side.  The brackets of all
-ensembles are then polished in lockstep by one root search on the slope
-dI/dphi, which is the paper's stationarity condition
-sum_i lambda_i log2(t_i) v_i_perp = 0 (Fuchs and Caves' condition for two
-mixed states) taken along the plane: Illinois steps, safeguarded by the
-bracket and by bisection, that place the axis to round-off in about six
-steps.  Each step is one vectorised evaluation at every bracket's new
-point, and a bracket is masked off once it has converged.  A bracket whose
+on either side.  The brackets of all ensembles are then polished by one
+root search on the slope dI/dphi, which is the paper's stationarity
+condition sum_i lambda_i log2(t_i) v_i_perp = 0 (Fuchs and Caves'
+condition for two mixed states) taken along the plane: Illinois steps,
+safeguarded by the bracket and by bisection, that place the axis to
+round-off in about six steps.  A call with at most _FEW_BRACKETS brackets
+(a lone call has about one) takes them one at a time in Python floats,
+which spares it numpy's per-call cost on arrays of one element; a call
+with more takes them in lockstep, each step one vectorised evaluation at
+every bracket's new point, with a bracket masked off once it has
+converged.  The two paths take the same steps to the bit: their
+arithmetic is exactly rounded either way, and cos, sin and artanh go
+through numpy's ufuncs on both.  A bracket whose
 ends show no sign change of the slope keeps its scan angle; that happens
 only where the objective is flat to round-off, so the scan point is as
 good as any.  Every bracket's axis then gets one evaluation of the row
@@ -54,6 +59,7 @@ arrays of overlaps, which the sweep passes a block at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +86,10 @@ _SCAN_ROWS = 2 * _PASS_AXES // _SCAN_POINTS
 _TIE_TOL = 1e-10
 # The root search stops once a bracket is this narrow: a few ulps of an angle.
 _ROOT_TOL = 1e-14
+# Up to this many brackets a call, the root search takes them one at a time in
+# Python floats; more take its lockstep array steps, which cost the same as the
+# one-at-a-time steps at 19 to 22 brackets.
+_FEW_BRACKETS = 16
 _FLAT_TOL = 1e-14
 _PHIS = np.linspace(0.0, np.pi, _SCAN_POINTS, endpoint=False)
 _SCAN_COS = np.cos(_PHIS)[:, None]
@@ -392,8 +402,8 @@ def _plane_axes(cos, sin, u1, u2):
     return _normalized(cos * u1 + sin * u2)
 
 
-def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
-    """Root of dI/dphi in [phi0 - dphi, phi0 + dphi] for every bracket at once.
+def _slope_root(phi0, u1, u2, a, b, half0, half1):
+    """Root of dI/dphi in [phi0 - dphi, phi0 + dphi] for every bracket.
 
     Row k of every argument describes bracket k: its scan peak phi0, its
     ensemble's plane basis (u1, u2), Bloch vectors (a, b) and half weights.
@@ -401,24 +411,45 @@ def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
     tangent t = -sin(phi) u1 + cos(phi) u2.  A bracket whose ends have
     g > 0 > g takes Illinois steps (regula falsi that halves the slope kept
     at an end that stays for a second step in a row), and a bisection step
-    wherever three steps have not halved its width.  Each step makes one
-    vectorised evaluation at every bracket's new point; a bracket is masked
-    off once its width is down to _ROOT_TOL or its slope is exactly 0.
-    Returns the point of smallest |g| per bracket (NaN where the ends do not
-    bracket a root) and the evaluations per bracket.
+    wherever three steps have not halved its width.  A bracket stops once
+    its width is down to _ROOT_TOL or its slope is exactly 0.  Returns the
+    point of smallest |g| per bracket (NaN where the ends do not bracket a
+    root) and the evaluations per bracket.
+
+    The projections (v.u1, v.u2) of v = a, b, c are taken once for all
+    brackets.  Up to _FEW_BRACKETS brackets then go through _slope_root_one
+    one at a time, and more through _slope_root_lockstep together; both
+    take the same steps to the bit, so a bracket's root does not depend on
+    the path.
     """
-    # v.n and v.t for v = a, b, c from the projections of v on the basis.
     c = 2.0 * (half0[:, None] * a + half1[:, None] * b)  # lambda0 a + lambda1 b, to the bit
     on_u1, on_u2 = (np.array([(v * u).sum(-1) for v in (a, b, c)]) for u in (u1, u2))
+    if phi0.size > _FEW_BRACKETS:
+        return _slope_root_lockstep(phi0, on_u1, on_u2, half0, half1)
+    roots = [
+        _slope_root_one(*bracket)
+        for bracket in zip(phi0.tolist(), on_u1.T.tolist(), on_u2.T.tolist(), half0.tolist(), half1.tolist())
+    ]
+    return np.array([phi for phi, _ in roots], dtype=float), np.array([n for _, n in roots], dtype=int)
 
-    def slope(phi):
+
+def _slope_root_lockstep(phi0, on_u1, on_u2, half0, half1):
+    """_slope_root's search on every bracket at once, from (v.u1) and (v.u2) of shape (3, brackets).
+
+    Each step makes one vectorised evaluation at every bracket's new point
+    (the first, at both ends of every bracket); a bracket is masked off
+    once it stops.
+    """
+
+    def slope(phi, on_u1, on_u2):
         cos, sin = np.cos(phi), np.sin(phi)
         log_t0, log_t1 = _log_odds(cos * on_u1 + sin * on_u2)
         at, bt = cos * on_u2[:2] - sin * on_u1[:2]
         return half0 * log_t0 * at + half1 * log_t1 * bt
 
     lo, hi = phi0 - _DPHI, phi0 + _DPHI
-    glo, ghi = slope(lo), slope(hi)
+    # Both ends in one evaluation, with a leading axis for the end.
+    glo, ghi = slope(np.array((lo, hi)), on_u1[:, None], on_u2[:, None])
     bracketed = (glo > 0.0) & (ghi < 0.0)
     best, best_g = np.where(glo < -ghi, lo, hi), np.minimum(glo, -ghi)
     evals = np.full(phi0.shape, 2)
@@ -434,7 +465,7 @@ def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
             # Never closer than half a tolerance to an end: once one end sits
             # on the root, the next step crosses it and closes the bracket.
             x = np.minimum(np.maximum(x, lo + 0.5 * _ROOT_TOL), hi - 0.5 * _ROOT_TOL)
-            gx = slope(x)
+            gx = slope(x, on_u1, on_u2)
             up = gx > 0.0
             # Illinois: an end kept for a second step in a row has its slope halved.
             sign = np.sign(gx)
@@ -455,14 +486,71 @@ def _slope_root_lockstep(phi0, u1, u2, a, b, half0, half1):
     return np.where(bracketed, best, np.nan), evals
 
 
+def _slope_root_one(phi0, on_u1, on_u2, half0, half1):
+    """_slope_root's search on one bracket in Python floats, step for step and bit for bit the lockstep one.
+
+    on_u1 and on_u2 hold (v.u1) and (v.u2) for v = a, b, c.  Each +, -, *
+    and / on Python floats is one exactly rounded IEEE operation, as in
+    numpy's elementwise loops, with no fused multiply-add, and each clamp is
+    a comparison that passes a NaN through, as np.minimum and np.maximum do;
+    cos, sin and artanh go through numpy's ufuncs, so their bits are those
+    of the lockstep search too.  Returns the root (NaN where the ends do
+    not bracket one) and the evaluations.
+    """
+    (a1, b1, c1), (a2, b2, c2) = on_u1, on_u2
+    low, high, odds = _LOG_CLAMP - 1.0, 1.0 - _LOG_CLAMP, float(_LOG2_ODDS)
+
+    def artanh(x):
+        # The clamp of _log_odds.
+        return float(np.arctanh(low if x < low else high if x > high else x))
+
+    def slope(phi):
+        cos, sin = float(np.cos(phi)), float(np.sin(phi))
+        rc = artanh(cos * c1 + sin * c2)
+        log_t0, log_t1 = odds * (artanh(cos * a1 + sin * a2) - rc), odds * (artanh(cos * b1 + sin * b2) - rc)
+        return half0 * log_t0 * (cos * a2 - sin * a1) + half1 * log_t1 * (cos * b2 - sin * b1)
+
+    lo, hi = phi0 - _DPHI, phi0 + _DPHI
+    glo, ghi = slope(lo), slope(hi)
+    if not (glo > 0.0 and ghi < 0.0):
+        return math.nan, 2
+    best, best_g = (lo, glo) if glo < -ghi else (hi, -ghi)
+    evals, side = 2, 0.0  # side: g at the last step's point
+    back3 = back2 = back1 = math.inf  # widths three, two and one steps back
+    while hi - lo > _ROOT_TOL:
+        width = hi - lo
+        if width > 0.5 * back3:
+            x = lo + 0.5 * width
+        else:
+            x = lo + width * (glo / (glo - ghi))  # glo > 0 > ghi, so no division by 0
+        near_lo, near_hi = lo + 0.5 * _ROOT_TOL, hi - 0.5 * _ROOT_TOL
+        x = near_lo if x < near_lo else near_hi if x > near_hi else x
+        gx = slope(x)
+        # Illinois: an end kept for a second step in a row has its slope halved.
+        if gx > 0.0:
+            lo, glo, ghi = x, gx, 0.5 * ghi if side > 0.0 else ghi
+        else:
+            hi, ghi, glo = x, gx, 0.5 * glo if side < 0.0 else glo
+        side = gx
+        if abs(gx) < best_g:
+            best, best_g = x, abs(gx)
+        back3, back2, back1 = back2, back1, width
+        evals += 1
+        if gx == 0.0:
+            break
+    return best, evals
+
+
 def _polish(phi0, u1, u2, consts):
     """Every bracket's maximum: its axis, value and evaluations.
 
-    Each bracket takes the root of the slope that _slope_root_lockstep finds;
-    one whose ends show no sign change of the slope keeps its scan angle
-    phi0.  Either way the axis gets one last evaluation of the row objective.
+    Each bracket takes the root of the slope that _slope_root finds, one
+    bracket at a time when they are few (a lone call has about one) and
+    all in lockstep otherwise; one whose ends show no sign change of the
+    slope keeps its scan angle phi0.  Either way the axis gets one last
+    evaluation of the row objective.
     """
-    phi, evals = _slope_root_lockstep(phi0, u1, u2, *consts[:4])
+    phi, evals = _slope_root(phi0, u1, u2, *consts[:4])
     phi = np.where(np.isnan(phi), phi0, phi)
     n = _plane_axes(np.cos(phi)[:, None], np.sin(phi)[:, None], u1, u2)
     return n, _row_objective(consts)(n), evals + 1
@@ -489,7 +577,9 @@ def accessible_information(ens) -> OptimizationResult:
     with more than 64 peaks short-circuit to the tie-break among their scan
     points, whose unit axes are built only then; such a row's value is its
     best scan value.  The brackets of all other rows are polished together
-    by _polish, then each row picks its candidate.
+    by _polish, one at a time when there are at most _FEW_BRACKETS of them
+    and in lockstep otherwise, with the same bits either way; then each
+    row picks its candidate.
     """
     if not isinstance(ens, _EnsembleArrays):
         return _first_row(accessible_information(_EnsembleArrays.of([ens])))

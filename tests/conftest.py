@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from qdiscord import QubitEnsemble
+from qdiscord import QubitEnsemble, random_ensemble, random_pure_pair
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -128,6 +128,28 @@ def hard_region_ensembles(draw) -> QubitEnsemble:
     else:
         l0 = draw(st.floats(0.0, 1.0))
     return hard_region_ensemble(rng, kind, eps, l0)
+
+
+def seeded_hard_inputs(rng, count):
+    """count draws of each kind of input.
+
+    The kinds are random ensembles, random pure pairs, the hard-region kinds
+    (low and high extreme weights, pure pairs, tiny norms) and both kinds of
+    near-degenerate pairs.
+    """
+    ensembles = [random_ensemble(rng) for _ in range(count)] + [random_pure_pair(rng) for _ in range(count)]
+    hard = (("extreme_weight", "low"), ("extreme_weight", "high"), ("pure", None), ("tiny_norm", None))
+    for kind, weight in hard:
+        for _ in range(count):
+            eps = 10.0 ** rng.uniform(-12.0, -2.0)
+            l0 = {"low": eps, "high": 1.0 - eps}[weight] if weight else rng.uniform()
+            ensembles.append(hard_region_ensemble(rng, kind, eps, l0))
+    for kind in ("near_collinear", "near_identical"):
+        for _ in range(count):
+            eps = 10.0 ** rng.uniform(-12.0, -6.0)
+            l0, norm, scale = rng.uniform(), rng.uniform(1e-3, 1.0), rng.uniform(-1.0, 1.0)
+            ensembles.append(near_degenerate_ensemble(rng, kind, eps, l0, norm, scale))
+    return ensembles
 
 
 @pytest.fixture

@@ -38,6 +38,7 @@ from conftest import (
     nondegenerate,
     random_rotation,
     rotate_ensemble,
+    seeded_hard_inputs,
 )
 
 # Frozen from an independent arbitrary-precision evaluation (mpmath, 40 digits)
@@ -506,7 +507,7 @@ def test_batch_matches_single_calls(seed, extra):
     )
     batch = [batch[i] for i in rng.permutation(len(batch))]
     roots = []
-    with _record("_slope_root_lockstep", roots):
+    with _record("_slope_root", roots):
         together = accessible_information(_EnsembleArrays.of(batch))
     [(_, (phi, _))] = roots
     # 24 of MULTI_PEAK's 26 brackets and one of NO_SIGN_CHANGE's two have no root.
@@ -533,7 +534,7 @@ NO_SIGN_CHANGE = QubitEnsemble(
 def test_bracket_without_sign_change_keeps_its_scan_point():
     """The bracket with no root of the slope gets the scan axis and the public objective there."""
     polished, roots = [], []
-    with _record("_polish", polished), _record("_slope_root_lockstep", roots):
+    with _record("_polish", polished), _record("_slope_root", roots):
         accessible_information(NO_SIGN_CHANGE)
     [((phi0, u1, u2, *_), (axes, vals, used))] = polished
     [(_, (phi, _))] = roots
@@ -571,13 +572,63 @@ def test_flat_objectives_reach_the_dense_in_plane_maximum(kind):
     rng = np.random.default_rng(3)
     phis = np.linspace(0.0, np.pi, 2**14, endpoint=False)[:, None]
     roots = []
-    with _record("_slope_root_lockstep", roots):
+    with _record("_slope_root", roots):
         for _ in range(40):
             ens = _flat_draw(rng, kind)
             u1, u2 = (u[0] for u in discord._plane_basis_rows(ens.a[None], ens.b[None]))
             dense = classical_mutual_information(ens, np.cos(phis) * u1 + np.sin(phis) * u2)
             assert accessible_information(ens).value >= dense.max() - 1e-13, ens
     assert sum(np.isnan(phi).sum() for _, (phi, _) in roots) >= 5
+
+
+def _bracket_mix(rng, count):
+    """seeded_hard_inputs, count draws of each of _flat_draw's kinds, MULTI_PEAK and NO_SIGN_CHANGE."""
+    flat = [_flat_draw(rng, kind) for kind in ("extreme_weight", "tiny_norm") for _ in range(count)]
+    return [MULTI_PEAK, NO_SIGN_CHANGE] + seeded_hard_inputs(rng, count) + flat
+
+
+@pytest.mark.host_bits
+def test_one_bracket_search_matches_the_lockstep_search():
+    """Taken one at a time, every bracket of a seeded mix gets the lockstep search's root and evaluations, to the bit.
+
+    The block of the whole mix goes through the lockstep search; each of
+    its brackets then goes alone through _slope_root, which takes it
+    through _slope_root_one.  MULTI_PEAK's round-off ripple gives brackets
+    of many steps, NO_SIGN_CHANGE and the flat draws brackets without a
+    root.
+    """
+    ensembles = _bracket_mix(np.random.default_rng(28), 60)
+    roots = []
+    with _record("_slope_root", roots):
+        accessible_information(_EnsembleArrays.of(ensembles))
+    [(args, (phi, evals))] = roots
+    assert phi.size > discord._FEW_BRACKETS
+    assert np.isnan(phi).sum() >= 25 and evals.max() >= 18
+    alone = [discord._slope_root(*(x[k : k + 1] for x in args)) for k in range(phi.size)]
+    assert [(float(p[0]).hex(), int(n[0])) for p, n in alone] == list(
+        zip(map(float.hex, phi.tolist()), evals.tolist())
+    )
+
+
+@pytest.mark.host_bits
+def test_blocks_either_side_of_the_bracket_threshold_match_single_calls():
+    """Blocks of _FEW_BRACKETS and _FEW_BRACKETS + 1 brackets, one per path, give each row its one-ensemble result."""
+    rng = np.random.default_rng(29)
+    single = []  # draws with one bracket
+    while len(single) < discord._FEW_BRACKETS - 1:
+        roots = []
+        with _record("_slope_root", roots):
+            accessible_information(ens := random_ensemble(rng))
+        if [args[0].size for args, _ in roots] == [1]:
+            single.append(ens)
+    # NO_SIGN_CHANGE brings two brackets, one of them without a root.
+    for block, lockstep_calls in (([NO_SIGN_CHANGE] + single[:-1], 0), ([NO_SIGN_CHANGE] + single, 1)):
+        roots, lockstep = [], []
+        with _record("_slope_root", roots), _record("_slope_root_lockstep", lockstep):
+            together = accessible_information(_EnsembleArrays.of(block))
+        assert [args[0].size for args, _ in roots] == [len(block) + 1]
+        assert len(lockstep) == lockstep_calls
+        assert [_bits(together, k) for k in range(len(block))] == [_bits(accessible_information(e)) for e in block]
 
 
 def _rolled_peaks(vals):

@@ -26,10 +26,9 @@ from qdiscord import (
 from qdiscord.ensemble import _EnsembleArrays
 
 from conftest import (
-    hard_region_ensemble,
     hard_region_ensembles,
-    near_degenerate_ensemble,
     near_degenerate_ensembles,
+    seeded_hard_inputs,
 )
 
 # h((2+sqrt(2))/4) based, frozen from mpmath
@@ -199,32 +198,10 @@ def test_oracle_converges_with_grid_size(rng):
     assert abs(means[2]) <= 1e-5
 
 
-def _seeded_hard_inputs(rng, count):
-    """count draws of each kind of input.
-
-    The kinds are random ensembles, random pure pairs, the hard-region kinds
-    (low and high extreme weights, pure pairs, tiny norms) and both kinds of
-    near-degenerate pairs.
-    """
-    ensembles = [random_ensemble(rng) for _ in range(count)] + [random_pure_pair(rng) for _ in range(count)]
-    hard = (("extreme_weight", "low"), ("extreme_weight", "high"), ("pure", None), ("tiny_norm", None))
-    for kind, weight in hard:
-        for _ in range(count):
-            eps = 10.0 ** rng.uniform(-12.0, -2.0)
-            l0 = {"low": eps, "high": 1.0 - eps}[weight] if weight else rng.uniform()
-            ensembles.append(hard_region_ensemble(rng, kind, eps, l0))
-    for kind in ("near_collinear", "near_identical"):
-        for _ in range(count):
-            eps = 10.0 ** rng.uniform(-12.0, -6.0)
-            l0, norm, scale = rng.uniform(), rng.uniform(1e-3, 1.0), rng.uniform(-1.0, 1.0)
-            ensembles.append(near_degenerate_ensemble(rng, kind, eps, l0, norm, scale))
-    return ensembles
-
-
 @pytest.mark.parametrize("grid_size", [300, 1000, 10_000])
 def test_oracle_reaches_the_optimizers_on_seeded_hard_inputs(grid_size):
     """The polish reaches the in-plane optimum and the geometric closed form, and never beats them."""
-    rows = _EnsembleArrays.of(_seeded_hard_inputs(np.random.default_rng(15), 100))
+    rows = _EnsembleArrays.of(seeded_hard_inputs(np.random.default_rng(15), 100))
     acc, geo = accessible_information(rows).value, geometric_discord(rows).value
     oracle_acc = oracle.brute_force_batch(rows, False, grid_size).value
     oracle_geo = oracle.brute_force_batch(rows, True, grid_size).value
