@@ -49,7 +49,11 @@ a nearly collinear, collinear or vanishing pair) is a masked step on the
 rows that take it, and the one-ensemble calls, stationarity_residual and
 check_analytic_conditions among them, are the block of one row.  Every
 operation is row by row, so a row's result does not depend on the block it
-was computed in.
+was computed in.  The block of one row skips only the steps that would be
+an identity on it, never a stage: a block that fits one scan slice is
+scanned without slicing, and a block whose rows have one bracket each, in
+row order, as a lone call's one row usually has, is polished on its arrays
+as they are, with no re-indexing and no pick.
 
 For ensembles of two pure states the optimization can be skipped entirely:
 purifying with an ancilla qubit turns the discord into an entanglement of
@@ -250,8 +254,9 @@ def _stationarity_rows(rows: _EnsembleArrays, n) -> np.ndarray:
     The norm of the defect l0 log2(t0) a_perp + l1 log2(t1) b_perp, with
     v_perp = v - (v.n) n.
     """
-    an, bn, cn = (_row_dot(v, n) for v in (rows.a, rows.b, rows.average()))
-    log_t0, log_t1 = _log_odds(np.array([an, bn, cn]))
+    x = _row_dot(np.array((rows.a, rows.b, rows.average())), n)
+    an, bn = x[0], x[1]
+    log_t0, log_t1 = _log_odds(x)
     vec = (rows.lambda0 * log_t0)[:, None] * (rows.a - an[:, None] * n) + (
         rows.lambda1 * log_t1
     )[:, None] * (rows.b - bn[:, None] * n)
@@ -303,7 +308,8 @@ def _plane_basis_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
     smallest component (the first of equals) made normal to u1, and a pair
     of vanishing vectors (x, y).
     """
-    na, nb = np.sqrt(_row_dot(a, a)), np.sqrt(_row_dot(b, b))
+    v = np.array((a, b))
+    na, nb = np.sqrt(_row_dot(v, v))
     first = na >= nb
     longer = np.where(first, na, nb)
     vanishing = longer <= 1e-12
@@ -316,17 +322,18 @@ def _plane_basis_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
         # peaks even a round-off move of the basis moves the optimal axis.
         nw = np.sqrt(_row_dot(w, w))
         again = np.abs(_row_dot(w, u1)) > 1e-12 * nw
-        if again.any():
+        # count_nonzero rather than .any(), here and below: a fraction of its cost on one row.
+        if np.count_nonzero(again):
             w[again] -= _row_dot(w[again], u1[again])[:, None] * u1[again]
             nw = np.sqrt(_row_dot(w, w))
         u2 = w / nw[:, None]
     collinear = ~(nw > 1e-13) & ~vanishing
-    if collinear.any():
+    if np.count_nonzero(collinear):
         u = u1[collinear]
         k = np.argmin(np.abs(u), axis=1)
         w = np.eye(3)[k] - u[np.arange(len(u)), k][:, None] * u
         u2[collinear] = w / np.sqrt(_row_dot(w, w))[:, None]
-    if vanishing.any():
+    if np.count_nonzero(vanishing):
         u1[vanishing], u2[vanishing] = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
     return u1, u2
 
@@ -423,7 +430,8 @@ def _slope_root(phi0, u1, u2, a, b, half0, half1):
     the path.
     """
     c = 2.0 * (half0[:, None] * a + half1[:, None] * b)  # lambda0 a + lambda1 b, to the bit
-    on_u1, on_u2 = (np.array([(v * u).sum(-1) for v in (a, b, c)]) for u in (u1, u2))
+    v = np.array((a, b, c))
+    on_u1, on_u2 = (v * u1).sum(-1), (v * u2).sum(-1)
     if phi0.size > _FEW_BRACKETS:
         return _slope_root_lockstep(phi0, on_u1, on_u2, half0, half1)
     roots = [
@@ -579,53 +587,66 @@ def accessible_information(ens) -> OptimizationResult:
     best scan value.  The brackets of all other rows are polished together
     by _polish, one at a time when there are at most _FEW_BRACKETS of them
     and in lockstep otherwise, with the same bits either way; then each
-    row picks its candidate.
+    row picks its candidate.  Where every row has exactly one bracket, in
+    row order, that bracket is the row's pick, so the block's arrays go to
+    _polish as they are and no pick runs.
     """
     if not isinstance(ens, _EnsembleArrays):
         return _first_row(accessible_information(_EnsembleArrays.of([ens])))
     rows = ens
     consts = _row_constants(rows, False)
     u1, u2 = _plane_basis_rows(rows.a, rows.b)
-    brackets = np.empty((len(rows), _SCAN_POINTS), dtype=bool)
-    capped = []  # (rows, values, axes) of the scan points of capped rows
-    for first in range(0, len(rows), _SCAN_ROWS):
-        part = slice(first, first + _SCAN_ROWS)
-        brackets[part], points = _scan_slice(u1[part], u2[part], tuple(c[part] for c in consts))
-        if points is not None:
-            i, vals, axes = points
-            capped.append((first + i, vals, axes))
+    if len(rows) <= _SCAN_ROWS:
+        # One slice: the block as it is, without slicing its arrays.
+        brackets, points = _scan_slice(u1, u2, consts)
+        capped = [] if points is None else [points]
+    else:
+        brackets = np.empty((len(rows), _SCAN_POINTS), dtype=bool)
+        capped = []  # (rows, values, axes) of the scan points of capped rows
+        for first in range(0, len(rows), _SCAN_ROWS):
+            part = slice(first, first + _SCAN_ROWS)
+            brackets[part], points = _scan_slice(u1[part], u2[part], tuple(c[part] for c in consts))
+            if points is not None:
+                i, vals, axes = points
+                capped.append((first + i, vals, axes))
 
-    n_opt = np.empty((len(rows), 3))
-    value = np.empty(len(rows))
-    evals = np.full(len(rows), _SCAN_POINTS)
-    degenerate = np.zeros(len(rows), dtype=bool)
     owner, k = np.nonzero(brackets)
-    # Not needed for the result, but a polish of no brackets costs about a
-    # third of a flat row's call.
-    if owner.size:
-        axes, vals, used = _polish(_PHIS[k], u1[owner], u2[owner], tuple(c[owner] for c in consts))
-        i, axis, best, apart, starts = _pick_rows(owner, vals, axes)
-        n_opt[i], value[i], degenerate[i] = axis, best, apart
-        evals[i] += np.add.reduceat(used, starts)
-    if capped:
-        owner, vals, axes = (np.concatenate(c) for c in zip(*capped))
-        i, axis, best, _, _ = _pick_rows(owner, vals, axes)
-        n_opt[i], value[i], degenerate[i] = axis, best, True
+    if owner.size == len(rows) and not np.count_nonzero(owner[1:] == owner[:-1]):
+        # One bracket per row, in row order (owner is np.arange), as on a
+        # lone call: each row's arrays go to _polish as they are, and its
+        # bracket is its pick, which no axis ties with.
+        axes, value, used = _polish(_PHIS[k], u1, u2, consts)
+        n_opt, evals, degenerate = canonical_axis(axes), _SCAN_POINTS + used, np.zeros(len(rows), dtype=bool)
+    else:
+        n_opt = np.empty((len(rows), 3))
+        value = np.empty(len(rows))
+        evals = np.full(len(rows), _SCAN_POINTS)
+        degenerate = np.zeros(len(rows), dtype=bool)
+        # Not needed for the result, but a polish of no brackets costs about a
+        # third of a flat row's call.
+        if owner.size:
+            axes, vals, used = _polish(_PHIS[k], u1[owner], u2[owner], tuple(c[owner] for c in consts))
+            i, axis, best, apart, starts = _pick_rows(owner, vals, axes)
+            n_opt[i], value[i], degenerate[i] = axis, best, apart
+            evals[i] += np.add.reduceat(used, starts)
+        if capped:
+            owner, vals, axes = (np.concatenate(c) for c in zip(*capped))
+            i, axis, best, _, _ = _pick_rows(owner, vals, axes)
+            n_opt[i], value[i], degenerate[i] = axis, best, True
+    # Every value is the row kernel's, which is at least 0 already.
+    return OptimizationResult(n_opt, value, _stationarity_rows(rows, n_opt), evals, IN_PLANE_METHOD, degenerate)
+
+
+def _first_row(result: OptimizationResult, value=None) -> OptimizationResult:
+    """Row 0 of a block's result, with the Python scalars of a one-ensemble call, and value[0] for its value if given."""
     return OptimizationResult(
-        n_opt=n_opt,
-        # max(value, 0.0), which keeps a -0.0 as np.maximum does not.
-        value=np.where(0.0 > value, 0.0, value),
-        stationarity_residual=_stationarity_rows(rows, n_opt),
-        evaluations=evals,
-        method=IN_PLANE_METHOD,
-        degenerate=degenerate,
+        result.n_opt[0],
+        (result.value if value is None else value)[0].item(),
+        result.stationarity_residual[0].item(),
+        result.evaluations[0].item(),
+        result.method,
+        result.degenerate[0].item(),
     )
-
-
-def _first_row(result: OptimizationResult) -> OptimizationResult:
-    """Row 0 of a block's result, with the Python scalars of a one-ensemble call."""
-    columns = ("value", "stationarity_residual", "evaluations", "degenerate")
-    return replace(result, n_opt=result.n_opt[0], **{c: getattr(result, c)[0].item() for c in columns})
 
 
 def _holevo_gap(chi, i_acc):
@@ -643,5 +664,5 @@ def quantum_discord(ens) -> OptimizationResult:
     """
     rows = ens if isinstance(ens, _EnsembleArrays) else _EnsembleArrays.of([ens])
     acc = accessible_information(rows)
-    result = replace(acc, value=_holevo_gap(holevo_chi(rows), acc.value))
-    return result if rows is ens else _first_row(result)
+    value = _holevo_gap(holevo_chi(rows), acc.value)
+    return replace(acc, value=value) if rows is ens else _first_row(acc, value)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .qstate import (
     NORM_SLACK,
+    _binary_entropy,
     _row_dot,
     binary_entropy,
     example_pair_bloch,
@@ -130,8 +131,8 @@ def holevo_chi(ens) -> float | np.ndarray:
     """
     if not isinstance(ens, _EnsembleArrays):
         return float(holevo_chi(_EnsembleArrays.of([ens]))[0])
-    norms = np.sqrt(np.array([_row_dot(v, v) for v in (ens.average(), ens.a, ens.b)]))
-    s_c, s_a, s_b = binary_entropy((1.0 + np.minimum(norms, 1.0)) / 2.0)
+    v = np.array((ens.average(), ens.a, ens.b))
+    s_c, s_a, s_b = _binary_entropy((1.0 + np.minimum(np.sqrt(_row_dot(v, v)), 1.0)) / 2.0)
     chi = s_c - ens.lambda0 * s_a - ens.lambda1 * s_b
     # max(chi, 0.0), which keeps a -0.0 as np.maximum does not.
     return np.where(0.0 > chi, 0.0, chi)

@@ -11,15 +11,16 @@ what keeps the dense sphere-grid oracle cheap.
 Both objectives, mutual information and post-measurement purity, are
 written once, in one row kernel: _row_constants builds the per-row
 constants of a block of ensembles (the struct of arrays of the ensemble
-module) with a purity flag per row, and _row_objective turns them into a
-map to each row's objective.  The objective depends on an axis n only
-through the projections (a.n, b.n), so the kernel's core maps projections
-(t_a, t_b) per row to the objective, and it has two entries.  The axis
-form takes a batch of unit axes per row and projects them (m @ a, m @ b)
-before the core: the public objectives are its one-row case, or a block's
-rows at a batch of axes each, the discord module's in-plane polish
-evaluates one axis per row, and the oracle each row's grid and the
-stencils and steps of its polish.  The projection form takes the
+module) with a purity flag per row, or one flag for the whole block, as
+the in-plane search and the public objectives pass it, and _row_objective
+turns them into a map to each row's objective.  The objective depends on
+an axis n only through the projections (a.n, b.n), so the kernel's core
+maps projections (t_a, t_b) per row to the objective, and it has two
+entries.  The axis form takes a batch of unit axes per row and projects
+them (m @ a, m @ b) before the core: the public objectives are its
+one-row case, or a block's rows at a batch of axes each, the discord
+module's in-plane polish evaluates one axis per row, and the oracle each
+row's grid and the stencils and steps of its polish.  The projection form takes the
 projections themselves: the discord module's 720-point scan forms them
 from each row's plane, cos(phi) (v.u1) + sin(phi) (v.u2), and builds no
 axes.
@@ -50,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ensemble import QubitEnsemble, _EnsembleArrays
-from .qstate import _neg_xlog2x, as_bloch, binary_entropy
+from .qstate import _binary_entropy, _neg_xlog2x, as_bloch
 
 # Accepted deviation from unit norm before an axis is rejected outright.
 UNIT_TOL = 1e-9
@@ -177,10 +178,17 @@ def _row_constants(rows: _EnsembleArrays, purity):
     exactly +0.  purity is one flag for every row or an array of them.
     Returns (a, b, half0, half1, h0, sq0, sq1), one entry per row in each;
     the constants of a subset of rows are tuple(c[rows] for c in consts).
+    A Python bool for purity skips the np.where of the flag and builds only
+    the constants of its objective, with the same bits.
     """
     l0, l1 = rows.lambda0, rows.lambda1
+    if isinstance(purity, bool):
+        zeros = np.zeros(len(rows))
+        if purity:
+            return rows.a, rows.b, zeros, zeros, zeros, *(0.5 * w for w in rows.squared_weights())
+        return rows.a, rows.b, 0.5 * l0, 0.5 * l1, _binary_entropy(l0), zeros, zeros
     info = ~np.asarray(purity)
-    half0, half1, h0 = (np.where(info, c, 0.0) for c in (0.5 * l0, 0.5 * l1, binary_entropy(l0)))
+    half0, half1, h0 = (np.where(info, c, 0.0) for c in (0.5 * l0, 0.5 * l1, _binary_entropy(l0)))
     sq0, sq1 = (np.where(info, 0.0, 0.5 * w) for w in rows.squared_weights())
     return rows.a, rows.b, half0, half1, h0, sq0, sq1
 

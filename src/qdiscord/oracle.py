@@ -156,7 +156,8 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
     and at least h after a move to a stencil point.  A row stops once its
     step is below _MIN_STEP and no stencil point moved it, or after
     _MAX_ROUNDS rounds; stopped rows are frozen, so no row depends on the
-    others.  The live rows' row kernel is built again only when a row stops.
+    others.  The live rows' row kernel is built again only when a row stops,
+    and the rounds end once no row is live, an empty block's before the first.
     """
     p, best = np.array(start, dtype=float), np.array(floor, dtype=float)
     radii = np.full(len(p), radius)
@@ -164,6 +165,8 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
     live = np.arange(len(p))
     objective = _row_objective(consts)
     for _ in range(_MAX_ROUNDS):
+        if not live.size:
+            break
         q, f0, r = p[live], best[live], radii[live]
         t1, t2 = _tangent_frames(q)
         h = np.clip(r, _MIN_SPACING, _MAX_SPACING)
@@ -189,8 +192,6 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
         kept = (step >= _MIN_STEP) | by_stencil
         if not kept.all():
             live = live[kept]
-            if not live.size:
-                break
             objective = _row_objective(tuple(c[live] for c in consts))
     return p, best, evals
 

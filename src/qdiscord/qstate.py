@@ -46,13 +46,14 @@ def _state_norm(r) -> float:
 
 
 def _row_dot(x, y):
-    """Row-wise dot products of (N, 3) arrays, bit for bit float(x[k] @ y[k]).
+    """Row-wise dot products of (..., N, 3) arrays, bit for bit float(x[k] @ y[k]).
 
     A 3-vector @ is a BLAS dot, and so is each (1, 3) @ (3, 1) product of a
     stacked matmul; (x * y).sum(-1) would sum in another way and can move the
-    last bit.
+    last bit.  Leading axes broadcast, so one call takes several vectors per
+    row.
     """
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
 def _neg_xlog2x(x):
@@ -79,9 +80,19 @@ def binary_entropy(p):
     # Written so that NaN fails the test too.
     if not ((p >= -NORM_SLACK) & (p <= 1.0 + NORM_SLACK)).all():
         raise ValueError("probability outside [0, 1]")
-    p = np.clip(p, 0.0, 1.0)
-    out = _neg_xlog2x(p) + _neg_xlog2x(1.0 - p)
+    out = _binary_entropy(np.clip(p, 0.0, 1.0))
     return float(out) if out.ndim == 0 else out
+
+
+def _binary_entropy(p):
+    """binary_entropy of an array p in [0, 1] that the caller built, without its checks.
+
+    On such a p the clip of binary_entropy changes at most the sign of a
+    zero, which the value does not see.  p and 1 - p share one _neg_xlog2x
+    call.
+    """
+    t = _neg_xlog2x((p, 1.0 - p))
+    return t[0] + t[1]
 
 
 def shannon_entropy(dist) -> float:

@@ -506,12 +506,14 @@ def test_batch_matches_single_calls(seed, extra):
         + extra
     )
     batch = [batch[i] for i in rng.permutation(len(batch))]
-    roots = []
-    with _record("_slope_root", roots):
+    roots, picks = [], []
+    with _record("_slope_root", roots), _record("_pick_rows", picks):
         together = accessible_information(_EnsembleArrays.of(batch))
     [(_, (phi, _))] = roots
     # 24 of MULTI_PEAK's 26 brackets and one of NO_SIGN_CHANGE's two have no root.
     assert 25 <= np.isnan(phi).sum() < phi.size
+    # Rows of several brackets: the brackets are re-indexed to their rows and picked.
+    assert picks
     alone = [accessible_information(ens) for ens in batch]
     assert [_bits(together, k) for k in range(len(batch))] == [_bits(r) for r in alone]
     evaluations = dict(zip(batch, together.evaluations.tolist()))
@@ -628,6 +630,41 @@ def test_blocks_either_side_of_the_bracket_threshold_match_single_calls():
             together = accessible_information(_EnsembleArrays.of(block))
         assert [args[0].size for args, _ in roots] == [len(block) + 1]
         assert len(lockstep) == lockstep_calls
+        assert [_bits(together, k) for k in range(len(block))] == [_bits(accessible_information(e)) for e in block]
+
+
+@pytest.mark.host_bits
+def test_blocks_of_one_bracket_per_row_match_single_calls():
+    """A block whose rows have one bracket each polishes its arrays as they are, skips the pick, and gives each row its one-ensemble result.
+
+    Blocks of 3 and 40 rows take the one-slice scan and the one-at-a-time
+    root search, and the sliced scan and the lockstep search.
+    """
+    rng = np.random.default_rng(30)
+    single = []  # draws with one bracket
+    for ens in seeded_hard_inputs(rng, 10) + [random_ensemble(rng) for _ in range(30)]:
+        roots = []
+        with _record("_slope_root", roots):
+            accessible_information(ens)
+        if [args[0].size for args, _ in roots] == [1]:
+            single.append(ens)
+    assert len(single) >= 40
+    for block in (single[:3], single[-40:]):
+        polished, picks, lockstep = [], [], []
+        with _record("_polish", polished), _record("_pick_rows", picks), _record("_slope_root_lockstep", lockstep):
+            together = accessible_information(_EnsembleArrays.of(block))
+        [((phi0, u1, *_), _)] = polished
+        assert phi0.size == len(u1) == len(block)
+        assert picks == []
+        assert len(lockstep) == (len(block) > discord._FEW_BRACKETS)
+        assert [_bits(together, k) for k in range(len(block))] == [_bits(accessible_information(e)) for e in block]
+    # As many brackets as rows, but both of one row: the other is flat and capped.
+    flat = QubitEnsemble(0.4, 0.6, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+    for block in ([NO_SIGN_CHANGE, flat], [flat, NO_SIGN_CHANGE]):
+        picks = []
+        with _record("_pick_rows", picks):
+            together = accessible_information(_EnsembleArrays.of(block))
+        assert len(picks) == 2
         assert [_bits(together, k) for k in range(len(block))] == [_bits(accessible_information(e)) for e in block]
 
 

@@ -27,7 +27,7 @@ from qdiscord import (
 )
 from qdiscord.ensemble import _EnsembleArrays
 from qdiscord.measurement import _row_constants, _row_objective, _unit_axes
-from conftest import hard_region_ensembles, random_rotation, rotate_ensemble
+from conftest import hard_region_ensembles, random_rotation, rotate_ensemble, seeded_hard_inputs
 
 # h((2+sqrt(2))/4), frozen from mpmath
 S_COND_PI4 = 0.600876036692856101
@@ -258,6 +258,24 @@ def test_row_objective_skips_the_information_term_when_every_h_is_zero(rng):
         ) as entropy:
             _row_objective(_constants(batch))(axes[: len(batch)])
         assert entropy.call_count == calls
+
+
+@pytest.mark.host_bits
+def test_row_constants_of_one_flag_match_a_flag_per_row(rng):
+    """A bool purity flag gives the constants of an array of that flag, each entry's float.hex included.
+
+    Signed zeros count: a weight of -0.0 gives a half weight of -0.0.
+    """
+    ensembles = seeded_hard_inputs(rng, 5) + EDGE_WEIGHTS
+    ensembles += [QubitEnsemble(-0.0, 1.0, [0, 0, 0.8], [0.5, 0, 0]), QubitEnsemble(1.0, -0.0, [0.3, 0, 0.4], [0, 0, 0])]
+    rows = _EnsembleArrays.of(ensembles)
+
+    def bits(consts):
+        return [(c.dtype.str, c.shape, [float(x).hex() for x in c.ravel()]) for c in consts]
+
+    for flag in (False, True):
+        assert bits(_row_constants(rows, flag)) == bits(_row_constants(rows, np.full(len(rows), flag)))
+    assert "-0x0.0p+0" in bits(_row_constants(rows, False))[2][2]
 
 
 def _own_axis(ens):

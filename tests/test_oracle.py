@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -374,3 +376,15 @@ def test_mixed_oracle_batch_needs_one_purity_flag_or_one_per_row(purity):
     rows = _EnsembleArrays.of([random_ensemble(np.random.default_rng(3)) for _ in range(2)])
     with pytest.raises(ValueError, match="purity"):
         oracle.brute_force_batch(rows, purity, 100)
+
+
+@pytest.mark.parametrize("purity", [False, True])
+def test_empty_oracle_batch_runs_no_polish_round(purity):
+    """A block of no rows gives empty columns, and its polish stops before a round."""
+    with mock.patch.object(oracle, "_tangent_frames", wraps=oracle._tangent_frames) as frames:
+        result = oracle.brute_force_batch(_EnsembleArrays.of([]), purity, 300)
+    assert frames.call_count == 0
+    assert result.n_opt.shape == (0, 3)
+    assert _column_bits(getattr(result, f) for f, _ in COLUMNS[1:]) == _column_bits(
+        np.empty(0, dtype=dtype) for _, dtype in COLUMNS[1:]
+    )
