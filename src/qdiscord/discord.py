@@ -21,11 +21,11 @@ cos(phi) (v.u1) + sin(phi) (v.u2) for v = a, b, so each row's four
 in-plane dots, taken once, give the projections of all 720 points, and the
 kernel's projection form evaluates them.  The scan runs _SCAN_ROWS rows at
 a time, derived from the row kernel's budget (measurement._PASS_AXES): a
-slice is as many 720-point rows as two passes of the kernel take.  That
-bounds the working set, which keeps the allocator from handing pages back
-between calls, while the steps taken once a slice (its projections, peaks
-and cap) stay few; a slice's arrays are freed before the next slice's are
-built (_scan_slice).  Every scan peak becomes a bracket one scan step wide
+slice is as many 720-point rows as one pass of the kernel takes, twenty,
+and its projections and values go into the kernel's working set, which
+every slice reuses (_scan_slice).  So the scan allocates nothing that
+grows with the block, and the steps taken once a slice (its projections,
+peaks and cap) stay few.  Every scan peak becomes a bracket one scan step wide
 on either side.  The brackets of all ensembles are then polished by one
 root search on the slope dI/dphi, which is the paper's stationarity
 condition sum_i lambda_i log2(t_i) v_i_perp = 0 (Fuchs and Caves'
@@ -71,6 +71,7 @@ import numpy as np
 from .ensemble import QubitEnsemble, _EnsembleArrays, average_state, holevo_chi
 from .measurement import (
     _PASS_AXES,
+    _WORK,
     _normalized,
     _perp_parts,
     _row_constants,
@@ -78,15 +79,15 @@ from .measurement import (
     _unit_axes,
     canonical_axis,
 )
-from .qstate import NORM_SLACK, _half_angle, _row_dot, as_bloch, binary_entropy
+from .qstate import NORM_SLACK, _binary_entropy, _half_angle, _row_dot, as_bloch, binary_entropy
 
 IN_PLANE_METHOD = "in-plane root search"
 # A sufficient optimality condition holds when its residual is at most this.
 _CONDITION_TOL = 1e-8
 
 _SCAN_POINTS = 720
-# Rows per slice of the scan: as many as two passes of the row kernel take.
-_SCAN_ROWS = 2 * _PASS_AXES // _SCAN_POINTS
+# Rows per slice of the scan: as many as one pass of the row kernel takes.
+_SCAN_ROWS = _PASS_AXES // _SCAN_POINTS
 _TIE_TOL = 1e-10
 # The root search stops once a bracket is this narrow: a few ulps of an angle.
 _ROOT_TOL = 1e-14
@@ -187,23 +188,33 @@ def _at_least_zero(x):
 
 def concurrence_pure_ensemble(lambda0: float, overlap: float) -> float:
     """Concurrence 2 sqrt(lambda0 lambda1) |<phi0|phi1>| of the purifying pair."""
-    l0 = _unit_interval(lambda0, "lambda0")
-    ov = _unit_interval(overlap, "overlap")
-    return _float_or_array(2.0 * np.sqrt(l0 * (1.0 - l0)) * ov)
+    return _float_or_array(_concurrence(_unit_interval(lambda0, "lambda0"), _unit_interval(overlap, "overlap")))
+
+
+def _concurrence(l0, ov):
+    """concurrence_pure_ensemble of a weight and an overlap in [0, 1] that the caller checked."""
+    return 2.0 * np.sqrt(l0 * (1.0 - l0)) * ov
 
 
 def eof_from_concurrence(concurrence: float) -> float:
     """Entanglement of formation h((1 + sqrt(1 - C^2))/2), monotone in C."""
-    c = _unit_interval(concurrence, "concurrence")
-    return binary_entropy((1.0 + np.sqrt(_at_least_zero(1.0 - c * c))) / 2.0)
+    return _float_or_array(_eof(_unit_interval(concurrence, "concurrence")))
+
+
+def _eof(c):
+    """eof_from_concurrence of a concurrence c in [0, 1] that the caller checked or built."""
+    return _binary_entropy((1.0 + np.sqrt(_at_least_zero(1.0 - c * c))) / 2.0)
 
 
 def average_state_eigen_split(lambda0: float, overlap: float) -> tuple[float, float]:
     """Eigenvalues (1 +/- |c|)/2 of the average state of a pure pair."""
-    l0 = _unit_interval(lambda0, "lambda0")
-    ov = _unit_interval(overlap, "overlap")
-    s = _float_or_array(np.sqrt(_at_least_zero(1.0 - 4.0 * l0 * (1.0 - l0) * (1.0 - ov * ov))))
+    s = _float_or_array(_split(_unit_interval(lambda0, "lambda0"), _unit_interval(overlap, "overlap")))
     return (1.0 + s) / 2.0, (1.0 - s) / 2.0
+
+
+def _split(l0, ov):
+    """|c| of the average state, from a weight and an overlap in [0, 1] that the caller checked."""
+    return np.sqrt(_at_least_zero(1.0 - 4.0 * l0 * (1.0 - l0) * (1.0 - ov * ov)))
 
 
 def discord_pure_koashi_winter(lambda0: float, overlap: float) -> KoashiWinterBreakdown:
@@ -211,13 +222,14 @@ def discord_pure_koashi_winter(lambda0: float, overlap: float) -> KoashiWinterBr
 
     No measurement optimization: the value is eof + h(lambda_plus) - h(lambda0)
     via the purification argument.  Elementwise over arrays, each value with
-    the bits of its scalar call.
+    the bits of its scalar call.  lambda0 and overlap are checked once, here;
+    the concurrence and lambda_plus built from them lie in [0, 1], so none
+    of the entropies, h(lambda0) included, repeats binary_entropy's checks.
     """
-    c = concurrence_pure_ensemble(lambda0, overlap)
-    eof = eof_from_concurrence(c)
-    lam_plus, _ = average_state_eigen_split(lambda0, overlap)
-    s_b = binary_entropy(lam_plus)
-    s_ab = binary_entropy(_unit_interval(lambda0, "lambda0"))
+    l0, ov = _unit_interval(lambda0, "lambda0"), _unit_interval(overlap, "overlap")
+    c = _float_or_array(_concurrence(l0, ov))
+    lam_plus = (1.0 + _float_or_array(_split(l0, ov))) / 2.0
+    eof, s_b, s_ab = (_float_or_array(h) for h in (_eof(c), _binary_entropy(lam_plus), _binary_entropy(l0)))
     return KoashiWinterBreakdown(c, eof, s_b, s_ab, eof + s_b - s_ab)
 
 
@@ -388,11 +400,16 @@ def _scan_slice(u1, u2, consts):
     would depend on its block.  Returns the mask of the scan points that
     start a bracket and, if a row is capped, (row, value, axis) of every
     peak of the capped rows, else None.  The slice's projections and values
-    are freed on return, before the next slice's are built.
+    live in the row kernel's working set, and the sine products pass
+    through its logs before the kernel needs them; the next pass reuses
+    both, so what this returns is in arrays of its own.
     """
-    cos, sin = _SCAN_COS.T, _SCAN_SIN.T
-    ta, tb = (_row_dot(v, u1)[:, None] * cos + _row_dot(v, u2)[:, None] * sin for v in consts[:2])
-    vals = _row_objective(consts, projections=True)(ta, tb)
+    work = _WORK.views((len(u1), _SCAN_POINTS))
+    t, vals = work.projections, work.values
+    # (a.u, b.u) for u = u1, u2, each pair a column per row, in one stacked product.
+    on_u1, on_u2 = _row_dot(np.array((u1, u2))[:, None], np.array(consts[:2]))[..., None]
+    np.add(np.multiply(on_u1, _SCAN_COS.T, t), np.multiply(on_u2, _SCAN_SIN.T, work.logs[:2]), t)
+    _row_objective(consts, projections=True)(*work.pair, out=vals)
     peaks = _scan_peaks(vals)
     # A flat scan keeps all its points, so the peak cap sends it to the
     # tie-break too.
@@ -580,8 +597,9 @@ def accessible_information(ens) -> OptimizationResult:
     maximum at least one scan step wide (the objective can have several; a
     narrower one can fall between two scan points).  The scan evaluates the
     row kernel at each point's projections cos(phi) (v.u1) + sin(phi) (v.u2)
-    on a and b, not at a 3-D axis; it runs _SCAN_ROWS rows at a time, so its
-    working set does not grow with the block.  Flat objectives and scans
+    on a and b, not at a 3-D axis; it runs _SCAN_ROWS rows at a time, each
+    slice one pass of the kernel in the kernel's working set, so its memory
+    does not grow with the block.  Flat objectives and scans
     with more than 64 peaks short-circuit to the tie-break among their scan
     points, whose unit axes are built only then; such a row's value is its
     best scan value.  The brackets of all other rows are polished together

@@ -19,11 +19,11 @@ from .qstate import (
     NORM_SLACK,
     _binary_entropy,
     _row_dot,
-    binary_entropy,
+    _shannon_entropy,
+    _state_entropies,
     example_pair_bloch,
     shannon_entropy,
     state_bloch,
-    von_neumann_entropy,
 )
 
 
@@ -131,44 +131,51 @@ def holevo_chi(ens) -> float | np.ndarray:
     """
     if not isinstance(ens, _EnsembleArrays):
         return float(holevo_chi(_EnsembleArrays.of([ens]))[0])
-    v = np.array((ens.average(), ens.a, ens.b))
-    s_c, s_a, s_b = _binary_entropy((1.0 + np.minimum(np.sqrt(_row_dot(v, v)), 1.0)) / 2.0)
+    s_c, s_a, s_b = _state_entropies(np.array((ens.average(), ens.a, ens.b)))
     chi = s_c - ens.lambda0 * s_a - ens.lambda1 * s_b
     # max(chi, 0.0), which keeps a -0.0 as np.maximum does not.
     return np.where(0.0 > chi, 0.0, chi)
 
 
-def cq_state_spectrum(ens: QubitEnsemble) -> np.ndarray:
+def cq_state_spectrum(ens) -> np.ndarray:
     """The four eigenvalues {lambda_i (1 +/- |v_i|)/2} of the label-qubit joint state.
 
-    Nonnegative and summing to 1; ordering is (a+, a-, b+, b-).
+    Nonnegative and summing to 1; ordering is (a+, a-, b+, b-).  ens is a
+    QubitEnsemble, or a block (_EnsembleArrays) whose row k of shape (N, 4)
+    has the bits of ensemble k's.
     """
-    na, nb = (min(float(np.linalg.norm(v)), 1.0) for v in (ens.a, ens.b))
+    if not isinstance(ens, _EnsembleArrays):
+        return cq_state_spectrum(_EnsembleArrays.of([ens]))[0]
+    v = np.array((ens.a, ens.b))
+    na, nb = np.minimum(np.sqrt(_row_dot(v, v)), 1.0)
     l0, l1 = ens.lambda0, ens.lambda1
-    return np.array([l0 * (1.0 + na), l0 * (1.0 - na), l1 * (1.0 + nb), l1 * (1.0 - nb)]) / 2.0
+    return np.stack([l0 * (1.0 + na), l0 * (1.0 - na), l1 * (1.0 + nb), l1 * (1.0 - nb)], axis=-1) / 2.0
 
 
-def cq_state_entropy(ens: QubitEnsemble) -> float:
+def cq_state_entropy(ens) -> float | np.ndarray:
     """Entropy of the label-qubit joint state, from its block-diagonal spectrum.
 
     Equals h(lambda0) + lambda0 S(a) + lambda1 S(b); the spectrum route here is
     deliberately independent of that formula so the identity can be tested.
+    ens is one ensemble or a block, as for cq_state_spectrum.
     """
-    return shannon_entropy(cq_state_spectrum(ens))
+    if not isinstance(ens, _EnsembleArrays):
+        return shannon_entropy(cq_state_spectrum(ens))
+    # A valid ensemble's spectrum passes shannon_entropy's checks.
+    return _shannon_entropy(cq_state_spectrum(ens))
 
 
-def quantum_mutual_information(ens: QubitEnsemble) -> float:
+def quantum_mutual_information(ens) -> float | np.ndarray:
     """Mutual information of the label-qubit joint state, in bits.
 
     I = S(label) + S(avg) - S(joint) with S(label) = h(lambda0).  Computed
     through the joint spectrum rather than through holevo_chi, so the
-    equality I = chi is a genuine two-route cross-check.
+    equality I = chi is a genuine two-route cross-check.  ens is one
+    ensemble or a block, as for holevo_chi.
     """
-    return (
-        binary_entropy(ens.lambda0)
-        + von_neumann_entropy(average_state(ens))
-        - cq_state_entropy(ens)
-    )
+    if not isinstance(ens, _EnsembleArrays):
+        return float(quantum_mutual_information(_EnsembleArrays.of([ens]))[0])
+    return _binary_entropy(ens.lambda0) + _state_entropies(ens.average()) - cq_state_entropy(ens)
 
 
 def random_ensemble(rng: np.random.Generator) -> QubitEnsemble:

@@ -93,10 +93,22 @@ def ensemble_purity(ens) -> float | np.ndarray:
     return 0.5 * (w0 * (1.0 + na2) + w1 * (1.0 + nb2))
 
 
-def quadratic_form(ens: QubitEnsemble) -> GeoQuadraticForm:
-    """Build M from its outer products; the top eigenpair comes from the rank-2 form."""
-    m = ens.lambda0**2 * np.outer(ens.a, ens.a) + ens.lambda1**2 * np.outer(ens.b, ens.b)
-    w, _, v, _ = _top_eigenpair(ens)
+def quadratic_form(ens) -> GeoQuadraticForm:
+    """Build M from its outer products; the top eigenpair comes from the rank-2 form.
+
+    ens is a QubitEnsemble, or a block (_EnsembleArrays) whose form holds
+    M of shape (N, 3, 3), the top eigenvalues (N,) and eigenvectors (N, 3),
+    row k with the bits of ensemble k's.
+    """
+    if not isinstance(ens, _EnsembleArrays):
+        form = quadratic_form(_EnsembleArrays.of([ens]))
+        return GeoQuadraticForm(form.m[0], float(form.top_eigenvalue[0]), form.top_eigenvector[0])
+    w0, w1 = ens.squared_weights()
+    # Each outer product entry is one product, as np.outer takes it.
+    m = w0[:, None, None] * (ens.a[:, :, None] * ens.a[:, None, :]) + w1[:, None, None] * (
+        ens.b[:, :, None] * ens.b[:, None, :]
+    )
+    w, _, v, _ = _top_eigenpair_rows(ens)
     return GeoQuadraticForm(m=m, top_eigenvalue=w, top_eigenvector=v)
 
 

@@ -25,28 +25,43 @@ projections themselves: the discord module's 720-point scan forms them
 from each row's plane, cos(phi) (v.u1) + sin(phi) (v.u2), and builds no
 axes.
 
-One pass of the kernel evaluates at most _PASS_AXES projection pairs, two
-scan rows' worth; a larger batch is evaluated in pieces written into one
-output.  The temporaries of a pass are the six joint terms and their logs,
-numpy's buffers for the per-row constants and, in the axis form, the
-projections; with the output they peak (tracemalloc) at about 160 KB at
-the budget in the projection form and 180 KB in the axis form.  The C
+One pass of the kernel evaluates at most _PASS_AXES axes or projection
+pairs: twenty rows of the scan, or an oracle row's grid at the default
+10^4 points.  A larger batch is evaluated in pieces written into one
+output.  The pieces are whole rows where a row's batch fits the budget,
+else equal pieces of one row's batch, so each piece does the arithmetic of
+the whole pass on its part, and no piece holds a single axis: BLAS would
+take the axis form's projections through dot instead of gemv, which moves
+last bits.
+
+A pass allocates nothing of its own.  Its six joint and outcome terms,
+their logs, the mask of the zero terms, the axis form's projections and
+the scan's projections and values are written into a working set
+(_WorkingSet, about 1.8 MB at the budget), which a thread allocates on its
+first pass, grows only for a larger pass, and reuses on every pass after.
+Only a call's result goes to a new array, or to the caller's own, so it
+outlives the next pass.  Fresh temporaries would cost page faults.  The C
 allocator hands the free top of its heap back to the system once it
 passes a threshold, which glibc starts at 128 KB and raises to twice the
 largest mapped block it has freed, so whether a call's pages survive
 depends on what the process did before.  A call whose temporaries pass it
-faults every page of them in again on the next call.  With 2 880-axis
-passes a warmed 20-row sweep took about 120 minor page faults a call where
-the package was loaded from bytecode, and none where it was compiled from
-source on import; with 1 440, under one either way.  A 10^6-point oracle
-grid taken in one pass also held some 170 MB of temporaries.  The pieces
-are whole rows where a row's batch fits the budget, else equal pieces of
-one row's batch, so each piece does the arithmetic of the whole pass on
-its part, and no piece holds a single axis: BLAS would take the axis
-form's projections through dot instead of gemv, which moves last bits.
+faults every page of them in again on the next call: with fresh
+temporaries, passes of this budget took about 305 minor page faults a
+warmed 20-row sweep call and 405 a 2-trial verify call, and 2 880-axis
+passes about 120 a sweep call where the package was loaded from bytecode.
+The working set takes under one either way.  It is held per thread, not
+per call, because a block that every call allocates and frees is exactly
+what that threshold may hand back, and not per process, so that two
+threads evaluating at once never share an intermediate.  What numpy still
+allocates itself are the buffers of a step with a broadcast operand, such
+as a per-row constant: up to 64 KB each, freed within the step.
 """
 
 from __future__ import annotations
+
+import math
+import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +72,10 @@ from .qstate import _binary_entropy, _neg_xlog2x, as_bloch
 UNIT_TOL = 1e-9
 # Components within this of zero do not decide the sign of a representative.
 _SIGN_TOL = 1e-12
-# The most axes (or projection pairs) one pass of the row kernel evaluates: two 720-point scan rows.
-_PASS_AXES = 1440
+# The most axes (or projection pairs) one pass of the row kernel evaluates: twenty 720-point scan rows.
+_PASS_AXES = 14_400
+# The working set keeps the views of at most this many pass shapes.
+_CACHED_SHAPES = 64
 
 
 def canonical_axis(n) -> np.ndarray:
@@ -126,24 +143,40 @@ def _unit_perp_parts(ens: QubitEnsemble, n):
     return n, an, bn, ens.a - an * n, ens.b - bn * n
 
 
-def _conditional_entropy(half0, half1, ta, tb):
+def _conditional_entropy(half0, half1, ta, tb, work=None):
     """S(n) from the half weights lambda_i/2 and the projections a.n, b.n.
 
     The one formula behind conditional_entropy and the information term of
-    the row kernel; broadcasts over its arguments.  The six
+    the row kernel.  ta and tb share one shape of at least one dimension,
+    which the half weights broadcast against.  The six
     -x log2 x terms go through one call and are summed in a fixed order, so
-    every caller gets the same bits for the same axis.
+    every caller gets the same bits for the same axis.  work, the joint
+    terms, their logs and the zero mask of a pass (_WorkingSet.views),
+    holds every intermediate and the result, in the second joint row;
+    without it they are allocated, and the result is an array of its own.
     """
-    # Rows: the joints (+, a), (-, a), (+, b), (-, b), then the outcomes +, -.
-    # 1 + (-t) is 1 - t to the bit.
-    j = np.empty((6,) + np.shape(ta))
-    j[0], j[1], j[2], j[3] = ta, -ta, tb, -tb
-    j[:4] += 1.0
-    j[:2] *= half0
-    j[2:4] *= half1
-    np.add(j[0:2], j[2:4], out=j[4:6])
-    t = _neg_xlog2x(j)
-    return np.maximum(t[0] + t[1] + t[2] + t[3] - t[4] - t[5], 0.0)
+    shape = (6,) + ta.shape
+    j, logs, zero = work or (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+    # Each step writes to an array that is not one of its inputs, and names
+    # it as the ufunc's last positional argument: on a lone call's arrays an
+    # in-place step, out= or an augmented assignment costs about twice as
+    # much.  Rows: the joints (+, a), (-, a), (+, b), (-, b), then the
+    # outcomes +, -.  1 - t is 1 + (-t) to the bit.
+    np.add(ta, 1.0, logs[0])
+    np.subtract(1.0, ta, logs[1])
+    np.add(tb, 1.0, logs[2])
+    np.subtract(1.0, tb, logs[3])
+    np.multiply(logs[:2], half0, j[:2])
+    np.multiply(logs[2:4], half1, j[2:4])
+    np.add(j[:2], j[2:4], j[4:])
+    t = _neg_xlog2x(j, logs, zero)
+    # The joint terms are spent, so two of their rows take the sum in turn.
+    np.add(t[0], t[1], j[0])
+    np.add(j[0], t[2], j[1])
+    np.add(j[1], t[3], j[0])
+    np.subtract(j[0], t[4], j[1])
+    np.subtract(j[1], t[5], j[0])
+    return np.maximum(j[0], 0.0, out=j[1] if work else None)
 
 
 def conditional_entropy(ens: QubitEnsemble, n):
@@ -154,7 +187,8 @@ def conditional_entropy(ens: QubitEnsemble, n):
     any special casing.  Broadcasts over axes of shape (..., 3).
     """
     n = _unit_axes(n)
-    out = _conditional_entropy(0.5 * ens.lambda0, 0.5 * ens.lambda1, n @ ens.a, n @ ens.b)
+    ta, tb = (np.reshape(n @ v, -1) for v in (ens.a, ens.b))
+    out = _conditional_entropy(0.5 * ens.lambda0, 0.5 * ens.lambda1, ta, tb).reshape(n.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -167,6 +201,63 @@ def classical_mutual_information(ens, n):
     value has the bits of the one-ensemble call.
     """
     return _objective(ens, False, n)
+
+
+class _WorkingSet(threading.local):
+    """The row kernel's working set in one thread: the storage of every intermediate of a pass.
+
+    Allocated on a thread's first pass and grown only for a larger pass
+    than any before, so at most to _PASS_AXES points; every pass reuses it,
+    and no pass allocates an intermediate.  One per thread, so two threads
+    that evaluate at once do not share it.
+    """
+
+    def __init__(self):
+        self.floats, self.flags = np.empty(0), np.empty(0, dtype=bool)
+        self.cache = {}
+
+    def views(self, shape):
+        """The _Pass views for a pass of that shape.
+
+        The next pass overwrites them, so nothing read after it may live
+        here.  The views of the last few shapes are kept, as building them
+        costs more than a lone call's pass saves by them.
+        """
+        views = self.cache.get(shape)
+        if views is None:
+            size = math.prod(shape)
+            if self.floats.size < 15 * size:
+                self.floats, self.flags = np.empty(15 * size), np.empty(6 * size, dtype=bool)
+                self.cache.clear()
+            elif len(self.cache) == _CACHED_SHAPES:
+                self.cache.clear()
+            f = self.floats
+            projections = f[12 * size : 14 * size].reshape(2, *shape)
+            views = self.cache[shape] = _Pass(
+                f[: 6 * size].reshape(6, *shape),
+                f[6 * size : 12 * size].reshape(6, *shape),
+                self.flags[: 6 * size].reshape(6, *shape),
+                projections,
+                tuple(projections),
+                tuple(t.reshape(*shape, 1) for t in projections),
+                f[14 * size : 15 * size].reshape(shape),
+            )
+        return views
+
+
+class _Pass(NamedTuple):
+    """Views of the working set for one pass, in disjoint parts of it."""
+
+    joint: np.ndarray  # (6, *shape): the joint and outcome terms
+    logs: np.ndarray  # (6, *shape): their -x log2 x
+    zero: np.ndarray  # (6, *shape), bool: the mask of the terms set to 0
+    projections: np.ndarray  # (2, *shape): the projections a.n and b.n
+    pair: tuple  # its two rows, each of shape
+    columns: tuple  # its two rows as matrix products' outputs, each (*shape, 1)
+    values: np.ndarray  # shape: the scan's values
+
+
+_WORK = _WorkingSet()
 
 
 def _row_constants(rows: _EnsembleArrays, purity):
@@ -210,52 +301,73 @@ def _row_objective(consts, projections=False):
     when there is no purity row, else the information term when no row has
     h(lambda0) > 0.  A batch of more than _PASS_AXES axes or projection
     pairs is evaluated in the pieces of _pieces, each with those same terms.
+    Every intermediate of a pass lives in the calling thread's working set
+    (_WorkingSet); the values go to out, if given, else to a new array, so
+    a result outlives the next call.
     """
     a, b, half0, half1, h0, sq0, sq1 = consts
     # count_nonzero costs a fraction of .any(), which the one-row scans feel.
     purity, info = np.count_nonzero(sq1) or np.count_nonzero(sq0), np.count_nonzero(h0)
     columns = tuple(c[:, None] for c in consts[2:])
 
-    def core(ta, tb, half0, half1, h0, sq0, sq1):
+    def core(ta, tb, half0, half1, h0, sq0, sq1, out=None, work=None):
+        j, logs, zero = (work or _WORK.views(ta.shape))[:3]
+        if purity:
+            # sq0 (1 + ta^2) + sq1 (1 + tb^2), each product and sum as written.
+            np.multiply(ta, ta, logs[0])
+            np.multiply(tb, tb, logs[1])
+            np.add(logs[:2], 1.0, j[:2])
+            np.multiply(j[0], sq0, logs[0])
+            np.multiply(j[1], sq1, logs[1])
+            out = np.add(logs[0], logs[1], out)
+            if not info:
+                return out
+        s = _conditional_entropy(half0, half1, ta, tb, (j, logs, zero))
+        np.subtract(h0, s, j[0])
         if not purity:
-            return np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
-        out = sq0 * (1.0 + ta * ta) + sq1 * (1.0 + tb * tb)
-        if info:
-            out += np.maximum(h0 - _conditional_entropy(half0, half1, ta, tb), 0.0)
-        return out
+            return np.maximum(j[0], 0.0, out=out)
+        return np.add(out, np.maximum(j[0], 0.0, out=j[1]), out)
 
     if projections:
-        return lambda ta, tb: _in_pieces(core, (ta, tb), columns)
+        return lambda ta, tb, out=None: _in_pieces(core, (ta, tb), columns, out)
 
-    def evaluate(m, a, b, *rest):
+    def evaluate(m, a, b, *rest, out=None):
         # A dot per row for one axis, a matrix-vector product for a batch:
         # the public objectives' bits, which einsum or a sum of products
-        # would move in the last place.
-        return core((m @ a)[..., 0], (m @ b)[..., 0], *rest)
+        # would move in the last place.  The products go to the working
+        # set in the layout of a new array's, so BLAS takes the same path.
+        work = _WORK.views(m.shape[:2])
+        ta, tb = work.columns
+        np.matmul(m, a, ta)
+        np.matmul(m, b, tb)
+        return core(*work.pair, *rest, out=out, work=work)
 
     vectors_and_columns = (a[:, :, None], b[:, :, None]) + columns
 
-    def objective(n):
+    def objective(n, out=None):
         # An empty block has no batch to infer.
-        m = n.reshape(len(a), -1 if len(a) else 0, 3)
-        return _in_pieces(evaluate, (m,), vectors_and_columns).reshape(n.shape[:-1])
+        shape = len(a), -1 if len(a) else 0
+        m = n.reshape(*shape, 3)
+        values = None if out is None else out.reshape(shape)
+        return _in_pieces(evaluate, (m,), vectors_and_columns, values).reshape(n.shape[:-1])
 
     return objective
 
 
-def _in_pieces(evaluate, batch, columns):
-    """evaluate(*batch, *columns) over a batch of shape (rows, count, ...), in the pieces of _pieces.
+def _in_pieces(evaluate, batch, columns, out=None):
+    """evaluate(*batch, *columns, out=) over a batch of shape (rows, count, ...), in the pieces of _pieces.
 
     Each array of batch holds the rows' batches, each of columns one entry
     per row; a batch within _PASS_AXES is one call, a larger one is written
-    into one output piece by piece.
+    into out (a new array if None) piece by piece.
     """
     rows, count = batch[0].shape[:2]
     if rows * count <= _PASS_AXES:
-        return evaluate(*batch, *columns)
-    out = np.empty((rows, count))
+        return evaluate(*batch, *columns, out=out)
+    if out is None:
+        out = np.empty((rows, count))
     for part, axes in _pieces(rows, count):
-        out[part, axes] = evaluate(*(x[part, axes] for x in batch), *(c[part] for c in columns))
+        evaluate(*(x[part, axes] for x in batch), *(c[part] for c in columns), out=out[part, axes])
     return out
 
 

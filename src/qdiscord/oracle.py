@@ -24,10 +24,12 @@ once per grid size in a process, one size at a time (_grid), so up to 48 MB
 stays alive after a batch at 10^6 points.  Each row reads its grid values
 from its row of measurement._row_objective, bit for bit as its public
 objective.  The kernel takes a grid in pieces of at most _PASS_AXES points,
-so a row's grid pass holds its values (8 MB at 10^6 points) and one
-piece's temporaries (under 0.2 MB) beside the grid; one pass over the whole
-grid held some 170 MB more.  A verify at the 10^6 grid peaks about 70 MB
-above one at the default grid.  The rows are then polished in lockstep: a
+so the default 10^4-point grid in one pass, and each row writes its values
+into one array that the batch owns (8 MB at 10^6 points); the passes keep
+their intermediates in the kernel's working set (about 1.8 MB), where one
+pass over the whole 10^6 grid held some 170 MB of temporaries.  A verify
+at the 10^6 grid peaks about 70 MB above one at the default grid.  The
+rows are then polished in lockstep: a
 round evaluates every live row's stencil in one call of the same row kernel
 and every row's step in one more, and a row that stops is frozen.  Every
 operation is row by row, so each row gets the bits of a polish on its own.
@@ -211,11 +213,11 @@ def brute_force_batch(rows: _EnsembleArrays, purity, grid_size: int = 10_000) ->
     grid, unit = _grid(grid_size)
     consts = _row_constants(rows, purity)
     start, floor = np.empty((len(rows), 3)), np.empty(len(rows))
+    vals = np.empty(grid_size)  # every row's grid values in turn
     for i in range(len(rows)):
-        vals = _row_objective(tuple(c[i : i + 1] for c in consts))(unit)
+        _row_objective(tuple(c[i : i + 1] for c in consts))(unit, out=vals)
         k = int(np.argmax(vals))  # ties resolve to the lowest point index
         start[i], floor[i] = grid[k], vals[k]
-        del vals  # so that two rows' grid values are never alive at once
     axes, value, polish_evals = _polish_rows(start, floor, consts, _RADIUS_SCALE / np.sqrt(grid_size))
     n_opt = canonical_axis(axes)
     n = _normalized(n_opt)

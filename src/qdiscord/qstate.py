@@ -56,17 +56,25 @@ def _row_dot(x, y):
     return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
-def _neg_xlog2x(x):
-    """-x log2(x) elementwise, with the 0 log 0 = 0 convention."""
+def _neg_xlog2x(x, out=None, zero=None):
+    """-x log2(x) elementwise, with the 0 log 0 = 0 convention.
+
+    out and zero, a float and a bool array of x's shape, take the result
+    and the mask of the entries set to 0; both are allocated when not given.
+    """
     x = np.asarray(x, dtype=float)
-    # In place, so one array of x's size is all it allocates; -(x log2 x)
-    # is (-x) log2 x to the bit.
-    out = np.empty_like(x)
+    if out is None:
+        out, zero = np.empty_like(x), np.empty(x.shape, dtype=bool)
+    # In place, so out and zero are all it writes; -(x log2 x) is
+    # (-x) log2 x to the bit.
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.log2(x, out=out)
-        out *= x
-    np.negative(out, out=out)
-    out[~(x > _XLOG_CUTOFF)] = 0.0
+        np.log2(x, out)
+        np.multiply(out, x, out)
+    np.negative(out, out)
+    # Not x <= cutoff: a NaN is set to 0 too.
+    np.greater(x, _XLOG_CUTOFF, zero)
+    np.logical_not(zero, zero)
+    out[zero] = 0.0
     return out
 
 
@@ -106,7 +114,15 @@ def shannon_entropy(dist) -> float:
         raise ValueError("probabilities must lie in [0, 1]")
     if not abs(float(dist.sum()) - 1.0) <= NORM_SLACK:
         raise ValueError("probabilities must sum to 1")
-    return float(np.sum(_neg_xlog2x(np.clip(dist, 0.0, None))))
+    return float(_shannon_entropy(np.clip(dist, 0.0, None)))
+
+
+def _shannon_entropy(dist):
+    """shannon_entropy of every distribution along the last axis of dist, without its checks.
+
+    Each row's terms are summed in order, as np.sum sums a short one.
+    """
+    return _neg_xlog2x(dist).sum(axis=-1)
 
 
 def von_neumann_entropy(r) -> float:
@@ -115,6 +131,15 @@ def von_neumann_entropy(r) -> float:
     Equal to h((1 + |r|)/2) because the qubit spectrum is (1 +/- |r|)/2.
     """
     return float(binary_entropy((1.0 + _state_norm(r)) / 2.0))
+
+
+def _state_entropies(v):
+    """von_neumann_entropy of every state vector of v, shape (..., 3), without its checks, bit for bit.
+
+    h((1 + |v|)/2), with the norm a BLAS dot as np.linalg.norm takes it,
+    clamped to 1; the block forms of the ensemble module take it.
+    """
+    return _binary_entropy((1.0 + np.minimum(np.sqrt(_row_dot(v, v)), 1.0)) / 2.0)
 
 
 def purity(r) -> float:
@@ -134,6 +159,11 @@ def pure_overlap(a, b) -> float:
     if not (_is_pure(a) and _is_pure(b)):
         raise ValueError("pure_overlap requires unit (pure-state) Bloch vectors")
     return float(np.sqrt(max(0.0, (1.0 + float(a @ b)) / 2.0)))
+
+
+def _pure_overlaps(a, b):
+    """pure_overlap of every pair of rows of a and b, shape (..., 3), without its checks, bit for bit."""
+    return np.sqrt(np.maximum(0.0, (1.0 + _row_dot(a, b)) / 2.0))
 
 
 def _is_pure(r) -> bool:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdiscord.cli as cli
 import qdiscord.discord as discord
 import qdiscord.geodiscord as geodiscord
 import qdiscord.measurement as measurement
@@ -29,9 +30,12 @@ from qdiscord import (
     OptimizationResult,
     QubitEnsemble,
     accessible_information,
+    binary_entropy,
     canonical_axis,
     check_analytic_conditions,
     classical_mutual_information,
+    cq_state_entropy,
+    cq_state_spectrum,
     discord_pure_koashi_winter,
     ensemble_purity,
     geometric_discord,
@@ -39,14 +43,16 @@ from qdiscord import (
     post_measurement_purity,
     quadratic_form,
     quantum_discord,
+    quantum_mutual_information,
     random_ensemble,
     random_pure_pair,
+    shannon_entropy,
     stationarity_residual,
 )
 from qdiscord.ensemble import _EnsembleArrays, average_state
 from qdiscord.measurement import _SIGN_TOL, _row_constants, _unit_axes
 from qdiscord.oracle import brute_force_batch, fibonacci_sphere
-from qdiscord.qstate import _row_dot, pure_overlap, von_neumann_entropy
+from qdiscord.qstate import _pure_overlaps, _row_dot, pure_overlap, von_neumann_entropy
 
 from conftest import hard_region_ensembles, near_degenerate_ensembles, planes_tilted_about_y, random_planes
 
@@ -367,6 +373,57 @@ def test_koashi_winter_on_arrays_matches_its_scalar_calls(seed, extra):
         discord_pure_koashi_winter(0.3, np.array([0.5, np.nan]))
 
 
+def _scalar_spectrum(ens):
+    """cq_state_spectrum as its scalar formula, one np.linalg.norm per state."""
+    na, nb = (min(float(np.linalg.norm(v)), 1.0) for v in (ens.a, ens.b))
+    l0, l1 = ens.lambda0, ens.lambda1
+    return np.array([l0 * (1.0 + na), l0 * (1.0 - na), l1 * (1.0 + nb), l1 * (1.0 - nb)]) / 2.0
+
+
+@pytest.mark.host_bits
+@given(seed=st.integers(0, 2**32 - 1), extra=HARD)
+@settings(max_examples=10, deadline=None)
+def test_verify_routes_of_a_block_match_their_scalar_formulas(seed, extra):
+    """The block forms behind verify's entropy identities, eigen residual and pure-pair overlaps, row by row.
+
+    cq_state_spectrum, cq_state_entropy, quantum_mutual_information and
+    quadratic_form of a block give each row the bits of the scalar formula
+    and of the one-ensemble call; so do verify's _entropy_gap and
+    _eigen_residual columns, and _pure_overlaps against pure_overlap.
+    """
+    ensembles = _block(seed, extra)
+    rows = _EnsembleArrays.of(ensembles)
+    spectrum = [_scalar_spectrum(ens) for ens in ensembles]
+    entropy = [shannon_entropy(p) for p in spectrum]
+    assert _bits(cq_state_spectrum(rows)) == _bits(spectrum) == _bits([cq_state_spectrum(e) for e in ensembles])
+    assert _bits(cq_state_entropy(rows)) == _bits(entropy) == _bits([cq_state_entropy(e) for e in ensembles])
+    mutual = [
+        binary_entropy(e.lambda0) + von_neumann_entropy(average_state(e)) - h for e, h in zip(ensembles, entropy)
+    ]
+    assert _bits(quantum_mutual_information(rows)) == _bits(mutual)
+    assert _bits([quantum_mutual_information(e) for e in ensembles]) == _bits(mutual)
+    gap = [
+        h - (binary_entropy(e.lambda0) + e.lambda0 * von_neumann_entropy(e.a) + e.lambda1 * von_neumann_entropy(e.b))
+        for e, h in zip(ensembles, entropy)
+    ]
+    assert _bits(cli._entropy_gap(rows)) == _bits(gap)
+    form = quadratic_form(rows)
+    residual = []
+    for k, ens in enumerate(ensembles):
+        m = ens.lambda0**2 * np.outer(ens.a, ens.a) + ens.lambda1**2 * np.outer(ens.b, ens.b)
+        top, _, v, _ = geodiscord._top_eigenpair(ens)
+        lone = quadratic_form(ens)
+        assert _bits(form.m[k]) == _bits(lone.m) == _bits(m)
+        assert _bits(form.top_eigenvalue[k]) == _bits(lone.top_eigenvalue) == _bits(top)
+        assert type(lone.top_eigenvalue) is float
+        assert _bits(form.top_eigenvector[k]) == _bits(lone.top_eigenvector) == _bits(v)
+        residual.append(float(np.linalg.norm(m @ v - top * v)))
+    assert _bits(cli._eigen_residual(rows)) == _bits(residual)
+    pure = [e for e in ensembles if abs(np.linalg.norm(e.a) - 1.0) <= 1e-9 and abs(np.linalg.norm(e.b) - 1.0) <= 1e-9]
+    pure_rows = _EnsembleArrays.of(pure)
+    assert _bits(_pure_overlaps(pure_rows.a, pure_rows.b)) == _bits([pure_overlap(e.a, e.b) for e in pure])
+
+
 @given(seed=st.integers(0, 2**32 - 1), extra=HARD)
 @settings(max_examples=10, deadline=None)
 def test_plane_basis_and_canonical_rows_match_the_scalar_forms(seed, extra):
@@ -602,15 +659,20 @@ def test_a_row_does_not_depend_on_the_block_or_the_scan_slices():
 
 
 def _whole_pass(consts, *batch, projections=False):
-    """The row kernel's values at a batch (axes, or projections) in one pass, with no budget to split it."""
+    """The row kernel's values at a batch (axes, or projections) in one pass, with no budget to split it.
+
+    The pass has a working set of its own, dropped after it.
+    """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measurement, "_PASS_AXES", 10**12)
+        patch.setattr(measurement, "_WORK", measurement._WorkingSet())
         return measurement._row_objective(consts, projections)(*batch)
 
 
 def test_pieces_cover_the_batch_within_the_budget_and_never_hold_one_axis():
     budget = measurement._PASS_AXES
-    for rows, count in [(1, budget + 1), (3, 2 * budget + 1), (2, 10_000), (1, 1_000_000), (9, 720), (401, 8)]:
+    cases = [(1, budget + 1), (3, 2 * budget + 1), (2, 10_000), (1, 1_000_000)]
+    for rows, count in cases + [(budget // 720 + 1, 720), (budget // 8 + 1, 8)]:
         pieces = measurement._pieces(rows, count)
         covered = np.zeros((rows, count), dtype=int)
         for part, axes in pieces:
@@ -626,11 +688,15 @@ def test_pieces_cover_the_batch_within_the_budget_and_never_hold_one_axis():
 def test_the_kernel_in_pieces_matches_one_whole_pass_on_a_grid(count):
     """Information and purity rows on count axes, one row or several to a call.
 
-    1 441, 2 881 and 5 761 axes are one over a multiple of the budget, split
-    into two, three and five equal pieces.  The Fibonacci grid ends on a pole, where a
-    lone axis would give the same bits anyway, so random axes run too.
+    10 000 axes, the default oracle grid, are one pass a row.  1 441, 2 881
+    and 5 761 are named at a budget of 1 440 and scaled to the budget: one
+    over a multiple of it, split into two, three and five equal pieces.
+    The Fibonacci grid ends on a pole, where a lone axis would give the
+    same bits anyway, so random axes run too.
     """
     rng = np.random.default_rng(count)
+    if count % 1440 == 1:
+        count = (count - 1) // 1440 * measurement._PASS_AXES + 1
     ensembles = [random_ensemble(rng) for _ in range(4)] + [random_pure_pair(rng)] + EDGES[:3]
     raw = rng.normal(size=(count, 3))
     for grid in (_unit_axes(fibonacci_sphere(count)), _unit_axes(raw / np.linalg.norm(raw, axis=1, keepdims=True))):
@@ -663,10 +729,11 @@ def test_the_kernel_in_pieces_matches_one_whole_pass_over_many_rows():
 def test_the_kernel_on_projections_in_pieces_matches_one_whole_pass():
     """The kernel on projections over the budget, split by whole rows or into equal pieces of a row.
 
-    The scan's 720 projections a row go two rows to a pass, so a scan slice
-    is two passes; 2 881 a row go in three pieces of each row.
+    The scan's 720 projections a row go twenty rows to a pass, so a scan
+    slice is one pass; twice the budget plus one a row go in three pieces
+    of each row.
     """
-    assert discord._SCAN_ROWS * discord._SCAN_POINTS == 2 * measurement._PASS_AXES
+    assert discord._SCAN_ROWS * discord._SCAN_POINTS == measurement._PASS_AXES
     rng = np.random.default_rng(720)
     ensembles = [random_ensemble(rng) for _ in range(500)] + [random_pure_pair(rng) for _ in range(100)]
     ensembles += EDGES * 4
@@ -676,7 +743,7 @@ def test_the_kernel_on_projections_in_pieces_matches_one_whole_pass():
         _row_dot(v, u1)[:, None] * discord._SCAN_COS.T + _row_dot(v, u2)[:, None] * discord._SCAN_SIN.T
         for v in (rows.a, rows.b)
     ]
-    raw = rng.normal(size=(9, 2881, 3))
+    raw = rng.normal(size=(9, 2 * measurement._PASS_AXES + 1, 3))
     n = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
     many = [(n @ v[:9, :, None])[..., 0] for v in (rows.a, rows.b)]
     for purity in (False, True, rng.uniform(size=len(ensembles)) < 0.5):

@@ -801,7 +801,9 @@ def test_a_warmed_sweep_call_holds_under_320_kb_of_transient_heap(tmp_path):
 
     The scan takes two projections per point: with 3-D scan axes, whose
     construction took 260 KB of it, a call peaked at 342 KB; with the
-    projections, at about 296 KB.
+    projections, at about 296 KB; with every pass's intermediates in the
+    row kernel's working set, which a warmed call holds already, at about
+    216 KB.
     """
     argv = ["sweep", "--steps", "20", "--output", str(tmp_path / "out")]
     proc = subprocess.run([sys.executable, "-c", _TRANSIENT_HEAP, *argv], capture_output=True, text=True, check=True)
@@ -862,9 +864,11 @@ def test_bulk_calls_take_no_fresh_pages(tmp_path, argv):
     """A warmed sweep or verify call averages at most 20 minor page faults.
 
     A pass whose temporaries outgrow what the C allocator keeps would hand
-    its pages back to the system and fault them in again on the next pass:
-    some 120 faults a sweep call with 2 880-axis passes and 400 a verify
-    call with 8-row scan slices.
+    its pages back to the system and fault them in again on the next pass.
+    The row kernel's passes of 14 400 points allocate nothing, as every
+    intermediate lives in the thread's working set: under one fault a call.
+    With fresh temporaries, passes of that size took about 305 faults a
+    sweep call and 405 a verify call.
     """
     assert _faults_per_call(argv, tmp_path / "out") <= 20.0
 
@@ -875,8 +879,9 @@ def test_bulk_calls_take_no_fresh_pages_however_the_package_is_loaded(tmp_path, 
     """As above, with the package compiled from source on import, or loaded from bytecode.
 
     Compiling frees blocks that raise the C allocator's trim threshold, and
-    loading bytecode does not: with 2 880-axis passes a sweep call took no
-    faults from source and some 120 from bytecode.
+    loading bytecode does not: with fresh temporaries and 2 880-axis passes
+    a sweep call took no faults from source and some 120 from bytecode.
+    The working set takes under one either way.
     """
     package = tmp_path / "lib" / "qdiscord"
     shutil.copytree(pathlib.Path(qdiscord.cli.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))

@@ -380,3 +380,86 @@ def test_cross_matches_np_cross_bit_for_bit(rng):
     np.testing.assert_array_equal(measurement._cross(u, v).view(np.uint64), np.cross(u, v).view(np.uint64))
     for x, y in zip(u, v):
         assert measurement._cross(x, y).tobytes() == np.cross(x, y).tobytes()
+
+
+def _unit_batch(rng, shape):
+    n = rng.normal(size=(*shape, 3))
+    return _unit_axes(n / np.linalg.norm(n, axis=-1, keepdims=True))
+
+
+def test_a_kernel_result_outlives_the_next_kernel_call(rng):
+    """Every result the row kernel hands out is an array of its own, never a view of the working set.
+
+    Each pass reuses the working set of its thread, so a result held in it
+    would change under the next call of the same shape.
+    """
+    rows = _EnsembleArrays.of([random_ensemble(rng) for _ in range(19)] + [random_pure_pair(rng)])
+    first, second = _unit_batch(rng, (20, 720)), _unit_batch(rng, (20, 720))
+    for purity in (False, True, np.arange(20) % 3 == 0):
+        consts = _row_constants(rows, purity)
+        objective, on_projections = _row_objective(consts), _row_objective(consts, projections=True)
+        projections = [tuple((n @ v[:, :, None])[..., 0] for v in consts[:2]) for n in (first, second)]
+        calls = [
+            (objective, (first,), (second,)),
+            (objective, (first[:, :1],), (second[:, :1],)),
+            (on_projections, *projections),
+        ]
+        for evaluate, args, again in calls:
+            got = evaluate(*args)
+            held = got.copy()
+            assert not np.shares_memory(got, measurement._WORK.floats)
+            evaluate(*again)
+            assert got.tobytes() == held.tobytes()
+    ens = random_ensemble(rng)
+    for public in (conditional_entropy, classical_mutual_information, post_measurement_purity):
+        got = public(ens, first[0])
+        held = got.copy()
+        public(ens, second[0])
+        assert got.tobytes() == held.tobytes()
+
+
+def test_threads_evaluating_different_blocks_at_once_get_the_bits_of_serial_calls(rng):
+    """Each thread evaluates in a working set of its own.
+
+    Four threads, more than the cores here, each take the scan and polish of
+    accessible_information and a one-pass kernel call on a block of their
+    own, over and over with a short switch interval, so their passes
+    interleave; numpy releases the interpreter lock inside each large step.
+    Every result must have the bits of the serial call.  A working set
+    shared by the threads would let one thread's pass overwrite another's
+    intermediates.
+    """
+    import sys
+    import threading
+
+    from qdiscord import accessible_information
+
+    def work(rows, axes):
+        acc = accessible_information(rows)
+        values = classical_mutual_information(rows, axes)
+        return acc.n_opt.tobytes() + acc.value.tobytes() + values.tobytes()
+
+    jobs = []
+    for _ in range(4):
+        rows = _EnsembleArrays.of([random_ensemble(rng) for _ in range(20)])
+        jobs.append((rows, _unit_batch(rng, (20, 720))))
+    serial = [work(*job) for job in jobs]
+    mismatches = []
+
+    def run(k):
+        for _ in range(15):
+            if work(*jobs[k]) != serial[k]:
+                mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
