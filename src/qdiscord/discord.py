@@ -11,7 +11,8 @@ it.
 accessible_information and quantum_discord take one ensemble, or a block of
 them as a struct of arrays (_EnsembleArrays: lambda0 and lambda1 of shape
 (N,), a and b of shape (N, 3)) whose result holds a column per field; one
-ensemble is the block of one row.  The search runs each stage, whatever the
+ensemble is the block of one row, which it keeps, with its holevo_chi, for
+every later call.  The search runs each stage, whatever the
 block's size, as one array pass over it: the plane bases, the 720-point
 angular scan on the rows of the row kernel of the measurement module
 (_row_constants, _row_objective), which the oracle shares, its peaks, and at
@@ -266,7 +267,7 @@ def _stationarity_rows(rows: _EnsembleArrays, n) -> np.ndarray:
     The norm of the defect l0 log2(t0) a_perp + l1 log2(t1) b_perp, with
     v_perp = v - (v.n) n.
     """
-    x = _row_dot(np.array((rows.a, rows.b, rows.average())), n)
+    x = _row_dot(np.array((rows.a, rows.b, rows.average)), n)
     an, bn = x[0], x[1]
     log_t0, log_t1 = _log_odds(x)
     vec = (rows.lambda0 * log_t0)[:, None] * (rows.a - an[:, None] * n) + (
@@ -283,7 +284,7 @@ def stationarity_residual(ens: QubitEnsemble, n) -> float:
     clamped yield a finite, flagged value; see check_analytic_conditions.
     """
     n = _unit_axes(as_bloch(n))
-    return float(_stationarity_rows(_EnsembleArrays.of([ens]), n[None])[0])
+    return float(_stationarity_rows(ens._rows, n[None])[0])
 
 
 def check_analytic_conditions(ens: QubitEnsemble, n) -> AnalyticConditionsReport:
@@ -297,7 +298,7 @@ def check_analytic_conditions(ens: QubitEnsemble, n) -> AnalyticConditionsReport
     odds_res = float(abs(log_t0 + log_t1))
     perp_res = float(np.linalg.norm(ens.lambda0 * a_perp + ens.lambda1 * b_perp))
     return AnalyticConditionsReport(
-        residual=float(_stationarity_rows(_EnsembleArrays.of([ens]), n[None])[0]),
+        residual=float(_stationarity_rows(ens._rows, n[None])[0]),
         odds_inverse_residual=odds_res,
         odds_inverse_holds=odds_res <= _CONDITION_TOL,
         perp_balance_residual=perp_res,
@@ -610,7 +611,7 @@ def accessible_information(ens) -> OptimizationResult:
     _polish as they are and no pick runs.
     """
     if not isinstance(ens, _EnsembleArrays):
-        return _first_row(accessible_information(_EnsembleArrays.of([ens])))
+        return _first_row(accessible_information(ens._rows))
     rows = ens
     consts = _row_constants(rows, False)
     u1, u2 = _plane_basis_rows(rows.a, rows.b)
@@ -680,7 +681,8 @@ def quantum_discord(ens) -> OptimizationResult:
     in [-1e-10, 0) clamped to zero.  ens is one ensemble or a block, as for
     accessible_information.
     """
-    rows = ens if isinstance(ens, _EnsembleArrays) else _EnsembleArrays.of([ens])
+    rows = ens if isinstance(ens, _EnsembleArrays) else ens._rows
     acc = accessible_information(rows)
-    value = _holevo_gap(holevo_chi(rows), acc.value)
+    # A lone ensemble's chi is the one it keeps.
+    value = _holevo_gap(holevo_chi(ens), acc.value)
     return replace(acc, value=value) if rows is ens else _first_row(acc, value)

@@ -87,7 +87,7 @@ class GeoBranchReport:
 def ensemble_purity(ens) -> float | np.ndarray:
     """Purity (l0^2 (1+|a|^2) + l1^2 (1+|b|^2))/2 of the label-qubit state, per row for a block."""
     if not isinstance(ens, _EnsembleArrays):
-        return float(ensemble_purity(_EnsembleArrays.of([ens]))[0])
+        return float(ensemble_purity(ens._rows)[0])
     na2, nb2 = (np.minimum(_row_dot(v, v), 1.0) for v in (ens.a, ens.b))
     w0, w1 = ens.squared_weights()
     return 0.5 * (w0 * (1.0 + na2) + w1 * (1.0 + nb2))
@@ -101,7 +101,7 @@ def quadratic_form(ens) -> GeoQuadraticForm:
     row k with the bits of ensemble k's.
     """
     if not isinstance(ens, _EnsembleArrays):
-        form = quadratic_form(_EnsembleArrays.of([ens]))
+        form = quadratic_form(ens._rows)
         return GeoQuadraticForm(form.m[0], float(form.top_eigenvalue[0]), form.top_eigenvector[0])
     w0, w1 = ens.squared_weights()
     # Each outer product entry is one product, as np.outer takes it.

@@ -403,5 +403,5 @@ def _objective(ens, purity: bool, n):
         if n.ndim < 2 or len(n) != len(ens):
             raise ValueError("a block of ensembles needs axes of shape (N, ..., 3), one batch per row")
         return _row_objective(_row_constants(ens, purity))(n)
-    out = _row_objective(_row_constants(_EnsembleArrays.of([ens]), purity))(n)
+    out = _row_objective(_row_constants(ens._rows, purity))(n)
     return float(out) if out.ndim == 0 else out

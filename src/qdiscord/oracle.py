@@ -235,9 +235,9 @@ def brute_force_batch(rows: _EnsembleArrays, purity, grid_size: int = 10_000) ->
 
 def brute_force_accessible(ens: QubitEnsemble, grid_size: int = 10_000) -> OptimizationResult:
     """Grid-plus-polish maximum of the classical mutual information."""
-    return _first_row(brute_force_batch(_EnsembleArrays.of([ens]), False, grid_size))
+    return _first_row(brute_force_batch(ens._rows, False, grid_size))
 
 
 def brute_force_geo(ens: QubitEnsemble, grid_size: int = 10_000) -> OptimizationResult:
     """Grid-plus-polish purity deficit (the geometric discord, brute force)."""
-    return _first_row(brute_force_batch(_EnsembleArrays.of([ens]), True, grid_size))
+    return _first_row(brute_force_batch(ens._rows, True, grid_size))

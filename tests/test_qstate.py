@@ -11,6 +11,7 @@ from qdiscord import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from qdiscord.qstate import _norm, state_bloch
 from conftest import random_rotation
 
 # Frozen against an independent arbitrary-precision evaluation (mpmath, 40 digits).
@@ -153,3 +154,20 @@ def test_rotation_invariance(seed):
     assert pure_overlap(rot @ a, rot @ b) == pytest.approx(pure_overlap(a, b), abs=1e-9)
     # overlap squared is the half-shifted inner product
     assert pure_overlap(a, b) ** 2 == pytest.approx((1 + a @ b) / 2, abs=1e-12)
+
+
+@pytest.mark.host_bits
+def test_norm_has_the_bits_of_numpy_norm():
+    """_norm, the norm state_bloch checks, is np.linalg.norm to the bit, at every scale."""
+    rng = np.random.default_rng(35)
+    d = rng.normal(size=(4000, 3))
+    units = d / np.linalg.norm(d, axis=1, keepdims=True)
+    for scale in (1.0, 1e-300, 1e200):
+        for v in list(d * scale) + list(units * scale):
+            with np.errstate(over="ignore"):
+                assert float(_norm(v)).hex() == float(np.linalg.norm(v)).hex(), v
+    with np.errstate(over="ignore"):
+        assert _norm(units[0] * 1e-300) == 0.0 and _norm(units[0] * 1e200) == np.inf
+    with pytest.raises(ValueError, match="exceeds 1"):
+        state_bloch(units[0] * (1.0 + 1e-11))
+    assert state_bloch(units[0] * (1.0 + 1e-13)) is not None
