@@ -10,10 +10,9 @@ it.
 
 accessible_information and quantum_discord take one ensemble, or a block of
 them as a struct of arrays (_EnsembleArrays: lambda0 and lambda1 of shape
-(N,), a and b of shape (N, 3)) whose result holds a column per field; one
-ensemble is the block of one row, which it keeps, with its holevo_chi, for
-every later call.  The search runs each stage, whatever the
-block's size, as one array pass over it: the plane bases, the 720-point
+(N,), a and b of shape (N, 3)) whose result holds a column per field; a
+lone ensemble's common row has a body of its own (below).  The search runs
+each stage, whatever the block's size, as one array pass over it: the plane bases, the 720-point
 angular scan on the rows of the row kernel of the measurement module
 (_row_constants, _row_objective), which the oracle shares, its peaks, and at
 the end each row's pick and stationarity residual.  The scan builds no
@@ -47,14 +46,32 @@ kernel for its value.
 
 Each stage is written once, for a block: a rare branch (the plane basis of
 a nearly collinear, collinear or vanishing pair) is a masked step on the
-rows that take it, and the one-ensemble calls, stationarity_residual and
-check_analytic_conditions among them, are the block of one row.  Every
-operation is row by row, so a row's result does not depend on the block it
-was computed in.  The block of one row skips only the steps that would be
-an identity on it, never a stage: a block that fits one scan slice is
-scanned without slicing, and a block whose rows have one bracket each, in
-row order, as a lone call's one row usually has, is polished on its arrays
-as they are, with no re-indexing and no pick.
+rows that take it.  Every operation is row by row, so a row's result does
+not depend on the block it was computed in.  A block skips only the steps
+that would be an identity on it, never a stage: a block that fits one scan
+slice is scanned without slicing, and a block whose rows have one bracket
+each, in row order, is polished on its arrays as they are, with the scan's
+row kernel and with no re-indexing and no pick.
+
+A lone ensemble has a one-row body of its own (_lone_optimum,
+_stationarity_one and quantum_discord's clamp), because numpy costs about
+a microsecond a call whatever the length of the array, and a one-row block
+spent most of its time building, indexing and reading back arrays of one
+element.  The body takes the common row: a plane basis of one Gram-Schmidt
+pass and a scan of exactly one bracket and no cap, 948 of the benchmark's
+1 000 seed-1 ensemble_batch inputs.  It computes the plane basis, the
+slope's in-plane projections, the optimal axis and its canonical sign, the
+stationarity defect and the discord's clamp on Python floats, where each
++, -, *, / and sqrt is one exactly rounded IEEE operation, with no fused
+multiply-add, in the order of the block's; numpy's three-term sums run left
+to right, as Python's (x + y) + z does.  numpy stays where it fixes bits:
+the BLAS dots that _row_dot takes, the ufuncs log2, artanh, cos and sin on
+scalars or short lists, and the row kernel's two passes, the scan and the
+final value.  So every field of a lone call has the bits of its one-row
+block.  Any other row goes on through the block's stages from the row
+kernel, basis and scan the body built, so each rare branch has one owner.
+stationarity_residual and check_analytic_conditions take their defect from
+the same body.
 
 For ensembles of two pure states the optimization can be skipped entirely:
 purifying with an ancilla qubit turns the discord into an entanglement of
@@ -69,18 +86,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import QubitEnsemble, _EnsembleArrays, average_state, holevo_chi
+from .ensemble import QubitEnsemble, _EnsembleArrays, holevo_chi
 from .measurement import (
     _PASS_AXES,
     _WORK,
     _normalized,
-    _perp_parts,
     _row_constants,
     _row_objective,
     _unit_axes,
     canonical_axis,
 )
-from .qstate import NORM_SLACK, _binary_entropy, _half_angle, _row_dot, as_bloch, binary_entropy
+from .qstate import NORM_SLACK, _binary_entropy, _half_angle, _neg_xlog2x_floats, _row_dot, as_bloch, binary_entropy
 
 IN_PLANE_METHOD = "in-plane root search"
 # A sufficient optimality condition holds when its residual is at most this.
@@ -107,7 +123,7 @@ _DPHI = np.pi / _SCAN_POINTS
 # condition is meaningless, and are reported as singular instead of crashing.
 _LOG_CLAMP = 1e-15
 # log2((1 + x)/(1 - x)) = _LOG2_ODDS artanh(x)
-_LOG2_ODDS = 2.0 / np.log(2.0)
+_LOG2_ODDS = float(2.0 / np.log(2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +277,33 @@ def _log_odds(x):
     return _LOG2_ODDS * (r[0] - r[2]), _LOG2_ODDS * (r[1] - r[2])
 
 
+def _artanh(x: float) -> float:
+    """artanh of a Python float after the clamp of _log_odds, with the bits of its ufunc.
+
+    The clamp is two comparisons, which pass a NaN through, as np.minimum
+    and np.maximum do.
+    """
+    low, high = _LOG_CLAMP - 1.0, 1.0 - _LOG_CLAMP
+    return float(np.arctanh(low if x < low else high if x > high else x))
+
+
+def _stationarity_one(ens: QubitEnsemble, n):
+    """_stationarity_rows of a lone ensemble at its unit 3-vector axis n, on Python floats, bit for bit.
+
+    The dots are BLAS dots, as _row_dot takes them, and artanh is numpy's;
+    every other step is one exactly rounded operation, in the order of the
+    block's.  Returns [a.n, b.n, c.n], log2(t0), log2(t1) and the defect's
+    norm.
+    """
+    x = [float(v.dot(n)) for v in (ens.a, ens.b, ens._average)]
+    rc = _artanh(x[2])
+    log_t0, log_t1 = _LOG2_ODDS * (_artanh(x[0]) - rc), _LOG2_ODDS * (_artanh(x[1]) - rc)
+    w0, w1 = ens.lambda0 * log_t0, ens.lambda1 * log_t1
+    parts = zip(ens.a.tolist(), ens.b.tolist(), n.tolist())
+    vec = np.array([w0 * (p - x[0] * m) + w1 * (q - x[1] * m) for p, q, m in parts])
+    return x, log_t0, log_t1, math.sqrt(vec.dot(vec))
+
+
 def _stationarity_rows(rows: _EnsembleArrays, n) -> np.ndarray:
     """stationarity_residual of every row at its unit axis n[k], without the checks.
 
@@ -283,8 +326,7 @@ def stationarity_residual(ens: QubitEnsemble, n) -> float:
     (minima, maxima and saddles alike).  Boundary axes where a log factor is
     clamped yield a finite, flagged value; see check_analytic_conditions.
     """
-    n = _unit_axes(as_bloch(n))
-    return float(_stationarity_rows(ens._rows, n[None])[0])
+    return _stationarity_one(ens, _unit_axes(as_bloch(n)))[3]
 
 
 def check_analytic_conditions(ens: QubitEnsemble, n) -> AnalyticConditionsReport:
@@ -292,18 +334,17 @@ def check_analytic_conditions(ens: QubitEnsemble, n) -> AnalyticConditionsReport
 
     singular tells whether _log_odds clamped a projection.
     """
-    n, an, bn, a_perp, b_perp = _perp_parts(ens, n)
-    x = np.array([an, bn, float(average_state(ens) @ n)])
-    log_t0, log_t1 = _log_odds(x)
-    odds_res = float(abs(log_t0 + log_t1))
-    perp_res = float(np.linalg.norm(ens.lambda0 * a_perp + ens.lambda1 * b_perp))
+    n = _unit_axes(as_bloch(n))
+    x, log_t0, log_t1, residual = _stationarity_one(ens, n)
+    odds_res = abs(log_t0 + log_t1)
+    perp_res = float(np.linalg.norm(ens.lambda0 * (ens.a - x[0] * n) + ens.lambda1 * (ens.b - x[1] * n)))
     return AnalyticConditionsReport(
-        residual=float(_stationarity_rows(ens._rows, n[None])[0]),
+        residual=residual,
         odds_inverse_residual=odds_res,
         odds_inverse_holds=odds_res <= _CONDITION_TOL,
         perp_balance_residual=perp_res,
         perp_balance_holds=perp_res <= _CONDITION_TOL,
-        singular=bool((np.abs(x) > 1.0 - _LOG_CLAMP).any()),
+        singular=any(abs(t) > 1.0 - _LOG_CLAMP for t in x),
         tolerance=_CONDITION_TOL,
     )
 
@@ -351,6 +392,25 @@ def _plane_basis_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
     return u1, u2
 
 
+def _plane_basis_one(a, b):
+    """_plane_basis_rows of one pair of 3-vectors, bit for bit, or None where a rare branch would run.
+
+    The common pair, neither vanishing nor nearly collinear, takes one
+    Gram-Schmidt pass; its dots are BLAS dots, as _row_dot takes them.
+    """
+    na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
+    if na < nb:
+        a, b, na = b, a, nb
+    if not na > 1e-12:
+        return None
+    u1 = a / na
+    w = b - b.dot(u1) * u1
+    nw = math.sqrt(w.dot(w))
+    if abs(w.dot(u1)) > 1e-12 * nw or not nw > 1e-13:
+        return None
+    return u1, w / nw
+
+
 def _pick_rows(owner, vals, axes):
     """The optimum of every row from its candidates: axis, value and degenerate flag.
 
@@ -390,8 +450,8 @@ def _scan_peaks(vals):
     return (vals >= wrapped[..., :-2]) & (vals >= wrapped[..., 2:])
 
 
-def _scan_slice(u1, u2, consts):
-    """The scan of a slice of rows: its brackets, and the scan points of its capped rows.
+def _scan_slice(u1, u2, objective):
+    """The scan of a slice of rows, with their row kernel: its brackets, and the scan points of its capped rows.
 
     The scan point phi of a row has the projections
     t_v = cos(phi) (v.u1) + sin(phi) (v.u2) for v = a, b, which the row
@@ -408,9 +468,9 @@ def _scan_slice(u1, u2, consts):
     work = _WORK.views((len(u1), _SCAN_POINTS))
     t, vals = work.projections, work.values
     # (a.u, b.u) for u = u1, u2, each pair a column per row, in one stacked product.
-    on_u1, on_u2 = _row_dot(np.array((u1, u2))[:, None], np.array(consts[:2]))[..., None]
+    on_u1, on_u2 = _row_dot(np.array((u1, u2))[:, None], np.array(objective.consts[:2]))[..., None]
     np.add(np.multiply(on_u1, _SCAN_COS.T, t), np.multiply(on_u2, _SCAN_SIN.T, work.logs[:2]), t)
-    _row_objective(consts, projections=True)(*work.pair, out=vals)
+    objective.projections(*work.pair, out=vals)
     peaks = _scan_peaks(vals)
     # A flat scan keeps all its points, so the peak cap sends it to the
     # tie-break too.
@@ -517,18 +577,14 @@ def _slope_root_one(phi0, on_u1, on_u2, half0, half1):
 
     on_u1 and on_u2 hold (v.u1) and (v.u2) for v = a, b, c.  Each +, -, *
     and / on Python floats is one exactly rounded IEEE operation, as in
-    numpy's elementwise loops, with no fused multiply-add, and each clamp is
-    a comparison that passes a NaN through, as np.minimum and np.maximum do;
-    cos, sin and artanh go through numpy's ufuncs, so their bits are those
-    of the lockstep search too.  Returns the root (NaN where the ends do
+    numpy's elementwise loops, with no fused multiply-add, and the clamps
+    pass a NaN through, as np.minimum and np.maximum do; cos, sin and
+    artanh (_artanh) go through numpy's ufuncs, so their bits are those of
+    the lockstep search too.  Returns the root (NaN where the ends do
     not bracket one) and the evaluations.
     """
     (a1, b1, c1), (a2, b2, c2) = on_u1, on_u2
-    low, high, odds = _LOG_CLAMP - 1.0, 1.0 - _LOG_CLAMP, float(_LOG2_ODDS)
-
-    def artanh(x):
-        # The clamp of _log_odds.
-        return float(np.arctanh(low if x < low else high if x > high else x))
+    odds, artanh = _LOG2_ODDS, _artanh
 
     def slope(phi):
         cos, sin = float(np.cos(phi)), float(np.sin(phi))
@@ -567,19 +623,19 @@ def _slope_root_one(phi0, on_u1, on_u2, half0, half1):
     return best, evals
 
 
-def _polish(phi0, u1, u2, consts):
+def _polish(phi0, u1, u2, objective):
     """Every bracket's maximum: its axis, value and evaluations.
 
     Each bracket takes the root of the slope that _slope_root finds, one
     bracket at a time when they are few (a lone call has about one) and
     all in lockstep otherwise; one whose ends show no sign change of the
     slope keeps its scan angle phi0.  Either way the axis gets one last
-    evaluation of the row objective.
+    evaluation of the row kernel of the brackets' rows, objective.
     """
-    phi, evals = _slope_root(phi0, u1, u2, *consts[:4])
+    phi, evals = _slope_root(phi0, u1, u2, *objective.consts[:4])
     phi = np.where(np.isnan(phi), phi0, phi)
     n = _plane_axes(np.cos(phi)[:, None], np.sin(phi)[:, None], u1, u2)
-    return n, _row_objective(consts)(n), evals + 1
+    return n, objective(n), evals + 1
 
 
 def accessible_information(ens) -> OptimizationResult:
@@ -608,43 +664,57 @@ def accessible_information(ens) -> OptimizationResult:
     and in lockstep otherwise, with the same bits either way; then each
     row picks its candidate.  Where every row has exactly one bracket, in
     row order, that bracket is the row's pick, so the block's arrays go to
-    _polish as they are and no pick runs.
+    _polish as they are and no pick runs.  A lone ensemble's common row
+    takes the same stages in _lone_optimum, with the same bits.
     """
     if not isinstance(ens, _EnsembleArrays):
-        return _first_row(accessible_information(ens._rows))
+        return _lone_optimum(ens)
     rows = ens
     consts = _row_constants(rows, False)
+    objective = _row_objective(consts)
     u1, u2 = _plane_basis_rows(rows.a, rows.b)
     if len(rows) <= _SCAN_ROWS:
         # One slice: the block as it is, without slicing its arrays.
-        brackets, points = _scan_slice(u1, u2, consts)
+        brackets, points = _scan_slice(u1, u2, objective)
         capped = [] if points is None else [points]
     else:
         brackets = np.empty((len(rows), _SCAN_POINTS), dtype=bool)
         capped = []  # (rows, values, axes) of the scan points of capped rows
         for first in range(0, len(rows), _SCAN_ROWS):
             part = slice(first, first + _SCAN_ROWS)
-            brackets[part], points = _scan_slice(u1[part], u2[part], tuple(c[part] for c in consts))
+            brackets[part], points = _scan_slice(u1[part], u2[part], _row_objective(tuple(c[part] for c in consts)))
             if points is not None:
                 i, vals, axes = points
                 capped.append((first + i, vals, axes))
+    n_opt, value, evals, degenerate = _block_optimum(objective, u1, u2, brackets, capped)
+    # Every value is the row kernel's, which is at least 0 already.
+    return OptimizationResult(n_opt, value, _stationarity_rows(rows, n_opt), evals, IN_PLANE_METHOD, degenerate)
 
+
+def _block_optimum(objective, u1, u2, brackets, capped):
+    """The optimum of every row of a block from its row kernel, plane bases and scan: the polish and each row's pick.
+
+    capped is a list of (rows, values, axes) of the scan points of capped
+    rows.  Returns the columns n_opt, value, evaluations and degenerate.
+    """
+    rows = len(u1)
     owner, k = np.nonzero(brackets)
-    if owner.size == len(rows) and not np.count_nonzero(owner[1:] == owner[:-1]):
-        # One bracket per row, in row order (owner is np.arange), as on a
-        # lone call: each row's arrays go to _polish as they are, and its
-        # bracket is its pick, which no axis ties with.
-        axes, value, used = _polish(_PHIS[k], u1, u2, consts)
-        n_opt, evals, degenerate = canonical_axis(axes), _SCAN_POINTS + used, np.zeros(len(rows), dtype=bool)
+    if owner.size == rows and not np.count_nonzero(owner[1:] == owner[:-1]):
+        # One bracket per row, in row order (owner is np.arange): each row's
+        # arrays and the scan's row kernel go to _polish as they are, and
+        # its bracket is its pick, which no axis ties with.
+        axes, value, used = _polish(_PHIS[k], u1, u2, objective)
+        n_opt, evals, degenerate = canonical_axis(axes), _SCAN_POINTS + used, np.zeros(rows, dtype=bool)
     else:
-        n_opt = np.empty((len(rows), 3))
-        value = np.empty(len(rows))
-        evals = np.full(len(rows), _SCAN_POINTS)
-        degenerate = np.zeros(len(rows), dtype=bool)
+        n_opt = np.empty((rows, 3))
+        value = np.empty(rows)
+        evals = np.full(rows, _SCAN_POINTS)
+        degenerate = np.zeros(rows, dtype=bool)
         # Not needed for the result, but a polish of no brackets costs about a
         # third of a flat row's call.
         if owner.size:
-            axes, vals, used = _polish(_PHIS[k], u1[owner], u2[owner], tuple(c[owner] for c in consts))
+            owned = _row_objective(tuple(c[owner] for c in objective.consts))
+            axes, vals, used = _polish(_PHIS[k], u1[owner], u2[owner], owned)
             i, axis, best, apart, starts = _pick_rows(owner, vals, axes)
             n_opt[i], value[i], degenerate[i] = axis, best, apart
             evals[i] += np.add.reduceat(used, starts)
@@ -652,15 +722,62 @@ def accessible_information(ens) -> OptimizationResult:
             owner, vals, axes = (np.concatenate(c) for c in zip(*capped))
             i, axis, best, _, _ = _pick_rows(owner, vals, axes)
             n_opt[i], value[i], degenerate[i] = axis, best, True
-    # Every value is the row kernel's, which is at least 0 already.
-    return OptimizationResult(n_opt, value, _stationarity_rows(rows, n_opt), evals, IN_PLANE_METHOD, degenerate)
+    return n_opt, value, evals, degenerate
 
 
-def _first_row(result: OptimizationResult, value=None) -> OptimizationResult:
-    """Row 0 of a block's result, with the Python scalars of a one-ensemble call, and value[0] for its value if given."""
+def _lone_optimum(ens: QubitEnsemble) -> OptimizationResult:
+    """accessible_information of a lone ensemble: the common row on Python floats, any other on the block's stages.
+
+    The common row has a plane basis of one Gram-Schmidt pass
+    (_plane_basis_one) and a scan of exactly one bracket and no cap.  Its
+    body computes on Python floats, each +, -, *, / and sqrt one exactly
+    rounded operation in the order of the block's, so every field has the
+    bits of the one-row block.  numpy stays where it fixes bits: the BLAS
+    dots, the ufuncs log2, artanh, cos and sin, and the row kernel's two
+    passes, the scan (_scan_slice) and the final value, which share one
+    _RowObjective.  Any other row goes on to _block_optimum from the row
+    kernel, basis and scan built here, the basis of a rare branch from
+    _plane_basis_rows; every row takes its residual from _stationarity_one.
+    """
+    a, b, l0, l1 = ens.a, ens.b, ens.lambda0, ens.lambda1
+    half0, half1 = 0.5 * l0, 0.5 * l1
+    h = _neg_xlog2x_floats([l0, 1.0 - l0])
+    zeros = np.zeros(1)
+    # The one-row _row_constants(ens._rows, False), bit for bit.
+    objective = _row_objective((a[None], b[None], *np.array([[half0], [half1], [h[0] + h[1]]]), zeros, zeros))
+    basis = _plane_basis_one(a, b)
+    u1, u2 = _plane_basis_rows(a[None], b[None]) if basis is None else (basis[0][None], basis[1][None])
+    brackets, points = _scan_slice(u1, u2, objective)
+    k = np.flatnonzero(brackets)
+    if basis is None or points is not None or k.size != 1:
+        capped = [] if points is None else [points]
+        n_opt, value, evals, degenerate = _block_optimum(objective, u1, u2, brackets, capped)
+        n_opt, value, evals, degenerate = n_opt[0], value[0].item(), evals[0].item(), degenerate[0].item()
+    else:
+        al, bl, p1, p2 = a.tolist(), b.tolist(), basis[0].tolist(), basis[1].tolist()
+        # _slope_root's (v.u1, v.u2) for v = a, b and c, each (v * u).sum(-1):
+        # numpy sums three terms left to right.
+        c = [2.0 * (half0 * x + half1 * y) for x, y in zip(al, bl)]
+        on_u1, on_u2 = ([v[0] * u[0] + v[1] * u[1] + v[2] * u[2] for v in (al, bl, c)] for u in (p1, p2))
+        phi0 = _PHIS[k[0]].item()
+        phi, used = _slope_root_one(phi0, on_u1, on_u2, half0, half1)
+        if math.isnan(phi):
+            phi = phi0
+        cos, sin = float(np.cos(phi)), float(np.sin(phi))
+        # _plane_axes: the axis and its norm, a sum of three squares left to right.
+        n = [cos * x + sin * y for x, y in zip(p1, p2)]
+        norm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+        axis = np.array([[x / norm for x in n]])
+        n_opt, value, degenerate = canonical_axis(axis[0]), objective(axis)[0].item(), False
+        evals = _SCAN_POINTS + used + 1
+    return OptimizationResult(n_opt, value, _stationarity_one(ens, n_opt)[3], evals, IN_PLANE_METHOD, degenerate)
+
+
+def _first_row(result: OptimizationResult) -> OptimizationResult:
+    """Row 0 of a block's result, with the Python scalars of a one-ensemble call."""
     return OptimizationResult(
         result.n_opt[0],
-        (result.value if value is None else value)[0].item(),
+        result.value[0].item(),
         result.stationarity_residual[0].item(),
         result.evaluations[0].item(),
         result.method,
@@ -681,8 +798,10 @@ def quantum_discord(ens) -> OptimizationResult:
     in [-1e-10, 0) clamped to zero.  ens is one ensemble or a block, as for
     accessible_information.
     """
-    rows = ens if isinstance(ens, _EnsembleArrays) else ens._rows
-    acc = accessible_information(rows)
-    # A lone ensemble's chi is the one it keeps.
-    value = _holevo_gap(holevo_chi(ens), acc.value)
-    return replace(acc, value=value) if rows is ens else _first_row(acc, value)
+    acc = accessible_information(ens)
+    if isinstance(ens, _EnsembleArrays):
+        return replace(acc, value=_holevo_gap(holevo_chi(ens), acc.value))
+    # _holevo_gap on Python floats.
+    gap = holevo_chi(ens) - acc.value
+    value = 0.0 if -1e-10 <= gap < 0.0 else gap
+    return OptimizationResult(acc.n_opt, value, acc.stationarity_residual, acc.evaluations, acc.method, acc.degenerate)

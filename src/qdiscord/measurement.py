@@ -13,7 +13,8 @@ written once, in one row kernel: _row_constants builds the per-row
 constants of a block of ensembles (the struct of arrays of the ensemble
 module) with a purity flag per row, or one flag for the whole block, as
 the in-plane search and the public objectives pass it, and _row_objective
-turns them into a map to each row's objective.  The objective depends on
+turns them into the kernel of those rows (_RowObjective), a map to each
+row's objective.  The objective depends on
 an axis n only through the projections (a.n, b.n), so the kernel's core
 maps projections (t_a, t_b) per row to the objective, and it has two
 entries.  The axis form takes a batch of unit axes per row and projects
@@ -23,7 +24,9 @@ module's in-plane polish evaluates one axis per row, and the oracle each
 row's grid and the stencils and steps of its polish.  The projection form takes the
 projections themselves: the discord module's 720-point scan forms them
 from each row's plane, cos(phi) (v.u1) + sin(phi) (v.u2), and builds no
-axes.
+axes.  The two entries share the kernel's per-row columns and term flags,
+built once, so a lone search, and a block search whose rows have one
+bracket each, take the scan and the final value from one kernel.
 
 One pass of the kernel evaluates at most _PASS_AXES axes or projection
 pairs: twenty rows of the scan, or an oracle row's grid at the default
@@ -285,34 +288,45 @@ def _row_constants(rows: _EnsembleArrays, purity):
 
 
 def _row_objective(consts, projections=False):
+    """The row kernel of consts (_RowObjective): its axis form, or with projections its projection form."""
+    objective = _RowObjective(consts)
+    return objective.projections if projections else objective
+
+
+class _RowObjective:
     """The objective of the rows of consts, as a map from a batch of unit axes per row, or from their projections.
 
     The one row kernel of the package, and the only place either objective
     is written: in its core, which maps each row's projections
     (t_a, t_b) = (a.n, b.n) to the sum of both terms, one of which is +0 on
-    every row.  It has two entries.  The axis form, returned by default,
-    maps axes n of shape (rows, ..., 3) to an array of shape (rows, ...)
-    holding row k's objective at each of the axes n[k], bit for bit as its
-    public objective; a single row takes axes of any shape (..., 3).  It
-    takes m @ a and m @ b, then the core.  With projections, the map takes
-    (t_a, t_b) of shape (rows, count) and is the core alone, as the
-    in-plane scan calls it.  A term whose constants are 0 on every row is
-    skipped, decided once here rather than at every call: the purity term
-    when there is no purity row, else the information term when no row has
-    h(lambda0) > 0.  A batch of more than _PASS_AXES axes or projection
-    pairs is evaluated in the pieces of _pieces, each with those same terms.
-    Every intermediate of a pass lives in the calling thread's working set
-    (_WorkingSet); the values go to out, if given, else to a new array, so
-    a result outlives the next call.
+    every row.  It has two entries, which share the per-row columns and the
+    term flags, both built once here.  The axis form, the call, maps axes n
+    of shape (rows, ..., 3) to an array of shape (rows, ...) holding row
+    k's objective at each of the axes n[k], bit for bit as its public
+    objective; a single row takes axes of any shape (..., 3).  It takes
+    m @ a and m @ b, then the core.  projections maps (t_a, t_b) of shape
+    (rows, count) and is the core alone, as the in-plane scan calls it.  A
+    term whose constants are 0 on every row is skipped, decided once here
+    rather than at every call: the purity term when there is no purity row,
+    else the information term when no row has h(lambda0) > 0.  A batch of
+    more than _PASS_AXES axes or projection pairs is evaluated in the pieces
+    of _pieces, each with those same terms.  Every intermediate of a pass
+    lives in the calling thread's working set (_WorkingSet); the values go
+    to out, if given, else to a new array, so a result outlives the next
+    call.
     """
-    a, b, half0, half1, h0, sq0, sq1 = consts
-    # count_nonzero costs a fraction of .any(), which the one-row scans feel.
-    purity, info = np.count_nonzero(sq1) or np.count_nonzero(sq0), np.count_nonzero(h0)
-    columns = tuple(c[:, None] for c in consts[2:])
 
-    def core(ta, tb, half0, half1, h0, sq0, sq1, out=None, work=None):
+    def __init__(self, consts):
+        self.consts = consts
+        a, b, half0, half1, h0, sq0, sq1 = consts
+        # count_nonzero costs a fraction of .any(), which the one-row scans feel.
+        self.purity, self.info = np.count_nonzero(sq1) or np.count_nonzero(sq0), np.count_nonzero(h0)
+        self.columns = tuple(c[:, None] for c in consts[2:])
+        self.vectors_and_columns = (a[:, :, None], b[:, :, None]) + self.columns
+
+    def _core(self, ta, tb, half0, half1, h0, sq0, sq1, out=None, work=None):
         j, logs, zero = (work or _WORK.views(ta.shape))[:3]
-        if purity:
+        if self.purity:
             # sq0 (1 + ta^2) + sq1 (1 + tb^2), each product and sum as written.
             np.multiply(ta, ta, logs[0])
             np.multiply(tb, tb, logs[1])
@@ -320,18 +334,19 @@ def _row_objective(consts, projections=False):
             np.multiply(j[0], sq0, logs[0])
             np.multiply(j[1], sq1, logs[1])
             out = np.add(logs[0], logs[1], out)
-            if not info:
+            if not self.info:
                 return out
         s = _conditional_entropy(half0, half1, ta, tb, (j, logs, zero))
         np.subtract(h0, s, j[0])
-        if not purity:
+        if not self.purity:
             return np.maximum(j[0], 0.0, out=out)
         return np.add(out, np.maximum(j[0], 0.0, out=j[1]), out)
 
-    if projections:
-        return lambda ta, tb, out=None: _in_pieces(core, (ta, tb), columns, out)
+    def projections(self, ta, tb, out=None):
+        """The objective at the projections (t_a, t_b), each of shape (rows, count)."""
+        return _in_pieces(self._core, (ta, tb), self.columns, out)
 
-    def evaluate(m, a, b, *rest, out=None):
+    def _evaluate(self, m, a, b, *rest, out=None):
         # A dot per row for one axis, a matrix-vector product for a batch:
         # the public objectives' bits, which einsum or a sum of products
         # would move in the last place.  The products go to the working
@@ -340,18 +355,14 @@ def _row_objective(consts, projections=False):
         ta, tb = work.columns
         np.matmul(m, a, ta)
         np.matmul(m, b, tb)
-        return core(*work.pair, *rest, out=out, work=work)
+        return self._core(*work.pair, *rest, out=out, work=work)
 
-    vectors_and_columns = (a[:, :, None], b[:, :, None]) + columns
-
-    def objective(n, out=None):
+    def __call__(self, n, out=None):
         # An empty block has no batch to infer.
-        shape = len(a), -1 if len(a) else 0
+        shape = len(self.consts[0]), -1 if len(self.consts[0]) else 0
         m = n.reshape(*shape, 3)
         values = None if out is None else out.reshape(shape)
-        return _in_pieces(evaluate, (m,), vectors_and_columns, values).reshape(n.shape[:-1])
-
-    return objective
+        return _in_pieces(self._evaluate, (m,), self.vectors_and_columns, values).reshape(n.shape[:-1])
 
 
 def _in_pieces(evaluate, batch, columns, out=None):

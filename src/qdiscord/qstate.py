@@ -88,6 +88,16 @@ def _neg_xlog2x(x, out=None, zero=None):
     return out
 
 
+def _neg_xlog2x_floats(xs) -> list:
+    """_neg_xlog2x of a short list of floats, as a list of floats, bit for bit.
+
+    log2 goes through numpy's ufunc, whose bits the Python float operations
+    around it keep; an entry set to 0 enters it as 1, so nothing warns.
+    """
+    logs = np.log2([x if x > _XLOG_CUTOFF else 1.0 for x in xs]).tolist()
+    return [-(lg * x) if x > _XLOG_CUTOFF else 0.0 for lg, x in zip(logs, xs)]
+
+
 def binary_entropy(p):
     """Binary entropy h(p) = -p log2 p - (1-p) log2(1-p), in bits.
 

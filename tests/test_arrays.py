@@ -27,6 +27,7 @@ import qdiscord.discord as discord
 import qdiscord.geodiscord as geodiscord
 import qdiscord.measurement as measurement
 from qdiscord import (
+    AnalyticConditionsReport,
     OptimizationResult,
     QubitEnsemble,
     accessible_information,
@@ -54,7 +55,14 @@ from qdiscord.measurement import _SIGN_TOL, _row_constants, _unit_axes
 from qdiscord.oracle import brute_force_batch, fibonacci_sphere
 from qdiscord.qstate import _pure_overlaps, _row_dot, pure_overlap, von_neumann_entropy
 
-from conftest import hard_region_ensembles, near_degenerate_ensembles, planes_tilted_about_y, random_planes
+from conftest import (
+    hard_region_ensembles,
+    near_degenerate_ensembles,
+    planes_tilted_about_y,
+    random_planes,
+    seeded_hard_inputs,
+)
+from test_discord import MULTI_PEAK, NO_SIGN_CHANGE, _flat_draw
 
 pytestmark = pytest.mark.host_bits
 
@@ -264,7 +272,7 @@ def _scalar_search(ens):
         k = peaks.size
         consts = _row_constants(_EnsembleArrays.of([ens] * k), False)
         axes, values, used = discord._polish(
-            discord._PHIS[peaks], np.tile(u1, (k, 1)), np.tile(u2, (k, 1)), consts
+            discord._PHIS[peaks], np.tile(u1, (k, 1)), np.tile(u2, (k, 1)), measurement._row_objective(consts)
         )
         candidates = list(zip(values.tolist(), axes))
         evals, hint = discord._SCAN_POINTS + int(used.sum()), False
@@ -465,6 +473,106 @@ def test_stationarity_residual_matches_the_scalar_defect(seed, extra):
             want = float(_scalar_defect(ens, _unit_axes(axis))).hex()
             assert float(stationarity_residual(ens, axis)).hex() == want
             assert float(check_analytic_conditions(ens, axis).residual).hex() == want
+
+
+def _report_bits(report):
+    """The fields of an AnalyticConditionsReport, each with its type: floats as hex, bools as they are."""
+    return [(type(x).__name__, x.hex() if isinstance(x, float) else x) for x in astuple(report)]
+
+
+def _lone_result_bits(result):
+    """_row_bits of a one-ensemble OptimizationResult, whose fields must have the types of a one-ensemble call."""
+    assert (type(result.value), type(result.stationarity_residual)) == (float, float)
+    assert (type(result.evaluations), type(result.degenerate)) == (int, bool)
+    assert result.n_opt.shape == (3,) and result.n_opt.dtype == float
+    return (
+        result.n_opt.tobytes(),
+        result.value.hex(),
+        result.stationarity_residual.hex(),
+        result.evaluations,
+        result.degenerate,
+    )
+
+
+def _one_row_block_fields(ens, n):
+    """The lone calls' fields as the one-row block gives them, at n and at the optimum.
+
+    The reports are built from the block's stages, as check_analytic_conditions built them on the block.
+    """
+    rows = _EnsembleArrays.of([ens])
+    acc, disc = accessible_information(rows), quantum_discord(rows)
+    fields = [float(holevo_chi(rows)[0]).hex(), _row_bits(acc, 0), _row_bits(disc, 0)]
+    for axis in (_unit_axes(n), _unit_axes(acc.n_opt[0])):
+        x = _row_dot(np.array((rows.a, rows.b, rows.average)), axis[None])[:, 0]
+        log_t0, log_t1 = discord._log_odds(x)
+        odds = float(abs(log_t0 + log_t1))
+        perp = float(np.linalg.norm(ens.lambda0 * (ens.a - x[0] * axis) + ens.lambda1 * (ens.b - x[1] * axis)))
+        report = AnalyticConditionsReport(
+            float(discord._stationarity_rows(rows, axis[None])[0]), odds, odds <= discord._CONDITION_TOL, perp,
+            perp <= discord._CONDITION_TOL, bool((np.abs(x) > 1.0 - discord._LOG_CLAMP).any()), discord._CONDITION_TOL,
+        )
+        fields += [report.residual.hex(), _report_bits(report)]
+    return fields
+
+
+def _lone_fields(ens, n):
+    """The lone calls' fields: chi and the discord on one new ensemble, the search, residuals and reports on another."""
+    first, second = (QubitEnsemble(ens.lambda0, ens.lambda1, ens.a, ens.b) for _ in range(2))
+    chi = holevo_chi(first)
+    assert type(chi) is float
+    disc = quantum_discord(first)
+    acc = accessible_information(second)
+    fields = [chi.hex(), _lone_result_bits(acc), _lone_result_bits(disc)]
+    for axis in (n, acc.n_opt):
+        residual = stationarity_residual(second, axis)
+        assert type(residual) is float
+        fields += [residual.hex(), _report_bits(check_analytic_conditions(second, axis))]
+    return fields
+
+
+def _fall_through(ens):
+    """Why a lone search leaves its body for the block's stages, or None.
+
+    The reasons are a rare plane basis (its branch), a capped scan and a scan of more than one bracket.
+    """
+    branch = _scalar_plane_basis(ens)[2]
+    if branch != "plain":
+        return branch
+    rows = _EnsembleArrays.of([ens])
+    u1, u2 = discord._plane_basis_rows(rows.a, rows.b)
+    brackets, capped = discord._scan_slice(u1, u2, measurement._row_objective(_row_constants(rows, False)))
+    if capped is not None:
+        return "capped"
+    return None if np.count_nonzero(brackets) == 1 else "brackets"
+
+
+def test_a_lone_ensemble_gets_the_bits_of_its_one_row_block(monkeypatch):
+    """Every field of the lone calls has the bits of the one-row block's, whether or not the lone body runs.
+
+    The lone body runs on the common row, a plane basis of one
+    Gram-Schmidt pass and a scan of one bracket and no cap; a spy on the
+    block's stages shows that it does, and that every other row falls
+    through to them.  The rows are seeded_hard_inputs, both kinds of
+    _flat_draw, PLANE_EDGES, MULTI_PEAK and NO_SIGN_CHANGE, which between
+    them take every reason to fall through.
+    """
+    rng = np.random.default_rng(32)
+    ensembles = [MULTI_PEAK, NO_SIGN_CHANGE] + PLANE_EDGES + seeded_hard_inputs(rng, 40)
+    ensembles += [_flat_draw(rng, kind) for kind in ("extreme_weight", "tiny_norm") for _ in range(40)]
+    axes = rng.normal(size=(len(ensembles), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    block_optimum, fell = discord._block_optimum, []
+    monkeypatch.setattr(discord, "_block_optimum", lambda *args: fell.append(args) or block_optimum(*args))
+    reasons = []
+    for ens, n in zip(ensembles, axes):
+        want = _one_row_block_fields(ens, n)
+        fell.clear()
+        accessible_information(QubitEnsemble(ens.lambda0, ens.lambda1, ens.a, ens.b))
+        reasons.append(_fall_through(ens))
+        assert len(fell) == (reasons[-1] is not None), (reasons[-1], ens)
+        assert _lone_fields(ens, n) == want, ens
+    assert set(reasons) == {None, "second pass", "collinear", "vanishing", "capped", "brackets"}
+    assert reasons.count(None) >= len(ensembles) // 2
 
 
 def test_an_empty_block_gives_empty_columns():

@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -573,14 +574,17 @@ def test_flat_objectives_reach_the_dense_in_plane_maximum(kind):
     """
     rng = np.random.default_rng(3)
     phis = np.linspace(0.0, np.pi, 2**14, endpoint=False)[:, None]
-    roots = []
-    with _record("_slope_root", roots):
+    # A lone call's brackets go one at a time through _slope_root_one, or
+    # all at once through _slope_root_lockstep when there are many.
+    roots, lockstep = [], []
+    with _record("_slope_root_one", roots), _record("_slope_root_lockstep", lockstep):
         for _ in range(40):
             ens = _flat_draw(rng, kind)
             u1, u2 = (u[0] for u in discord._plane_basis_rows(ens.a[None], ens.b[None]))
             dense = classical_mutual_information(ens, np.cos(phis) * u1 + np.sin(phis) * u2)
             assert accessible_information(ens).value >= dense.max() - 1e-13, ens
-    assert sum(np.isnan(phi).sum() for _, (phi, _) in roots) >= 5
+    no_root = [phi for _, (phi, _) in roots] + [p for _, (phi, _) in lockstep for p in phi.tolist()]
+    assert sum(map(math.isnan, no_root)) >= 5
 
 
 def _bracket_mix(rng, count):
@@ -616,12 +620,12 @@ def test_one_bracket_search_matches_the_lockstep_search():
 def test_blocks_either_side_of_the_bracket_threshold_match_single_calls():
     """Blocks of _FEW_BRACKETS and _FEW_BRACKETS + 1 brackets, one per path, give each row its one-ensemble result."""
     rng = np.random.default_rng(29)
-    single = []  # draws with one bracket
+    single = []  # draws with one bracket, which a lone call searches with one _slope_root_one call
     while len(single) < discord._FEW_BRACKETS - 1:
         roots = []
-        with _record("_slope_root", roots):
+        with _record("_slope_root_one", roots):
             accessible_information(ens := random_ensemble(rng))
-        if [args[0].size for args, _ in roots] == [1]:
+        if len(roots) == 1:
             single.append(ens)
     # NO_SIGN_CHANGE brings two brackets, one of them without a root.
     for block, lockstep_calls in (([NO_SIGN_CHANGE] + single[:-1], 0), ([NO_SIGN_CHANGE] + single, 1)):
@@ -641,12 +645,12 @@ def test_blocks_of_one_bracket_per_row_match_single_calls():
     root search, and the sliced scan and the lockstep search.
     """
     rng = np.random.default_rng(30)
-    single = []  # draws with one bracket
+    single = []  # draws with one bracket, which a lone call searches with one _slope_root_one call
     for ens in seeded_hard_inputs(rng, 10) + [random_ensemble(rng) for _ in range(30)]:
         roots = []
-        with _record("_slope_root", roots):
+        with _record("_slope_root_one", roots):
             accessible_information(ens)
-        if [args[0].size for args, _ in roots] == [1]:
+        if len(roots) == 1:
             single.append(ens)
     assert len(single) >= 40
     for block in (single[:3], single[-40:]):

@@ -171,7 +171,8 @@ def test_copies_go_through_the_constructor(duplicate):
     assert (twin.lambda0, twin.lambda1) == (ens.lambda0, ens.lambda1)
     assert twin.a.tobytes() == ens.a.tobytes() and twin.b.tobytes() == ens.b.tobytes()
     assert not (twin.a.flags.writeable or twin.b.flags.writeable)
-    assert not ({"_rows", "_chi"} & vars(twin).keys()) and {"_rows", "_chi"} <= vars(ens).keys()
+    # chi keeps the average state it reads, not the one-row block.
+    assert not ({"_rows", "_chi", "_average"} & vars(twin).keys()) and {"_chi", "_average"} <= vars(ens).keys()
     assert holevo_chi(twin) == chi
     # An ensemble whose vector was forced past the constructor does not survive a copy.
     bad = object.__new__(QubitEnsemble)
@@ -278,7 +279,7 @@ def test_calls_return_arrays_of_their_own():
 
 
 def test_the_kept_block_is_read_only():
-    """The kept one-row block and its average state are read-only, so a stage that wrote into them would fail loudly."""
+    """The kept one-row block, its average state and the ensemble's own are read-only, so a stage that wrote into them would fail loudly."""
     ens = random_ensemble(np.random.default_rng(34))
     holevo_chi(ens)
     quantum_discord(ens)
@@ -286,8 +287,8 @@ def test_the_kept_block_is_read_only():
     assert rows is ens._rows and rows.average is rows.average
     assert rows.a.tobytes() == ens.a.tobytes() and rows.b.tobytes() == ens.b.tobytes()
     assert (rows.lambda0[0], rows.lambda1[0]) == (ens.lambda0, ens.lambda1)
-    assert rows.average[0].tobytes() == average_state(ens).tobytes()
-    for array in (rows.lambda0, rows.lambda1, rows.a, rows.b, rows.average):
+    assert rows.average[0].tobytes() == ens._average.tobytes() == average_state(ens).tobytes()
+    for array in (rows.lambda0, rows.lambda1, rows.a, rows.b, rows.average, ens._average):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
