@@ -14,7 +14,7 @@ them as a struct of arrays (_EnsembleArrays: lambda0 and lambda1 of shape
 lone ensemble's common row has a body of its own (below).  The search runs
 each stage, whatever the block's size, as one array pass over it: the plane bases, the 720-point
 angular scan on the rows of the row kernel of the measurement module
-(_row_constants, _row_objective), which the oracle shares, its peaks, and at
+(_row_constants, _RowObjective), which the oracle shares, its peaks, and at
 the end each row's pick and stationarity residual.  The scan builds no
 axes: a scan point phi of a row's plane (u1, u2) has the projections
 cos(phi) (v.u1) + sin(phi) (v.u2) for v = a, b, so each row's four
@@ -48,10 +48,9 @@ Each stage is written once, for a block: a rare branch (the plane basis of
 a nearly collinear, collinear or vanishing pair) is a masked step on the
 rows that take it.  Every operation is row by row, so a row's result does
 not depend on the block it was computed in.  A block skips only the steps
-that would be an identity on it, never a stage: a block that fits one scan
-slice is scanned without slicing, and a block whose rows have one bracket
-each, in row order, is polished on its arrays as they are, with the scan's
-row kernel and with no re-indexing and no pick.
+that would be an identity on it, never a stage: a block whose rows have one
+bracket each, in row order, is polished on its arrays as they are, with no
+re-indexing and no pick.
 
 A lone ensemble has a one-row body of its own (_lone_optimum,
 _stationarity_one and quantum_discord's clamp), because numpy costs about
@@ -92,11 +91,12 @@ from .measurement import (
     _WORK,
     _normalized,
     _row_constants,
-    _row_objective,
+    _row_constants_one,
+    _RowObjective,
     _unit_axes,
     canonical_axis,
 )
-from .qstate import NORM_SLACK, _binary_entropy, _half_angle, _neg_xlog2x_floats, _row_dot, as_bloch, binary_entropy
+from .qstate import NORM_SLACK, _binary_entropy, _half_angle, _row_dot, as_bloch, binary_entropy
 
 IN_PLANE_METHOD = "in-plane root search"
 # A sufficient optimality condition holds when its residual is at most this.
@@ -671,21 +671,16 @@ def accessible_information(ens) -> OptimizationResult:
         return _lone_optimum(ens)
     rows = ens
     consts = _row_constants(rows, False)
-    objective = _row_objective(consts)
+    objective = _RowObjective(consts)
     u1, u2 = _plane_basis_rows(rows.a, rows.b)
-    if len(rows) <= _SCAN_ROWS:
-        # One slice: the block as it is, without slicing its arrays.
-        brackets, points = _scan_slice(u1, u2, objective)
-        capped = [] if points is None else [points]
-    else:
-        brackets = np.empty((len(rows), _SCAN_POINTS), dtype=bool)
-        capped = []  # (rows, values, axes) of the scan points of capped rows
-        for first in range(0, len(rows), _SCAN_ROWS):
-            part = slice(first, first + _SCAN_ROWS)
-            brackets[part], points = _scan_slice(u1[part], u2[part], _row_objective(tuple(c[part] for c in consts)))
-            if points is not None:
-                i, vals, axes = points
-                capped.append((first + i, vals, axes))
+    brackets = np.empty((len(rows), _SCAN_POINTS), dtype=bool)
+    capped = []  # (rows, values, axes) of the scan points of capped rows
+    for first in range(0, len(rows), _SCAN_ROWS):
+        part = slice(first, first + _SCAN_ROWS)
+        brackets[part], points = _scan_slice(u1[part], u2[part], _RowObjective(tuple(c[part] for c in consts)))
+        if points is not None:
+            i, vals, axes = points
+            capped.append((first + i, vals, axes))
     n_opt, value, evals, degenerate = _block_optimum(objective, u1, u2, brackets, capped)
     # Every value is the row kernel's, which is at least 0 already.
     return OptimizationResult(n_opt, value, _stationarity_rows(rows, n_opt), evals, IN_PLANE_METHOD, degenerate)
@@ -713,7 +708,7 @@ def _block_optimum(objective, u1, u2, brackets, capped):
         # Not needed for the result, but a polish of no brackets costs about a
         # third of a flat row's call.
         if owner.size:
-            owned = _row_objective(tuple(c[owner] for c in objective.consts))
+            owned = _RowObjective(tuple(c[owner] for c in objective.consts))
             axes, vals, used = _polish(_PHIS[k], u1[owner], u2[owner], owned)
             i, axis, best, apart, starts = _pick_rows(owner, vals, axes)
             n_opt[i], value[i], degenerate[i] = axis, best, apart
@@ -739,12 +734,9 @@ def _lone_optimum(ens: QubitEnsemble) -> OptimizationResult:
     kernel, basis and scan built here, the basis of a rare branch from
     _plane_basis_rows; every row takes its residual from _stationarity_one.
     """
-    a, b, l0, l1 = ens.a, ens.b, ens.lambda0, ens.lambda1
-    half0, half1 = 0.5 * l0, 0.5 * l1
-    h = _neg_xlog2x_floats([l0, 1.0 - l0])
-    zeros = np.zeros(1)
-    # The one-row _row_constants(ens._rows, False), bit for bit.
-    objective = _row_objective((a[None], b[None], *np.array([[half0], [half1], [h[0] + h[1]]]), zeros, zeros))
+    a, b = ens.a, ens.b
+    half0, half1 = 0.5 * ens.lambda0, 0.5 * ens.lambda1
+    objective = _RowObjective(_row_constants_one(ens))
     basis = _plane_basis_one(a, b)
     u1, u2 = _plane_basis_rows(a[None], b[None]) if basis is None else (basis[0][None], basis[1][None])
     brackets, points = _scan_slice(u1, u2, objective)

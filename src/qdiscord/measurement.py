@@ -12,8 +12,9 @@ Both objectives, mutual information and post-measurement purity, are
 written once, in one row kernel: _row_constants builds the per-row
 constants of a block of ensembles (the struct of arrays of the ensemble
 module) with a purity flag per row, or one flag for the whole block, as
-the in-plane search and the public objectives pass it, and _row_objective
-turns them into the kernel of those rows (_RowObjective), a map to each
+the in-plane search and the public objectives pass it, or those of a
+lone ensemble from its Python floats (_row_constants_one), and
+_RowObjective turns them into the kernel of those rows, a map to each
 row's objective.  The objective depends on
 an axis n only through the projections (a.n, b.n), so the kernel's core
 maps projections (t_a, t_b) per row to the objective, and it has two
@@ -25,8 +26,8 @@ row's grid and the stencils and steps of its polish.  The projection form takes 
 projections themselves: the discord module's 720-point scan forms them
 from each row's plane, cos(phi) (v.u1) + sin(phi) (v.u2), and builds no
 axes.  The two entries share the kernel's per-row columns and term flags,
-built once, so a lone search, and a block search whose rows have one
-bracket each, take the scan and the final value from one kernel.
+built once, so a lone search takes the scan and the final value from one
+kernel.
 
 One pass of the kernel evaluates at most _PASS_AXES axes or projection
 pairs: twenty rows of the scan, or an oracle row's grid at the default
@@ -69,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensemble import QubitEnsemble, _EnsembleArrays
-from .qstate import _binary_entropy, _neg_xlog2x, as_bloch
+from .qstate import _binary_entropy, _neg_xlog2x, _neg_xlog2x_floats, as_bloch
 
 # Accepted deviation from unit norm before an axis is rejected outright.
 UNIT_TOL = 1e-9
@@ -287,10 +288,16 @@ def _row_constants(rows: _EnsembleArrays, purity):
     return rows.a, rows.b, half0, half1, h0, sq0, sq1
 
 
-def _row_objective(consts, projections=False):
-    """The row kernel of consts (_RowObjective): its axis form, or with projections its projection form."""
-    objective = _RowObjective(consts)
-    return objective.projections if projections else objective
+def _row_constants_one(ens: QubitEnsemble):
+    """_row_constants(ens._rows, False) of a lone ensemble, bit for bit, from its Python floats.
+
+    h(lambda0) is _binary_entropy's sum of the two -x log2 x terms, taken on
+    Python floats (_neg_xlog2x_floats), so no one-row block is built.
+    """
+    l0 = ens.lambda0
+    h = _neg_xlog2x_floats([l0, 1.0 - l0])
+    zeros = np.zeros(1)
+    return ens.a[None], ens.b[None], *np.array([[0.5 * l0], [0.5 * ens.lambda1], [h[0] + h[1]]]), zeros, zeros
 
 
 class _RowObjective:
@@ -413,6 +420,6 @@ def _objective(ens, purity: bool, n):
     if isinstance(ens, _EnsembleArrays):
         if n.ndim < 2 or len(n) != len(ens):
             raise ValueError("a block of ensembles needs axes of shape (N, ..., 3), one batch per row")
-        return _row_objective(_row_constants(ens, purity))(n)
-    out = _row_objective(_row_constants(ens._rows, purity))(n)
+        return _RowObjective(_row_constants(ens, purity))(n)
+    out = _RowObjective(_row_constants(ens._rows, purity))(n)
     return float(out) if out.ndim == 0 else out

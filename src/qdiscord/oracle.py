@@ -22,7 +22,7 @@ A batch of rows, each one ensemble with one objective (mutual information or
 post-measurement purity), shares one grid.  The grid is built and checked
 once per grid size in a process, one size at a time (_grid), so up to 48 MB
 stays alive after a batch at 10^6 points.  Each row reads its grid values
-from its row of measurement._row_objective, bit for bit as its public
+from its row of measurement._RowObjective, bit for bit as its public
 objective.  The kernel takes a grid in pieces of at most _PASS_AXES points,
 so the default 10^4-point grid in one pass, and each row writes its values
 into one array that the batch owns (8 MB at 10^6 points); the passes keep
@@ -48,7 +48,7 @@ import numpy as np
 from .discord import OptimizationResult, _first_row, _stationarity_rows
 from .ensemble import QubitEnsemble, _EnsembleArrays
 from .geodiscord import _geo_defect_rows, ensemble_purity
-from .measurement import _cross, _normalized, _row_constants, _row_objective, _unit_axes, canonical_axis
+from .measurement import _cross, _normalized, _row_constants, _RowObjective, _unit_axes, canonical_axis
 
 FULL_SPHERE_METHOD = "full-sphere grid + refine"
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -165,7 +165,7 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
     radii = np.full(len(p), radius)
     evals = np.zeros(len(p), dtype=int)
     live = np.arange(len(p))
-    objective = _row_objective(consts)
+    objective = _RowObjective(consts)
     for _ in range(_MAX_ROUNDS):
         if not live.size:
             break
@@ -194,7 +194,7 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
         kept = (step >= _MIN_STEP) | by_stencil
         if not kept.all():
             live = live[kept]
-            objective = _row_objective(tuple(c[live] for c in consts))
+            objective = _RowObjective(tuple(c[live] for c in consts))
     return p, best, evals
 
 
@@ -215,7 +215,7 @@ def brute_force_batch(rows: _EnsembleArrays, purity, grid_size: int = 10_000) ->
     start, floor = np.empty((len(rows), 3)), np.empty(len(rows))
     vals = np.empty(grid_size)  # every row's grid values in turn
     for i in range(len(rows)):
-        _row_objective(tuple(c[i : i + 1] for c in consts))(unit, out=vals)
+        _RowObjective(tuple(c[i : i + 1] for c in consts))(unit, out=vals)
         k = int(np.argmax(vals))  # ties resolve to the lowest point index
         start[i], floor[i] = grid[k], vals[k]
     axes, value, polish_evals = _polish_rows(start, floor, consts, _RADIUS_SCALE / np.sqrt(grid_size))

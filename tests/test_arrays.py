@@ -246,7 +246,7 @@ def _scalar_scan(ens, u1, u2):
     """
     ta, tb = (float(v @ u1) * discord._SCAN_COS.T + float(v @ u2) * discord._SCAN_SIN.T for v in (ens.a, ens.b))
     consts = _row_constants(_EnsembleArrays.of([ens]), False)
-    return measurement._row_objective(consts, projections=True)(ta, tb)[0]
+    return measurement._RowObjective(consts).projections(ta, tb)[0]
 
 
 def _scalar_search(ens):
@@ -272,7 +272,7 @@ def _scalar_search(ens):
         k = peaks.size
         consts = _row_constants(_EnsembleArrays.of([ens] * k), False)
         axes, values, used = discord._polish(
-            discord._PHIS[peaks], np.tile(u1, (k, 1)), np.tile(u2, (k, 1)), measurement._row_objective(consts)
+            discord._PHIS[peaks], np.tile(u1, (k, 1)), np.tile(u2, (k, 1)), measurement._RowObjective(consts)
         )
         candidates = list(zip(values.tolist(), axes))
         evals, hint = discord._SCAN_POINTS + int(used.sum()), False
@@ -540,7 +540,7 @@ def _fall_through(ens):
         return branch
     rows = _EnsembleArrays.of([ens])
     u1, u2 = discord._plane_basis_rows(rows.a, rows.b)
-    brackets, capped = discord._scan_slice(u1, u2, measurement._row_objective(_row_constants(rows, False)))
+    brackets, capped = discord._scan_slice(u1, u2, measurement._RowObjective(_row_constants(rows, False)))
     if capped is not None:
         return "capped"
     return None if np.count_nonzero(brackets) == 1 else "brackets"
@@ -774,7 +774,8 @@ def _whole_pass(consts, *batch, projections=False):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measurement, "_PASS_AXES", 10**12)
         patch.setattr(measurement, "_WORK", measurement._WorkingSet())
-        return measurement._row_objective(consts, projections)(*batch)
+        objective = measurement._RowObjective(consts)
+        return (objective.projections if projections else objective)(*batch)
 
 
 def test_pieces_cover_the_batch_within_the_budget_and_never_hold_one_axis():
@@ -812,9 +813,9 @@ def test_the_kernel_in_pieces_matches_one_whole_pass_on_a_grid(count):
             consts = _row_constants(_EnsembleArrays.of(ensembles), purity)
             for k in range(len(ensembles)):
                 row = tuple(c[k : k + 1] for c in consts)
-                assert _bits(measurement._row_objective(row)(grid)) == _bits(_whole_pass(row, grid))
+                assert _bits(measurement._RowObjective(row)(grid)) == _bits(_whole_pass(row, grid))
             axes = np.repeat(grid[None], len(ensembles), axis=0)
-            assert _bits(measurement._row_objective(consts)(axes)) == _bits(_whole_pass(consts, axes))
+            assert _bits(measurement._RowObjective(consts)(axes)) == _bits(_whole_pass(consts, axes))
 
 
 def test_the_kernel_in_pieces_matches_one_whole_pass_over_many_rows():
@@ -827,11 +828,11 @@ def test_the_kernel_in_pieces_matches_one_whole_pass_over_many_rows():
         for shape in ((1,), (8,), (2, 4)):
             raw = rng.normal(size=(len(ensembles), *shape, 3))
             n = _unit_axes(raw / np.linalg.norm(raw, axis=-1, keepdims=True))
-            assert _bits(measurement._row_objective(consts)(n)) == _bits(_whole_pass(consts, n))
+            assert _bits(measurement._RowObjective(consts)(n)) == _bits(_whole_pass(consts, n))
         part = tuple(c[:9] for c in consts)
         u1, u2 = discord._plane_basis_rows(*_bloch_columns(ensembles[:9]))
         n = _unit_axes(discord._SCAN_COS * u1[:, None] + discord._SCAN_SIN * u2[:, None])
-        assert _bits(measurement._row_objective(part)(n)) == _bits(_whole_pass(part, n))
+        assert _bits(measurement._RowObjective(part)(n)) == _bits(_whole_pass(part, n))
 
 
 def test_the_kernel_on_projections_in_pieces_matches_one_whole_pass():
@@ -858,5 +859,5 @@ def test_the_kernel_on_projections_in_pieces_matches_one_whole_pass():
         consts = _row_constants(rows, purity)
         first = tuple(c[:9] for c in consts)
         for consts, (ta, tb) in ((consts, scan), (first, many)):
-            got = measurement._row_objective(consts, projections=True)(ta, tb)
+            got = measurement._RowObjective(consts).projections(ta, tb)
             assert _bits(got) == _bits(_whole_pass(consts, ta, tb, projections=True))

@@ -26,7 +26,7 @@ from qdiscord import (
     stationarity_residual,
 )
 from qdiscord.ensemble import _EnsembleArrays
-from qdiscord.measurement import _row_constants, _row_objective, _unit_axes
+from qdiscord.measurement import _row_constants, _row_constants_one, _RowObjective, _unit_axes
 from conftest import hard_region_ensembles, random_rotation, rotate_ensemble, seeded_hard_inputs
 
 # h((2+sqrt(2))/4), frozen from mpmath
@@ -207,7 +207,7 @@ def _assert_rows_match_public(rows, rng):
         v = rows[k][0].a if np.linalg.norm(rows[k][0].a) > 0.5 else rows[k][0].b
         if np.linalg.norm(v) > 0.5:
             raw[k] = v / np.linalg.norm(v)
-    got = _row_objective(_constants(rows))(_unit_axes(raw))
+    got = _RowObjective(_constants(rows))(_unit_axes(raw))
     want = [
         (post_measurement_purity if geo else classical_mutual_information)(ens, n)
         for (ens, geo), n in zip(rows, raw)
@@ -256,13 +256,13 @@ def test_row_objective_skips_the_information_term_when_every_h_is_zero(rng):
         with mock.patch.object(
             measurement, "_conditional_entropy", wraps=measurement._conditional_entropy
         ) as entropy:
-            _row_objective(_constants(batch))(axes[: len(batch)])
+            _RowObjective(_constants(batch))(axes[: len(batch)])
         assert entropy.call_count == calls
 
 
 @pytest.mark.host_bits
 def test_row_constants_of_one_flag_match_a_flag_per_row(rng):
-    """A bool purity flag gives the constants of an array of that flag, each entry's float.hex included.
+    """A bool purity flag gives the constants of an array of that flag, and a lone ensemble those of its one-row block, each entry's float.hex included.
 
     Signed zeros count: a weight of -0.0 gives a half weight of -0.0.
     """
@@ -276,6 +276,8 @@ def test_row_constants_of_one_flag_match_a_flag_per_row(rng):
     for flag in (False, True):
         assert bits(_row_constants(rows, flag)) == bits(_row_constants(rows, np.full(len(rows), flag)))
     assert "-0x0.0p+0" in bits(_row_constants(rows, False))[2][2]
+    for ens in ensembles:
+        assert bits(_row_constants_one(ens)) == bits(_row_constants(ens._rows, False))
 
 
 def _own_axis(ens):
@@ -312,7 +314,7 @@ def test_row_objective_on_a_batch_of_axes_per_row_matches_the_public_objectives(
                     n[0] = v
         batches.append(np.repeat(grid[None], len(rows), axis=0))
         for raw in batches:
-            got = _row_objective(_constants(rows))(_unit_axes(raw))
+            got = _RowObjective(_constants(rows))(_unit_axes(raw))
             assert got.shape == raw.shape[:-1]
             for (ens, geo), n, values in zip(rows, raw, got):
                 want = (post_measurement_purity if geo else classical_mutual_information)(ens, n)
@@ -343,8 +345,8 @@ def test_row_objective_at_axes_is_its_projection_form_at_their_projections(seed,
             raw = rng.normal(size=(len(rows), count, 3))
             n = _unit_axes(raw / np.linalg.norm(raw, axis=-1, keepdims=True))
             ta, tb = ((n @ v[:, :, None])[..., 0] for v in consts[:2])
-            got = _row_objective(consts)(n)
-            want = _row_objective(consts, projections=True)(ta, tb)
+            got = _RowObjective(consts)(n)
+            want = _RowObjective(consts).projections(ta, tb)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -397,7 +399,7 @@ def test_a_kernel_result_outlives_the_next_kernel_call(rng):
     first, second = _unit_batch(rng, (20, 720)), _unit_batch(rng, (20, 720))
     for purity in (False, True, np.arange(20) % 3 == 0):
         consts = _row_constants(rows, purity)
-        objective, on_projections = _row_objective(consts), _row_objective(consts, projections=True)
+        objective, on_projections = _RowObjective(consts), _RowObjective(consts).projections
         projections = [tuple((n @ v[:, :, None])[..., 0] for v in consts[:2]) for n in (first, second)]
         calls = [
             (objective, (first,), (second,)),
