@@ -31,14 +31,10 @@ root search on the slope dI/dphi, which is the paper's stationarity
 condition sum_i lambda_i log2(t_i) v_i_perp = 0 (Fuchs and Caves'
 condition for two mixed states) taken along the plane: Illinois steps,
 safeguarded by the bracket and by bisection, that place the axis to
-round-off in about six steps.  A call with at most _FEW_BRACKETS brackets
-(a lone call has about one) takes them one at a time in Python floats,
-which spares it numpy's per-call cost on arrays of one element; a call
-with more takes them in lockstep, each step one vectorised evaluation at
-every bracket's new point, with a bracket masked off once it has
-converged.  The two paths take the same steps to the bit: their
-arithmetic is exactly rounded either way, and cos, sin and artanh go
-through numpy's ufuncs on both.  A bracket whose
+round-off in about six steps.  The search is written once, for one
+bracket in Python floats (_slope_root_one), and every bracket of a call
+goes through it in turn, so each costs only its own steps and no numpy
+call on arrays of one element.  A bracket whose
 ends show no sign change of the slope keeps its scan angle; that happens
 only where the objective is flat to round-off, so the scan point is as
 good as any.  Every bracket's axis then gets one evaluation of the row
@@ -108,10 +104,6 @@ _SCAN_ROWS = _PASS_AXES // _SCAN_POINTS
 _TIE_TOL = 1e-10
 # The root search stops once a bracket is this narrow: a few ulps of an angle.
 _ROOT_TOL = 1e-14
-# Up to this many brackets a call, the root search takes them one at a time in
-# Python floats; more take its lockstep array steps, which cost the same as the
-# one-at-a-time steps at 19 to 22 brackets.
-_FEW_BRACKETS = 16
 _FLAT_TOL = 1e-14
 _PHIS = np.linspace(0.0, np.pi, _SCAN_POINTS, endpoint=False)
 _SCAN_COS = np.cos(_PHIS)[:, None]
@@ -424,9 +416,6 @@ def _pick_rows(owner, vals, axes):
     """
     new = np.concatenate(([True], owner[1:] != owner[:-1]))
     canon = canonical_axis(axes)
-    if new.all():
-        # One candidate per row, the usual case: it is the row's pick, and no axis ties with it.
-        return owner, canon, vals, np.zeros(len(owner), dtype=bool), np.arange(len(owner))
     starts = np.flatnonzero(new)
     run = np.cumsum(new) - 1
     best = np.maximum.reduceat(vals, starts)
@@ -492,26 +481,14 @@ def _slope_root(phi0, u1, u2, a, b, half0, half1):
 
     Row k of every argument describes bracket k: its scan peak phi0, its
     ensemble's plane basis (u1, u2), Bloch vectors (a, b) and half weights.
-    The slope is g(phi) = sum_i (lambda_i/2) log2(t_i) (v_i.t) with the plane
-    tangent t = -sin(phi) u1 + cos(phi) u2.  A bracket whose ends have
-    g > 0 > g takes Illinois steps (regula falsi that halves the slope kept
-    at an end that stays for a second step in a row), and a bisection step
-    wherever three steps have not halved its width.  A bracket stops once
-    its width is down to _ROOT_TOL or its slope is exactly 0.  Returns the
-    point of smallest |g| per bracket (NaN where the ends do not bracket a
-    root) and the evaluations per bracket.
-
     The projections (v.u1, v.u2) of v = a, b, c are taken once for all
-    brackets.  Up to _FEW_BRACKETS brackets then go through _slope_root_one
-    one at a time, and more through _slope_root_lockstep together; both
-    take the same steps to the bit, so a bracket's root does not depend on
-    the path.
+    brackets; then each bracket goes through _slope_root_one in turn.
+    Returns the root per bracket (NaN where the ends do not bracket one)
+    and the evaluations per bracket.
     """
     c = 2.0 * (half0[:, None] * a + half1[:, None] * b)  # lambda0 a + lambda1 b, to the bit
     v = np.array((a, b, c))
     on_u1, on_u2 = (v * u1).sum(-1), (v * u2).sum(-1)
-    if phi0.size > _FEW_BRACKETS:
-        return _slope_root_lockstep(phi0, on_u1, on_u2, half0, half1)
     roots = [
         _slope_root_one(*bracket)
         for bracket in zip(phi0.tolist(), on_u1.T.tolist(), on_u2.T.tolist(), half0.tolist(), half1.tolist())
@@ -519,69 +496,22 @@ def _slope_root(phi0, u1, u2, a, b, half0, half1):
     return np.array([phi for phi, _ in roots], dtype=float), np.array([n for _, n in roots], dtype=int)
 
 
-def _slope_root_lockstep(phi0, on_u1, on_u2, half0, half1):
-    """_slope_root's search on every bracket at once, from (v.u1) and (v.u2) of shape (3, brackets).
-
-    Each step makes one vectorised evaluation at every bracket's new point
-    (the first, at both ends of every bracket); a bracket is masked off
-    once it stops.
-    """
-
-    def slope(phi, on_u1, on_u2):
-        cos, sin = np.cos(phi), np.sin(phi)
-        log_t0, log_t1 = _log_odds(cos * on_u1 + sin * on_u2)
-        at, bt = cos * on_u2[:2] - sin * on_u1[:2]
-        return half0 * log_t0 * at + half1 * log_t1 * bt
-
-    lo, hi = phi0 - _DPHI, phi0 + _DPHI
-    # Both ends in one evaluation, with a leading axis for the end.
-    glo, ghi = slope(np.array((lo, hi)), on_u1[:, None], on_u2[:, None])
-    bracketed = (glo > 0.0) & (ghi < 0.0)
-    best, best_g = np.where(glo < -ghi, lo, hi), np.minimum(glo, -ghi)
-    evals = np.full(phi0.shape, 2)
-    side = np.zeros(phi0.shape)  # sign of g at the last step's point
-    back = [np.full(phi0.shape, np.inf)] * 3  # widths three, two and one steps back
-    active = bracketed & (hi - lo > _ROOT_TOL)
-    # Only active rows are read at the end, so the others may run on garbage.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while active.any():
-            width = hi - lo
-            secant = lo + width * (glo / (glo - ghi))
-            x = np.where(width > 0.5 * back[0], lo + 0.5 * width, secant)
-            # Never closer than half a tolerance to an end: once one end sits
-            # on the root, the next step crosses it and closes the bracket.
-            x = np.minimum(np.maximum(x, lo + 0.5 * _ROOT_TOL), hi - 0.5 * _ROOT_TOL)
-            gx = slope(x, on_u1, on_u2)
-            up = gx > 0.0
-            # Illinois: an end kept for a second step in a row has its slope halved.
-            sign = np.sign(gx)
-            halve = np.where(sign == side, 0.5, 1.0)
-            lo, glo, hi, ghi = (
-                np.where(up, x, lo),
-                np.where(up, gx, halve * glo),
-                np.where(up, hi, x),
-                np.where(up, halve * ghi, gx),
-            )
-            side = sign
-            size = np.abs(gx)
-            closer = active & (size < best_g)
-            best, best_g = np.where(closer, x, best), np.where(closer, size, best_g)
-            back = back[1:] + [width]
-            evals += active
-            active &= (gx != 0.0) & (hi - lo > _ROOT_TOL)
-    return np.where(bracketed, best, np.nan), evals
-
-
 def _slope_root_one(phi0, on_u1, on_u2, half0, half1):
-    """_slope_root's search on one bracket in Python floats, step for step and bit for bit the lockstep one.
+    """The root search of one bracket [phi0 - dphi, phi0 + dphi], in Python floats.
 
-    on_u1 and on_u2 hold (v.u1) and (v.u2) for v = a, b, c.  Each +, -, *
-    and / on Python floats is one exactly rounded IEEE operation, as in
-    numpy's elementwise loops, with no fused multiply-add, and the clamps
-    pass a NaN through, as np.minimum and np.maximum do; cos, sin and
-    artanh (_artanh) go through numpy's ufuncs, so their bits are those of
-    the lockstep search too.  Returns the root (NaN where the ends do
-    not bracket one) and the evaluations.
+    on_u1 and on_u2 hold (v.u1) and (v.u2) for v = a, b, c, and half0,
+    half1 the half weights.  The slope is
+    g(phi) = sum_i (lambda_i/2) log2(t_i) (v_i.t) with the plane tangent
+    t = -sin(phi) u1 + cos(phi) u2.  A bracket whose ends have g > 0 > g
+    takes Illinois steps (regula falsi that halves the slope kept at an end
+    that stays for a second step in a row), and a bisection step wherever
+    three steps have not halved its width.  It stops once its width is down
+    to _ROOT_TOL or its slope is exactly 0.  Each +, -, * and / on Python
+    floats is one exactly rounded IEEE operation, as in numpy's elementwise
+    loops, with no fused multiply-add, and the clamps pass a NaN through,
+    as np.minimum and np.maximum do; cos, sin and artanh (_artanh) go
+    through numpy's ufuncs.  Returns the point of smallest |g| (NaN where
+    the ends do not bracket a root) and the evaluations.
     """
     (a1, b1, c1), (a2, b2, c2) = on_u1, on_u2
     odds, artanh = _LOG2_ODDS, _artanh
@@ -626,11 +556,10 @@ def _slope_root_one(phi0, on_u1, on_u2, half0, half1):
 def _polish(phi0, u1, u2, objective):
     """Every bracket's maximum: its axis, value and evaluations.
 
-    Each bracket takes the root of the slope that _slope_root finds, one
-    bracket at a time when they are few (a lone call has about one) and
-    all in lockstep otherwise; one whose ends show no sign change of the
-    slope keeps its scan angle phi0.  Either way the axis gets one last
-    evaluation of the row kernel of the brackets' rows, objective.
+    Each bracket takes the root of the slope that _slope_root finds; one
+    whose ends show no sign change of the slope keeps its scan angle phi0.
+    Either way the axis gets one last evaluation of the row kernel of the
+    brackets' rows, objective.
     """
     phi, evals = _slope_root(phi0, u1, u2, *objective.consts[:4])
     phi = np.where(np.isnan(phi), phi0, phi)
@@ -659,10 +588,9 @@ def accessible_information(ens) -> OptimizationResult:
     does not grow with the block.  Flat objectives and scans
     with more than 64 peaks short-circuit to the tie-break among their scan
     points, whose unit axes are built only then; such a row's value is its
-    best scan value.  The brackets of all other rows are polished together
-    by _polish, one at a time when there are at most _FEW_BRACKETS of them
-    and in lockstep otherwise, with the same bits either way; then each
-    row picks its candidate.  Where every row has exactly one bracket, in
+    best scan value.  The brackets of all other rows are polished by
+    _polish, which takes them one at a time through one root search; then
+    each row picks its candidate.  Where every row has exactly one bracket, in
     row order, that bracket is the row's pick, so the block's arrays go to
     _polish as they are and no pick runs.  A lone ensemble's common row
     takes the same stages in _lone_optimum, with the same bits.

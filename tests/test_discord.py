@@ -574,17 +574,15 @@ def test_flat_objectives_reach_the_dense_in_plane_maximum(kind):
     """
     rng = np.random.default_rng(3)
     phis = np.linspace(0.0, np.pi, 2**14, endpoint=False)[:, None]
-    # A lone call's brackets go one at a time through _slope_root_one, or
-    # all at once through _slope_root_lockstep when there are many.
-    roots, lockstep = [], []
-    with _record("_slope_root_one", roots), _record("_slope_root_lockstep", lockstep):
+    # A lone call's brackets go one at a time through _slope_root_one.
+    roots = []
+    with _record("_slope_root_one", roots):
         for _ in range(40):
             ens = _flat_draw(rng, kind)
             u1, u2 = (u[0] for u in discord._plane_basis_rows(ens.a[None], ens.b[None]))
             dense = classical_mutual_information(ens, np.cos(phis) * u1 + np.sin(phis) * u2)
             assert accessible_information(ens).value >= dense.max() - 1e-13, ens
-    no_root = [phi for _, (phi, _) in roots] + [p for _, (phi, _) in lockstep for p in phi.tolist()]
-    assert sum(map(math.isnan, no_root)) >= 5
+    assert sum(math.isnan(phi) for _, (phi, _) in roots) >= 5
 
 
 def _bracket_mix(rng, count):
@@ -594,55 +592,41 @@ def _bracket_mix(rng, count):
 
 
 @pytest.mark.host_bits
-def test_one_bracket_search_matches_the_lockstep_search():
-    """Taken one at a time, every bracket of a seeded mix gets the lockstep search's root and evaluations, to the bit.
+def test_blocks_of_many_brackets_match_single_calls():
+    """Blocks of 17 and of over 512 rows give each row its one-ensemble result, to the bit.
 
-    The block of the whole mix goes through the lockstep search; each of
-    its brackets then goes alone through _slope_root, which takes it
-    through _slope_root_one.  MULTI_PEAK's round-off ripple gives brackets
-    of many steps, NO_SIGN_CHANGE and the flat draws brackets without a
-    root.
+    The small block holds NO_SIGN_CHANGE and one-bracket draws, 18
+    brackets in all.  The large one is _bracket_mix: MULTI_PEAK's round-off
+    ripple gives brackets of many steps, NO_SIGN_CHANGE and the flat draws
+    brackets without a root.
     """
-    ensembles = _bracket_mix(np.random.default_rng(28), 60)
-    roots = []
-    with _record("_slope_root", roots):
-        accessible_information(_EnsembleArrays.of(ensembles))
-    [(args, (phi, evals))] = roots
-    assert phi.size > discord._FEW_BRACKETS
-    assert np.isnan(phi).sum() >= 25 and evals.max() >= 18
-    alone = [discord._slope_root(*(x[k : k + 1] for x in args)) for k in range(phi.size)]
-    assert [(float(p[0]).hex(), int(n[0])) for p, n in alone] == list(
-        zip(map(float.hex, phi.tolist()), evals.tolist())
-    )
-
-
-@pytest.mark.host_bits
-def test_blocks_either_side_of_the_bracket_threshold_match_single_calls():
-    """Blocks of _FEW_BRACKETS and _FEW_BRACKETS + 1 brackets, one per path, give each row its one-ensemble result."""
     rng = np.random.default_rng(29)
     single = []  # draws with one bracket, which a lone call searches with one _slope_root_one call
-    while len(single) < discord._FEW_BRACKETS - 1:
+    while len(single) < 16:
         roots = []
         with _record("_slope_root_one", roots):
             accessible_information(ens := random_ensemble(rng))
         if len(roots) == 1:
             single.append(ens)
     # NO_SIGN_CHANGE brings two brackets, one of them without a root.
-    for block, lockstep_calls in (([NO_SIGN_CHANGE] + single[:-1], 0), ([NO_SIGN_CHANGE] + single, 1)):
-        roots, lockstep = [], []
-        with _record("_slope_root", roots), _record("_slope_root_lockstep", lockstep):
+    small = [NO_SIGN_CHANGE] + single
+    mix = _bracket_mix(np.random.default_rng(28), 60)
+    assert len(mix) >= 512
+    for block, brackets in ((small, len(small) + 1), (mix, None)):
+        roots = []
+        with _record("_slope_root", roots):
             together = accessible_information(_EnsembleArrays.of(block))
-        assert [args[0].size for args, _ in roots] == [len(block) + 1]
-        assert len(lockstep) == lockstep_calls
+        [(args, (phi, evals))] = roots
+        assert brackets is None or phi.size == brackets
         assert [_bits(together, k) for k in range(len(block))] == [_bits(accessible_information(e)) for e in block]
+    assert np.isnan(phi).sum() >= 25 and evals.max() >= 18
 
 
 @pytest.mark.host_bits
 def test_blocks_of_one_bracket_per_row_match_single_calls():
     """A block whose rows have one bracket each polishes its arrays as they are, skips the pick, and gives each row its one-ensemble result.
 
-    Blocks of 3 and 40 rows take the one-slice scan and the one-at-a-time
-    root search, and the sliced scan and the lockstep search.
+    Blocks of 3 and 40 rows take the one-slice scan and the sliced scan.
     """
     rng = np.random.default_rng(30)
     single = []  # draws with one bracket, which a lone call searches with one _slope_root_one call
@@ -654,13 +638,12 @@ def test_blocks_of_one_bracket_per_row_match_single_calls():
             single.append(ens)
     assert len(single) >= 40
     for block in (single[:3], single[-40:]):
-        polished, picks, lockstep = [], [], []
-        with _record("_polish", polished), _record("_pick_rows", picks), _record("_slope_root_lockstep", lockstep):
+        polished, picks = [], []
+        with _record("_polish", polished), _record("_pick_rows", picks):
             together = accessible_information(_EnsembleArrays.of(block))
         [((phi0, u1, *_), _)] = polished
         assert phi0.size == len(u1) == len(block)
         assert picks == []
-        assert len(lockstep) == (len(block) > discord._FEW_BRACKETS)
         assert [_bits(together, k) for k in range(len(block))] == [_bits(accessible_information(e)) for e in block]
     # As many brackets as rows, but both of one row: the other is flat and capped.
     flat = QubitEnsemble(0.4, 0.6, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
