@@ -12,40 +12,42 @@ accessible_information and quantum_discord take one ensemble, or a block of
 them as a struct of arrays (_EnsembleArrays: lambda0 and lambda1 of shape
 (N,), a and b of shape (N, 3)) whose result holds a column per field; a
 lone ensemble's common row has a body of its own (below).  The search runs
-each stage, whatever the block's size, as one array pass over it: the plane bases, the 720-point
-angular scan on the rows of the row kernel of the measurement module
-(_row_constants, _RowObjective), which the oracle shares, its peaks, and at
-the end each row's pick and stationarity residual.  The scan builds no
-axes: a scan point phi of a row's plane (u1, u2) has the projections
-cos(phi) (v.u1) + sin(phi) (v.u2) for v = a, b, so each row's four
-in-plane dots, taken once, give the projections of all 720 points, and the
+each stage, whatever the block's size, as one array pass over it: the plane
+bases, the 720-point angular scan on the rows of the row kernel of the
+measurement module (_row_constants, _RowObjective), which the oracle
+shares, its peaks, and at the end each row's pick and stationarity
+residual.  A block keeps one record of its rows (_Plane): the plane bases
+(u1, u2), the row kernel and the six in-plane dots (v.u1, v.u2) of v = a,
+b and the kept average c, written once, as (v * u).sum(-1); the scan, the
+root search and the polish all read it.  The scan builds no axes: a scan
+point phi has the projections cos(phi) (v.u1) + sin(phi) (v.u2) for
+v = a, b, so the dots give the projections of all 720 points, and the
 kernel's projection form evaluates them.  The scan runs _SCAN_ROWS rows at
 a time, derived from the row kernel's budget (measurement._PASS_AXES): a
 slice is as many 720-point rows as one pass of the kernel takes, twenty,
 and its projections and values go into the kernel's working set, which
 every slice reuses (_scan_slice).  So the scan allocates nothing that
 grows with the block, and the steps taken once a slice (its projections,
-peaks and cap) stay few.  Every scan peak becomes a bracket one scan step wide
-on either side.  The brackets of all ensembles are then polished by one
-root search on the slope dI/dphi, which is the paper's stationarity
+peaks and cap) stay few.  Every scan peak becomes a bracket one scan step
+wide on either side.  The brackets of all ensembles are then polished by
+one root search on the slope dI/dphi, which is the paper's stationarity
 condition sum_i lambda_i log2(t_i) v_i_perp = 0 (Fuchs and Caves'
 condition for two mixed states) taken along the plane: Illinois steps,
 safeguarded by the bracket and by bisection, that place the axis to
 round-off in about six steps.  The search is written once, for one
 bracket in Python floats (_slope_root_one), and every bracket of a call
 goes through it in turn, so each costs only its own steps and no numpy
-call on arrays of one element.  A bracket whose
-ends show no sign change of the slope keeps its scan angle; that happens
-only where the objective is flat to round-off, so the scan point is as
-good as any.  Every bracket's axis then gets one evaluation of the row
-kernel for its value.
+call on arrays of one element.  A bracket whose ends show no sign change
+of the slope keeps its scan angle; that happens only where the objective
+is flat to round-off, so the scan point is as good as any.  Every
+bracket's axis then gets one evaluation of the row kernel for its value.
 
 Each stage is written once, for a block: a rare branch (the plane basis of
 a nearly collinear, collinear or vanishing pair) is a masked step on the
 rows that take it.  Every operation is row by row, so a row's result does
 not depend on the block it was computed in.  A block skips only the steps
 that would be an identity on it, never a stage: a block whose rows have one
-bracket each, in row order, is polished on its arrays as they are, with no
+bracket each, in row order, is polished on its record as it is, with no
 re-indexing and no pick.
 
 A lone ensemble has a one-row body of its own (_lone_optimum,
@@ -55,18 +57,17 @@ spent most of its time building, indexing and reading back arrays of one
 element.  The body takes the common row: a plane basis of one Gram-Schmidt
 pass and a scan of exactly one bracket and no cap, 948 of the benchmark's
 1 000 seed-1 ensemble_batch inputs.  It computes the plane basis, the
-slope's in-plane projections, the optimal axis and its canonical sign, the
-stationarity defect and the discord's clamp on Python floats, where each
-+, -, *, / and sqrt is one exactly rounded IEEE operation, with no fused
-multiply-add, in the order of the block's; numpy's three-term sums run left
-to right, as Python's (x + y) + z does.  numpy stays where it fixes bits:
-the BLAS dots that _row_dot takes, the ufuncs log2, artanh, cos and sin on
-scalars or short lists, and the row kernel's two passes, the scan and the
-final value.  So every field of a lone call has the bits of its one-row
-block.  Any other row goes on through the block's stages from the row
-kernel, basis and scan the body built, so each rare branch has one owner.
-stationarity_residual and check_analytic_conditions take their defect from
-the same body.
+optimal axis and its canonical sign, the stationarity defect and the
+discord's clamp on Python floats, where each +, -, *, / and sqrt is one
+exactly rounded IEEE operation, with no fused multiply-add, in the order of
+the block's; numpy sums the axis's three squares left to right, as
+Python's (x + y) + z does.  numpy stays where it fixes bits: the BLAS dots
+that _row_dot takes, the one-row record's in-plane dots, the ufuncs log2,
+artanh, cos and sin, and the row kernel's two passes.  So every field of a
+lone call has the bits of its one-row block.  Any other row goes on
+through the block's stages from the record and scan the body built, so
+each rare branch has one owner.  stationarity_residual and
+check_analytic_conditions take their defect from the same body.
 
 For ensembles of two pure states the optimization can be skipped entirely:
 purifying with an ancilla qubit turns the discord into an entanglement of
@@ -78,6 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -403,6 +405,29 @@ def _plane_basis_one(a, b):
     return u1, w / nw
 
 
+class _Plane(NamedTuple):
+    """The in-plane record of a block: plane bases u1, u2 (N, 3), row kernel and six in-plane dots.
+
+    dots (2, 3, N) holds v_i.u_j of row k at [j, i, k], for v = a, b, c.
+    """
+
+    u1: np.ndarray
+    u2: np.ndarray
+    dots: np.ndarray
+    objective: _RowObjective
+
+    @classmethod
+    def of(cls, u1, u2, objective, average):
+        """The record of rows of bases (u1, u2), row kernel objective and kept average states c."""
+        # All six dots, (v * u).sum(-1), in one product, without sum's Python wrapper.
+        dots = np.add.reduce(np.array((*objective.consts[:2], average)) * np.array((u1, u2))[:, None], -1)
+        return cls(u1, u2, dots, objective)
+
+    def take(self, rows):
+        """The record of the rows that rows (index array or slice) picks."""
+        return _Plane(self.u1[rows], self.u2[rows], self.dots[:, :, rows], self.objective.take(rows))
+
+
 def _pick_rows(owner, vals, axes):
     """The optimum of every row from its candidates: axis, value and degenerate flag.
 
@@ -439,27 +464,26 @@ def _scan_peaks(vals):
     return (vals >= wrapped[..., :-2]) & (vals >= wrapped[..., 2:])
 
 
-def _scan_slice(u1, u2, objective):
-    """The scan of a slice of rows, with their row kernel: its brackets, and the scan points of its capped rows.
+def _scan_slice(plane):
+    """The scan of a slice of rows, from its _Plane: its brackets, and the scan points of its capped rows.
 
     The scan point phi of a row has the projections
     t_v = cos(phi) (v.u1) + sin(phi) (v.u2) for v = a, b, which the row
-    kernel takes in place of an axis.  They are elementwise products of
-    each row's four in-plane dots with the angles: a (rows, 2) @ (2, 720)
-    product would let BLAS pick its path by the row count, and a row's bits
-    would depend on its block.  Returns the mask of the scan points that
+    kernel takes in place of an axis.  They are elementwise products of the
+    record's dots of a and b with the angles: a (rows, 2) @ (2, 720) product
+    would let BLAS pick its path by the row count, and a row's bits would
+    depend on its block.  Returns the mask of the scan points that
     start a bracket and, if a row is capped, (row, value, axis) of every
     peak of the capped rows, else None.  The slice's projections and values
     live in the row kernel's working set, and the sine products pass
     through its logs before the kernel needs them; the next pass reuses
     both, so what this returns is in arrays of its own.
     """
-    work = _WORK.views((len(u1), _SCAN_POINTS))
+    work = _WORK.views((len(plane.u1), _SCAN_POINTS))
     t, vals = work.projections, work.values
-    # (a.u, b.u) for u = u1, u2, each pair a column per row, in one stacked product.
-    on_u1, on_u2 = _row_dot(np.array((u1, u2))[:, None], np.array(objective.consts[:2]))[..., None]
+    on_u1, on_u2 = plane.dots[:, :2, :, None]  # (a.u, b.u), a column per row
     np.add(np.multiply(on_u1, _SCAN_COS.T, t), np.multiply(on_u2, _SCAN_SIN.T, work.logs[:2]), t)
-    objective.projections(*work.pair, out=vals)
+    plane.objective.projections(*work.pair, out=vals)
     peaks = _scan_peaks(vals)
     # A flat scan keeps all its points, so the peak cap sends it to the
     # tie-break too.
@@ -468,7 +492,7 @@ def _scan_slice(u1, u2, objective):
     if not cap.any():
         return peaks, None
     i, k = np.nonzero(peaks & cap)
-    return peaks & ~cap, (i, vals[i, k], _plane_axes(_SCAN_COS[k], _SCAN_SIN[k], u1[i], u2[i]))
+    return peaks & ~cap, (i, vals[i, k], _plane_axes(_SCAN_COS[k], _SCAN_SIN[k], plane.u1[i], plane.u2[i]))
 
 
 def _plane_axes(cos, sin, u1, u2):
@@ -476,31 +500,11 @@ def _plane_axes(cos, sin, u1, u2):
     return _normalized(cos * u1 + sin * u2)
 
 
-def _slope_root(phi0, u1, u2, a, b, half0, half1):
-    """Root of dI/dphi in [phi0 - dphi, phi0 + dphi] for every bracket.
-
-    Row k of every argument describes bracket k: its scan peak phi0, its
-    ensemble's plane basis (u1, u2), Bloch vectors (a, b) and half weights.
-    The projections (v.u1, v.u2) of v = a, b, c are taken once for all
-    brackets; then each bracket goes through _slope_root_one in turn.
-    Returns the root per bracket (NaN where the ends do not bracket one)
-    and the evaluations per bracket.
-    """
-    c = 2.0 * (half0[:, None] * a + half1[:, None] * b)  # lambda0 a + lambda1 b, to the bit
-    v = np.array((a, b, c))
-    on_u1, on_u2 = (v * u1).sum(-1), (v * u2).sum(-1)
-    roots = [
-        _slope_root_one(*bracket)
-        for bracket in zip(phi0.tolist(), on_u1.T.tolist(), on_u2.T.tolist(), half0.tolist(), half1.tolist())
-    ]
-    return np.array([phi for phi, _ in roots], dtype=float), np.array([n for _, n in roots], dtype=int)
-
-
 def _slope_root_one(phi0, on_u1, on_u2, half0, half1):
     """The root search of one bracket [phi0 - dphi, phi0 + dphi], in Python floats.
 
-    on_u1 and on_u2 hold (v.u1) and (v.u2) for v = a, b, c, and half0,
-    half1 the half weights.  The slope is
+    on_u1 and on_u2 hold (v.u1) and (v.u2) for v = a, b, c, a row of a
+    _Plane's dots, and half0, half1 the half weights.  The slope is
     g(phi) = sum_i (lambda_i/2) log2(t_i) (v_i.t) with the plane tangent
     t = -sin(phi) u1 + cos(phi) u2.  A bracket whose ends have g > 0 > g
     takes Illinois steps (regula falsi that halves the slope kept at an end
@@ -553,18 +557,21 @@ def _slope_root_one(phi0, on_u1, on_u2, half0, half1):
     return best, evals
 
 
-def _polish(phi0, u1, u2, objective):
+def _polish(phi0, plane):
     """Every bracket's maximum: its axis, value and evaluations.
 
-    Each bracket takes the root of the slope that _slope_root finds; one
-    whose ends show no sign change of the slope keeps its scan angle phi0.
-    Either way the axis gets one last evaluation of the row kernel of the
-    brackets' rows, objective.
+    Bracket k has the scan peak phi0[k] and row k of plane, a _Plane.  Each
+    bracket in turn takes the root of the slope that _slope_root_one finds
+    from its row's dots and half weights, or keeps its scan angle where the
+    slope changes no sign.  Its axis then gets one evaluation of the
+    record's row kernel.
     """
-    phi, evals = _slope_root(phi0, u1, u2, *objective.consts[:4])
+    (on_u1, on_u2), (half0, half1) = plane.dots, plane.objective.consts[2:4]
+    brackets = zip(phi0.tolist(), on_u1.T.tolist(), on_u2.T.tolist(), half0.tolist(), half1.tolist())
+    phi, evals = np.array([_slope_root_one(*bracket) for bracket in brackets]).reshape(-1, 2).T
     phi = np.where(np.isnan(phi), phi0, phi)
-    n = _plane_axes(np.cos(phi)[:, None], np.sin(phi)[:, None], u1, u2)
-    return n, objective(n), evals + 1
+    n = _plane_axes(np.cos(phi)[:, None], np.sin(phi)[:, None], plane.u1, plane.u2)
+    return n, plane.objective(n), evals.astype(int) + 1
 
 
 def accessible_information(ens) -> OptimizationResult:
@@ -590,43 +597,41 @@ def accessible_information(ens) -> OptimizationResult:
     points, whose unit axes are built only then; such a row's value is its
     best scan value.  The brackets of all other rows are polished by
     _polish, which takes them one at a time through one root search; then
-    each row picks its candidate.  Where every row has exactly one bracket, in
-    row order, that bracket is the row's pick, so the block's arrays go to
-    _polish as they are and no pick runs.  A lone ensemble's common row
+    each row picks its candidate.  The scan slices and the polish read one
+    record of the block (_Plane), re-indexed by its take.  Where every row
+    has exactly one bracket, in row order, that bracket is the row's pick,
+    so the record goes to _polish as it is and no pick runs.  A lone ensemble's common row
     takes the same stages in _lone_optimum, with the same bits.
     """
     if not isinstance(ens, _EnsembleArrays):
         return _lone_optimum(ens)
     rows = ens
-    consts = _row_constants(rows, False)
-    objective = _RowObjective(consts)
-    u1, u2 = _plane_basis_rows(rows.a, rows.b)
+    plane = _Plane.of(*_plane_basis_rows(rows.a, rows.b), _RowObjective(_row_constants(rows, False)), rows.average)
     brackets = np.empty((len(rows), _SCAN_POINTS), dtype=bool)
     capped = []  # (rows, values, axes) of the scan points of capped rows
     for first in range(0, len(rows), _SCAN_ROWS):
         part = slice(first, first + _SCAN_ROWS)
-        brackets[part], points = _scan_slice(u1[part], u2[part], _RowObjective(tuple(c[part] for c in consts)))
+        brackets[part], points = _scan_slice(plane.take(part))
         if points is not None:
             i, vals, axes = points
             capped.append((first + i, vals, axes))
-    n_opt, value, evals, degenerate = _block_optimum(objective, u1, u2, brackets, capped)
+    n_opt, value, evals, degenerate = _block_optimum(plane, brackets, capped)
     # Every value is the row kernel's, which is at least 0 already.
     return OptimizationResult(n_opt, value, _stationarity_rows(rows, n_opt), evals, IN_PLANE_METHOD, degenerate)
 
 
-def _block_optimum(objective, u1, u2, brackets, capped):
-    """The optimum of every row of a block from its row kernel, plane bases and scan: the polish and each row's pick.
+def _block_optimum(plane, brackets, capped):
+    """The optimum of every row of a block from its _Plane and scan: the polish and each row's pick.
 
     capped is a list of (rows, values, axes) of the scan points of capped
     rows.  Returns the columns n_opt, value, evaluations and degenerate.
     """
-    rows = len(u1)
+    rows = len(plane.u1)
     owner, k = np.nonzero(brackets)
     if owner.size == rows and not np.count_nonzero(owner[1:] == owner[:-1]):
-        # One bracket per row, in row order (owner is np.arange): each row's
-        # arrays and the scan's row kernel go to _polish as they are, and
-        # its bracket is its pick, which no axis ties with.
-        axes, value, used = _polish(_PHIS[k], u1, u2, objective)
+        # One bracket per row, in row order (owner is np.arange): the record goes to
+        # _polish as it is, and each row's bracket is its pick, which no axis ties with.
+        axes, value, used = _polish(_PHIS[k], plane)
         n_opt, evals, degenerate = canonical_axis(axes), _SCAN_POINTS + used, np.zeros(rows, dtype=bool)
     else:
         n_opt = np.empty((rows, 3))
@@ -636,8 +641,7 @@ def _block_optimum(objective, u1, u2, brackets, capped):
         # Not needed for the result, but a polish of no brackets costs about a
         # third of a flat row's call.
         if owner.size:
-            owned = _RowObjective(tuple(c[owner] for c in objective.consts))
-            axes, vals, used = _polish(_PHIS[k], u1[owner], u2[owner], owned)
+            axes, vals, used = _polish(_PHIS[k], plane.take(owner))
             i, axis, best, apart, starts = _pick_rows(owner, vals, axes)
             n_opt[i], value[i], degenerate[i] = axis, best, apart
             evals[i] += np.add.reduceat(used, starts)
@@ -656,39 +660,32 @@ def _lone_optimum(ens: QubitEnsemble) -> OptimizationResult:
     body computes on Python floats, each +, -, *, / and sqrt one exactly
     rounded operation in the order of the block's, so every field has the
     bits of the one-row block.  numpy stays where it fixes bits: the BLAS
-    dots, the ufuncs log2, artanh, cos and sin, and the row kernel's two
-    passes, the scan (_scan_slice) and the final value, which share one
-    _RowObjective.  Any other row goes on to _block_optimum from the row
-    kernel, basis and scan built here, the basis of a rare branch from
-    _plane_basis_rows; every row takes its residual from _stationarity_one.
+    dots, the ufuncs, the dots of the one-row _Plane (c the kept average),
+    which the scan and root search read, and the row kernel's two passes.
+    Any other row goes on to _block_optimum from the record and scan built
+    here, the basis of a rare branch from _plane_basis_rows; every row
+    takes its residual from _stationarity_one.
     """
-    a, b = ens.a, ens.b
-    half0, half1 = 0.5 * ens.lambda0, 0.5 * ens.lambda1
-    objective = _RowObjective(_row_constants_one(ens))
-    basis = _plane_basis_one(a, b)
-    u1, u2 = _plane_basis_rows(a[None], b[None]) if basis is None else (basis[0][None], basis[1][None])
-    brackets, points = _scan_slice(u1, u2, objective)
+    basis = _plane_basis_one(ens.a, ens.b)
+    u1, u2 = _plane_basis_rows(ens.a[None], ens.b[None]) if basis is None else (basis[0][None], basis[1][None])
+    plane = _Plane.of(u1, u2, _RowObjective(_row_constants_one(ens)), ens._average[None])
+    brackets, points = _scan_slice(plane)
     k = np.flatnonzero(brackets)
     if basis is None or points is not None or k.size != 1:
         capped = [] if points is None else [points]
-        n_opt, value, evals, degenerate = _block_optimum(objective, u1, u2, brackets, capped)
+        n_opt, value, evals, degenerate = _block_optimum(plane, brackets, capped)
         n_opt, value, evals, degenerate = n_opt[0], value[0].item(), evals[0].item(), degenerate[0].item()
     else:
-        al, bl, p1, p2 = a.tolist(), b.tolist(), basis[0].tolist(), basis[1].tolist()
-        # _slope_root's (v.u1, v.u2) for v = a, b and c, each (v * u).sum(-1):
-        # numpy sums three terms left to right.
-        c = [2.0 * (half0 * x + half1 * y) for x, y in zip(al, bl)]
-        on_u1, on_u2 = ([v[0] * u[0] + v[1] * u[1] + v[2] * u[2] for v in (al, bl, c)] for u in (p1, p2))
+        (on_u1, on_u2), p1, p2 = plane.dots[..., 0].tolist(), basis[0].tolist(), basis[1].tolist()
         phi0 = _PHIS[k[0]].item()
-        phi, used = _slope_root_one(phi0, on_u1, on_u2, half0, half1)
-        if math.isnan(phi):
-            phi = phi0
+        phi, used = _slope_root_one(phi0, on_u1, on_u2, 0.5 * ens.lambda0, 0.5 * ens.lambda1)
+        phi = phi0 if math.isnan(phi) else phi
         cos, sin = float(np.cos(phi)), float(np.sin(phi))
         # _plane_axes: the axis and its norm, a sum of three squares left to right.
         n = [cos * x + sin * y for x, y in zip(p1, p2)]
         norm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
         axis = np.array([[x / norm for x in n]])
-        n_opt, value, degenerate = canonical_axis(axis[0]), objective(axis)[0].item(), False
+        n_opt, value, degenerate = canonical_axis(axis[0]), plane.objective(axis)[0].item(), False
         evals = _SCAN_POINTS + used + 1
     return OptimizationResult(n_opt, value, _stationarity_one(ens, n_opt)[3], evals, IN_PLANE_METHOD, degenerate)
 

@@ -272,7 +272,7 @@ def _row_constants(rows: _EnsembleArrays, purity):
     it; the constants of the other objective are zeros, which make its term
     exactly +0.  purity is one flag for every row or an array of them.
     Returns (a, b, half0, half1, h0, sq0, sq1), one entry per row in each;
-    the constants of a subset of rows are tuple(c[rows] for c in consts).
+    _RowObjective.take builds the kernel of a subset of rows.
     A Python bool for purity skips the np.where of the flag and builds only
     the constants of its objective, with the same bits.
     """
@@ -320,7 +320,7 @@ class _RowObjective:
     of _pieces, each with those same terms.  Every intermediate of a pass
     lives in the calling thread's working set (_WorkingSet); the values go
     to out, if given, else to a new array, so a result outlives the next
-    call.
+    call.  take gives the kernel of some of the rows.
     """
 
     def __init__(self, consts):
@@ -330,6 +330,10 @@ class _RowObjective:
         self.purity, self.info = np.count_nonzero(sq1) or np.count_nonzero(sq0), np.count_nonzero(h0)
         self.columns = tuple(c[:, None] for c in consts[2:])
         self.vectors_and_columns = (a[:, :, None], b[:, :, None]) + self.columns
+
+    def take(self, rows):
+        """The kernel of the rows that rows (index array, mask or slice) picks."""
+        return _RowObjective(tuple(c[rows] for c in self.consts))
 
     def _core(self, ta, tb, half0, half1, h0, sq0, sq1, out=None, work=None):
         j, logs, zero = (work or _WORK.views(ta.shape))[:3]

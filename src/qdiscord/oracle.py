@@ -144,7 +144,7 @@ def _model_steps(f, f0, h, radius):
     return v1 / scale, v2 / scale
 
 
-def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
+def _polish_rows(start: np.ndarray, floor: np.ndarray, objective, radius: float):
     """Trust-region polish of every row from its best grid point.
 
     A row holds a point p with its value (floor at the start) and a trust
@@ -158,14 +158,14 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
     and at least h after a move to a stencil point.  A row stops once its
     step is below _MIN_STEP and no stencil point moved it, or after
     _MAX_ROUNDS rounds; stopped rows are frozen, so no row depends on the
-    others.  The live rows' row kernel is built again only when a row stops,
-    and the rounds end once no row is live, an empty block's before the first.
+    others.  objective is the row kernel of the live rows, taken again only
+    when a row stops, and the rounds end once no row is live, an empty
+    block's before the first.
     """
     p, best = np.array(start, dtype=float), np.array(floor, dtype=float)
     radii = np.full(len(p), radius)
     evals = np.zeros(len(p), dtype=int)
     live = np.arange(len(p))
-    objective = _RowObjective(consts)
     for _ in range(_MAX_ROUNDS):
         if not live.size:
             break
@@ -193,8 +193,7 @@ def _polish_rows(start: np.ndarray, floor: np.ndarray, consts, radius: float):
         radii[live] = np.where(by_stencil, np.maximum(r, h), r)
         kept = (step >= _MIN_STEP) | by_stencil
         if not kept.all():
-            live = live[kept]
-            objective = _RowObjective(tuple(c[live] for c in consts))
+            live, objective = live[kept], objective.take(kept)
     return p, best, evals
 
 
@@ -211,14 +210,14 @@ def brute_force_batch(rows: _EnsembleArrays, purity, grid_size: int = 10_000) ->
     if purity.shape not in ((), (len(rows),)):
         raise ValueError(f"purity must be one flag or one per row ({len(rows)}), got shape {purity.shape}")
     grid, unit = _grid(grid_size)
-    consts = _row_constants(rows, purity)
+    objective = _RowObjective(_row_constants(rows, purity))
     start, floor = np.empty((len(rows), 3)), np.empty(len(rows))
     vals = np.empty(grid_size)  # every row's grid values in turn
     for i in range(len(rows)):
-        _RowObjective(tuple(c[i : i + 1] for c in consts))(unit, out=vals)
+        objective.take(slice(i, i + 1))(unit, out=vals)
         k = int(np.argmax(vals))  # ties resolve to the lowest point index
         start[i], floor[i] = grid[k], vals[k]
-    axes, value, polish_evals = _polish_rows(start, floor, consts, _RADIUS_SCALE / np.sqrt(grid_size))
+    axes, value, polish_evals = _polish_rows(start, floor, objective, _RADIUS_SCALE / np.sqrt(grid_size))
     n_opt = canonical_axis(axes)
     n = _normalized(n_opt)
     # max(purity - value, 0.0) on the purity rows.

@@ -242,9 +242,9 @@ def _scalar_scan(ens, u1, u2):
     """The 720-point scan of one ensemble on the plane (u1, u2): the row kernel at its projections.
 
     The projections of a and b at phi are cos(phi) (v.u1) + sin(phi) (v.u2),
-    each dot taken once as a 3-vector @.
+    each dot taken once as the in-plane record spells it, (v * u).sum().
     """
-    ta, tb = (float(v @ u1) * discord._SCAN_COS.T + float(v @ u2) * discord._SCAN_SIN.T for v in (ens.a, ens.b))
+    ta, tb = ((v * u1).sum() * discord._SCAN_COS.T + (v * u2).sum() * discord._SCAN_SIN.T for v in (ens.a, ens.b))
     consts = _row_constants(_EnsembleArrays.of([ens]), False)
     return measurement._RowObjective(consts).projections(ta, tb)[0]
 
@@ -270,10 +270,10 @@ def _scalar_search(ens):
         evals, hint = discord._SCAN_POINTS, True
     else:
         k = peaks.size
-        consts = _row_constants(_EnsembleArrays.of([ens] * k), False)
-        axes, values, used = discord._polish(
-            discord._PHIS[peaks], np.tile(u1, (k, 1)), np.tile(u2, (k, 1)), measurement._RowObjective(consts)
-        )
+        rows = _EnsembleArrays.of([ens] * k)
+        objective = measurement._RowObjective(_row_constants(rows, False))
+        plane = discord._Plane.of(np.tile(u1, (k, 1)), np.tile(u2, (k, 1)), objective, rows.average)
+        axes, values, used = discord._polish(discord._PHIS[peaks], plane)
         candidates = list(zip(values.tolist(), axes))
         evals, hint = discord._SCAN_POINTS + int(used.sum()), False
     best = max(v for v, _ in candidates)
@@ -540,7 +540,8 @@ def _fall_through(ens):
         return branch
     rows = _EnsembleArrays.of([ens])
     u1, u2 = discord._plane_basis_rows(rows.a, rows.b)
-    brackets, capped = discord._scan_slice(u1, u2, measurement._RowObjective(_row_constants(rows, False)))
+    objective = measurement._RowObjective(_row_constants(rows, False))
+    brackets, capped = discord._scan_slice(discord._Plane.of(u1, u2, objective, rows.average))
     if capped is not None:
         return "capped"
     return None if np.count_nonzero(brackets) == 1 else "brackets"

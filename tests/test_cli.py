@@ -1,5 +1,6 @@
 import compileall
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -457,6 +458,17 @@ def test_sweep_matches_golden_csv(tmp_path, argv, golden):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+def test_sweep_across_four_blocks_matches_its_digest(capsys):
+    """The stdout of sweep --steps 2000, four blocks of 512 rows, pinned by its sha256.
+
+    Default dispatch only: numpy's restricted SIMD paths print other bytes
+    (ROADMAP item 2).
+    """
+    code, out, _ = run_cli(capsys, "sweep", "--steps", "2000")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == "344d7253991829e6864c9c4d6d5d04a23e1c3301199ce76e6cf6b2c1dba05d6d"
+
+
 def test_sweep_lambda_dependence(capsys):
     # closed-form columns stay exact away from equal weights
     code, out, _ = run_cli(capsys, "sweep", "--steps", "6", "--lambda0", "0.3")
@@ -566,6 +578,16 @@ def test_verify_matches_golden_output(tmp_path):
     out = tmp_path / "verify.txt"
     assert main(["verify", "--seed", "1", "--trials", "20", "--output", str(out)]) == EXIT_OK
     assert out.read_bytes() == (DATA / "verify_seed1_trials20.txt").read_bytes()
+
+
+def test_verify_across_three_blocks_matches_golden_output(capsys):
+    """The stdout of verify --seed 1 --trials 1025, three blocks, against its golden file.
+
+    Default dispatch only, as the sweep digest above.
+    """
+    code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--trials", "1025")
+    assert code == EXIT_OK
+    assert out == (DATA / "verify_seed1_trials1025.txt").read_text()
 
 
 def test_verify_block_goes_through_the_public_layer_functions(monkeypatch, tmp_path):

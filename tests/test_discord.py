@@ -508,9 +508,9 @@ def test_batch_matches_single_calls(seed, extra):
     )
     batch = [batch[i] for i in rng.permutation(len(batch))]
     roots, picks = [], []
-    with _record("_slope_root", roots), _record("_pick_rows", picks):
+    with _record("_slope_root_one", roots), _record("_pick_rows", picks):
         together = accessible_information(_EnsembleArrays.of(batch))
-    [(_, (phi, _))] = roots
+    phi = np.array([phi for _, (phi, _) in roots])
     # 24 of MULTI_PEAK's 26 brackets and one of NO_SIGN_CHANGE's two have no root.
     assert 25 <= np.isnan(phi).sum() < phi.size
     # Rows of several brackets: the brackets are re-indexed to their rows and picked.
@@ -537,11 +537,12 @@ NO_SIGN_CHANGE = QubitEnsemble(
 def test_bracket_without_sign_change_keeps_its_scan_point():
     """The bracket with no root of the slope gets the scan axis and the public objective there."""
     polished, roots = [], []
-    with _record("_polish", polished), _record("_slope_root", roots):
+    with _record("_polish", polished), _record("_slope_root_one", roots):
         accessible_information(NO_SIGN_CHANGE)
-    [((phi0, u1, u2, *_), (axes, vals, used))] = polished
-    [(_, (phi, _))] = roots
-    assert phi0.size == 2
+    [((phi0, plane), (axes, vals, used))] = polished
+    u1, u2 = plane.u1, plane.u2
+    phi = np.array([phi for _, (phi, _) in roots])
+    assert phi0.size == phi.size == 2
     [k] = np.flatnonzero(np.isnan(phi))
     assert used[k] == 3  # the slope at both ends, then the value
     unit = discord._unit_axes(np.cos(phi0[k]) * u1[k] + np.sin(phi0[k]) * u2[k])
@@ -614,9 +615,9 @@ def test_blocks_of_many_brackets_match_single_calls():
     assert len(mix) >= 512
     for block, brackets in ((small, len(small) + 1), (mix, None)):
         roots = []
-        with _record("_slope_root", roots):
+        with _record("_slope_root_one", roots):
             together = accessible_information(_EnsembleArrays.of(block))
-        [(args, (phi, evals))] = roots
+        phi, evals = np.array([result for _, result in roots]).T
         assert brackets is None or phi.size == brackets
         assert [_bits(together, k) for k in range(len(block))] == [_bits(accessible_information(e)) for e in block]
     assert np.isnan(phi).sum() >= 25 and evals.max() >= 18
@@ -641,8 +642,8 @@ def test_blocks_of_one_bracket_per_row_match_single_calls():
         polished, picks = [], []
         with _record("_polish", polished), _record("_pick_rows", picks):
             together = accessible_information(_EnsembleArrays.of(block))
-        [((phi0, u1, *_), _)] = polished
-        assert phi0.size == len(u1) == len(block)
+        [((phi0, plane), _)] = polished
+        assert phi0.size == len(plane.u1) == len(block)
         assert picks == []
         assert [_bits(together, k) for k in range(len(block))] == [_bits(accessible_information(e)) for e in block]
     # As many brackets as rows, but both of one row: the other is flat and capped.
@@ -653,6 +654,46 @@ def test_blocks_of_one_bracket_per_row_match_single_calls():
             together = accessible_information(_EnsembleArrays.of(block))
         assert len(picks) == 2
         assert [_bits(together, k) for k in range(len(block))] == [_bits(accessible_information(e)) for e in block]
+
+
+@pytest.mark.host_bits
+def test_the_scan_and_the_root_search_read_one_spelling_of_the_in_plane_dots(monkeypatch):
+    """The scan's projections at phi = 0 have the bits of the (a.u1, b.u1) that each bracket's root search receives.
+
+    cos(0) = 1 and sin(0) = 0, so the scan point's projection
+    1 (v.u1) + 0 (v.u2) is v.u1 exactly.  Every row of a seeded block, and
+    each of its lone calls, must hand the root search of each of its
+    brackets those same two dots, and the block's scan must have the lone
+    scan's bits.
+    """
+    rng = np.random.default_rng(34)
+    ensembles = [MULTI_PEAK, NO_SIGN_CHANGE] + seeded_hard_inputs(rng, 10) + [random_ensemble(rng) for _ in range(40)]
+    projections, scans = discord._RowObjective.projections, []
+
+    def scan(self, ta, tb, out=None):
+        scans.extend(zip(ta[:, 0].tolist(), tb[:, 0].tolist()))
+        return projections(self, ta, tb, out)
+
+    monkeypatch.setattr(discord._RowObjective, "projections", scan)
+
+    def search(ens):
+        """The scan's (a.u1, b.u1) of each row and the two dots that each bracket's root search receives, in hex."""
+        scans.clear()
+        roots = []
+        with _record("_slope_root_one", roots):
+            accessible_information(ens)
+        hexes = [tuple(x.hex() for x in row) for row in scans + [args[1][:2] for args, _ in roots]]
+        return hexes[: len(scans)], hexes[len(scans) :]
+
+    lone_scans, lone_roots = [], []
+    for ens in ensembles:
+        [row], on_u1 = search(ens)
+        assert set(on_u1) <= {row}, ens
+        lone_scans.append(row)
+        lone_roots += on_u1
+    # Flat and capped rows have no bracket; MULTI_PEAK has 26.
+    assert len(lone_roots) >= len(ensembles) + 25
+    assert search(_EnsembleArrays.of(ensembles)) == (lone_scans, lone_roots)
 
 
 def _rolled_peaks(vals):
